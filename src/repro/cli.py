@@ -67,11 +67,16 @@ def _encode_id(eid: EntityId) -> object:
 MIN_ALPHA = 25
 
 
-def _config(args: argparse.Namespace, dataset_size: int, clean_clean: bool) -> StreamERConfig:
+def _config(
+    args: argparse.Namespace,
+    dataset_size: int,
+    clean_clean: bool,
+    interned: bool = False,
+) -> StreamERConfig:
     alpha = max(
         MIN_ALPHA, StreamERConfig.alpha_for(max(dataset_size, 2), args.alpha_fraction)
     )
-    return StreamERConfig(
+    return (StreamERConfig.interned if interned else StreamERConfig)(
         alpha=alpha,
         beta=args.beta,
         clean_clean=clean_clean,
@@ -184,7 +189,9 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
         print("no entities found", file=sys.stderr)
         return 1
     registry = MetricsRegistry()
-    config = _config(args, len(entities), False)
+    # mp gets the eligible wiring (interned kernel on shared columns), so
+    # the comparison tails really run on the worker processes.
+    config = _config(args, len(entities), False, interned=args.executor == "mp")
     if args.executor == "seq":
         pipeline = StreamERPipeline(config, instrument=False, registry=registry)
         pipeline.process_many(entities, on_error="dead_letter")
@@ -196,12 +203,17 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
         )
         pipeline.run(entities)
     else:  # mp
+        from repro.core.backends import SharedMemoryBackend
         from repro.parallel import MultiprocessERPipeline
 
-        pipeline = MultiprocessERPipeline(
-            config, workers=max(2, args.processes // 4), registry=registry
-        )
-        pipeline.run(entities)
+        with SharedMemoryBackend() as backend, MultiprocessERPipeline(
+            config,
+            workers=max(2, args.processes // 4),
+            backend=backend,
+            registry=registry,
+            partitioned=True,
+        ) as pipeline:
+            pipeline.run(entities)
     if args.format == "prometheus":
         text = to_prometheus(registry)
     else:

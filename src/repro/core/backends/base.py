@@ -101,7 +101,7 @@ def backend_capabilities(backend: object) -> frozenset[str]:
     paths without type-sniffing concrete backends: a backend that can do
     more than the :class:`StateBackend` protocol exposes a
     ``capabilities()`` method returning capability strings (e.g.
-    :data:`~repro.core.backends.shm.SharedMemoryBackend.TOKEN_COLUMNS`),
+    :data:`~repro.core.backends.shm.SharedMemoryBackend.PARTITION_COLUMNS`),
     and an executor checks for the strings it knows how to exploit.
     Backends without the method simply advertise nothing.  Decorating
     backends (:class:`~repro.core.backends.durable.DurableBackend`)

@@ -1,11 +1,8 @@
 """Shared-memory columnar state: dispatch without per-run serialization.
 
-The multiprocess executor's original wire format shipped a ``{entity id →
-packed token array}`` table with every chunk — the same entity's tokens
-crossed the process boundary once per chunk it appeared in, and the pool
-itself was torn down and re-spawned per increment.  Both benchmarks showed
-the consequence: the interned kernel's single-core gains were eaten by
-pickling and fork cost, and multiprocess ran *slower* than sequential.
+Pickling token payloads to worker processes — the same entity's tokens
+crossing the process boundary every time it is compared — and re-forking
+the pool per increment cost more than the comparisons themselves.
 
 This module removes the data from the wire.  Token payloads live in
 ``multiprocessing.shared_memory`` segments behind numpy-backed columnar
@@ -45,6 +42,8 @@ import itertools
 import os
 import pickle
 import secrets
+import sys
+import threading
 import weakref
 from array import array
 from bisect import bisect_right
@@ -112,13 +111,10 @@ def _fresh_prefix() -> str:
     return f"{SHM_NAME_PREFIX}{os.getpid():x}x{next(_counter):x}{secrets.token_hex(2)}"
 
 
-#: Segment names created by (an ancestor of) this interpreter.  Used to
-#: decide whether an attach must detach itself from the resource tracker:
-#: a *spawned* worker starts with this empty (fresh module state) and must
-#: unregister, while the creator itself and *forked* children — which
-#: share the creator's tracker process — must leave the creator's
-#: registration alone.
-_created_names: set[str] = set()
+#: Serializes the register-suppressing window of :func:`attach_segment`
+#: against segment creation in another thread (whose registration must
+#: not be lost).
+_tracker_lock = threading.Lock()
 
 
 def attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -126,18 +122,24 @@ def attach_segment(name: str) -> shared_memory.SharedMemory:
 
     ``SharedMemory(name=...)`` registers the segment with the process's
     resource tracker, which would unlink it when *this* process exits —
-    wrong for a worker attaching to the parent's state, and the source of
-    the well-known "leaked shared_memory objects" warnings.  Creating
-    processes own unlinking; attachers are read-only guests, so a fresh
-    (spawned) process un-registers itself here.
+    wrong for a guest attaching to someone else's state, and the source
+    of the well-known "leaked shared_memory objects" warnings.  Creating
+    is what makes a process the owner; attaching never does.  So an
+    attach is simply never registered, whoever performs it: there is no
+    owner-vs-guest guess to go stale across a ``fork``, and nothing is
+    ever *un*registered — pool workers share the creator's tracker, where
+    a guest's unregister would erase the creator's registration and a
+    ``kill -9`` of the creator would no longer sweep the segment.
     """
-    segment = shared_memory.SharedMemory(name=name)
-    if name not in _created_names:
-        try:  # private attr carries the registered (leading-slash) form
-            resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover - tracker variations
-            pass
-    return segment
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    with _tracker_lock:
+        register = resource_tracker.register
+        resource_tracker.register = lambda name, rtype: None
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 def active_shm_segments(prefix: str | None = None) -> list[str]:
@@ -221,9 +223,9 @@ class SharedColumnStore:
     # -- segment plumbing ----------------------------------------------
 
     def _create(self, name: str, size: int) -> shared_memory.SharedMemory:
-        segment = shared_memory.SharedMemory(name=name, create=True, size=size)
+        with _tracker_lock:
+            segment = shared_memory.SharedMemory(name=name, create=True, size=size)
         self._segments.append(segment)
-        _created_names.add(name)
         return segment
 
     def _grow_data(self, capacity: int) -> None:
@@ -337,7 +339,6 @@ class SharedColumnStore:
         self.close()
         for segment in self._segments:
             _unlink_segment(segment)
-            _created_names.discard(segment.name)
 
 
 class SharedColumnReader:
@@ -455,7 +456,8 @@ class SharedTokenArrayStore:
     on the first comparison that mentions the entity — and afterwards
     ships only the row number.  A re-arriving entity whose token set
     changed (dynamic data) gets a fresh row; the old row stays valid for
-    any chunk already in flight (append-only means no ABA hazard).
+    any membership record that already names it (append-only means no
+    ABA hazard).
 
     With an ``entity_columns`` store attached, every token-row append is
     mirrored by a pickled entity-id record at the *same* row number —
@@ -556,10 +558,11 @@ def _finalize_backend(creator_pid: int, stores) -> None:
 class SharedMemoryBackend:
     """A :class:`~repro.core.backends.StateBackend` with shared token state.
 
-    Two columns live in shared memory — the token dictionary's id → token
-    strings and the per-entity packed token-id arrays — because those are
-    exactly what the multiprocess comparison stage needs and what used to
-    be re-serialized into every chunk.  The remaining stores (blocks,
+    Four columns live in shared memory — the token dictionary's id →
+    token strings, the per-entity packed token-id arrays, the row →
+    entity-id mirror and the per-entity candidate (membership) records —
+    because those are exactly what a worker needs to resolve an entity's
+    ``cc → lm → co → cl`` tail.  The remaining stores (blocks,
     blacklist, profiles, matches, co-occurrence) are parent-only state
     that never crosses the process boundary, so they stay as the plain
     in-memory implementations (injectable, like
@@ -578,15 +581,10 @@ class SharedMemoryBackend:
     ``layout``) remains reachable through its attribute delegation.
     """
 
-    #: Advertised via :meth:`capabilities`; the multiprocess executor
-    #: negotiates its ``"shm"`` dispatch mode on this string.
-    TOKEN_COLUMNS = "shm-token-columns"
-
-    #: Advertised via :meth:`capabilities`; the multiprocess executor
-    #: negotiates block-partitioned dispatch (worker-side candidate
-    #: generation + rescoring) on this string.  Requires the entity and
-    #: membership columns this backend maintains alongside the token
-    #: column.
+    #: Advertised via :meth:`capabilities`: this backend maintains the
+    #: token, entity and membership columns that block-partitioned
+    #: multiprocess dispatch (worker-side cleaning, scoring and
+    #: classification) reads.
     PARTITION_COLUMNS = "shm-partition-columns"
 
     def __init__(
@@ -656,7 +654,7 @@ class SharedMemoryBackend:
 
     def capabilities(self) -> frozenset[str]:
         """What this backend can do beyond the protocol (negotiation)."""
-        return frozenset({self.TOKEN_COLUMNS, self.PARTITION_COLUMNS})
+        return frozenset({self.PARTITION_COLUMNS})
 
     def layout(self) -> dict[str, str]:
         """Column prefixes a worker needs to attach (picklable, tiny)."""

@@ -121,9 +121,9 @@ class PipelineMonitor:
             return int(self.registry.value(COMPARISONS_EXECUTED))
         co = self.pipeline.compiled.get("co")
         executed = co.compared if co is not None else 0
-        # The multiprocess executor scores on the pool; its parent-side
-        # ``co`` stage object never runs, but it counts dispatches.
-        return max(executed, getattr(self.pipeline, "pairs_dispatched", 0))
+        # The multiprocess executor's parent-side ``co`` only sees the
+        # tails it ran inline; worker-side scoring counts as dispatches.
+        return executed + getattr(self.pipeline, "pairs_dispatched", 0)
 
     def _recent_rates(self, now_entities: int, now_seconds: float,
                       now_comparisons: int) -> tuple[float, float]:

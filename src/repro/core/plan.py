@@ -182,12 +182,6 @@ class PipelinePlan:
             f"stage {name!r} is not in this plan (active: {self.stage_names()})"
         )
 
-    def front_stage_names(self) -> tuple[str, ...]:
-        """The state-bearing front: every active stage before ``co``."""
-        return tuple(
-            spec.name for spec in self.specs if spec.name not in ("co", "cl")
-        )
-
     def serialization_points(self) -> tuple[str, ...]:
         return tuple(spec.name for spec in self.specs if spec.serialization_point)
 
@@ -245,9 +239,9 @@ class CompiledPipeline:
         self.plan = plan
         self.backend = backend
         #: Capability strings the backend advertises, resolved once at
-        #: compile time so executors negotiate fast paths (e.g. the
-        #: multiprocess ``"shm"`` dispatch) off the compiled plan rather
-        #: than re-probing the backend.
+        #: compile time so executors decide on fast paths (e.g. partitioned
+        #: multiprocess dispatch) off the compiled plan rather than
+        #: re-probing the backend.
         self.capabilities = backend_capabilities(backend)
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.checker = checker if (checker is not None and checker.enabled) else None

@@ -64,7 +64,6 @@ __all__ = [
     "SHM_ROWS",
     "POOL_SPAWNS",
     "POOL_REUSES",
-    "SHM_METRIC_NAMES",
     "PARTITIONS_DISPATCHED",
     "PARTITION_PAIRS",
     "PARTITION_GROUPS",
@@ -73,7 +72,6 @@ __all__ = [
     "PARTITION_METRIC_NAMES",
     "declare_pipeline_metrics",
     "declare_durability_metrics",
-    "declare_shm_metrics",
     "declare_partition_metrics",
     "InstrumentedStage",
 ]
@@ -127,33 +125,26 @@ SHM_SEGMENTS = "er_shm_segments"
 SHM_ROWS = "er_shm_rows"
 POOL_SPAWNS = "er_pool_spawns_total"
 POOL_REUSES = "er_pool_reuses_total"
-
-#: The shared-memory / persistent-pool families, declared only when the
-#: multiprocess executor negotiates the ``"shm"`` dispatch mode against a
-#: :class:`~repro.core.backends.shm.SharedMemoryBackend` — like
-#: :data:`DURABILITY_METRIC_NAMES`, kept out of
-#: :data:`PIPELINE_METRIC_NAMES` so plain runs' cross-executor name-set
-#: comparisons stay exact.
-SHM_METRIC_NAMES: tuple[str, ...] = (
-    SHM_BYTES,
-    SHM_SEGMENTS,
-    SHM_ROWS,
-    POOL_SPAWNS,
-    POOL_REUSES,
-)
-
 PARTITIONS_DISPATCHED = "er_partitions_dispatched_total"
 PARTITION_PAIRS = "er_partition_pairs_total"
 PARTITION_GROUPS = "er_partition_groups"
 PARTITION_IMBALANCE = "er_partition_imbalance"
 PARTITION_LARGEST_SHARE = "er_partition_largest_share"
 
-#: The partitioned-dispatch balance/skew families, declared only when the
-#: multiprocess executor negotiates block-partitioned dispatch — same
-#: opt-in rule as :data:`SHM_METRIC_NAMES`.  The gauges describe the most
-#: recent run's :class:`~repro.parallel.allocation.PartitionPlan`; the
-#: counters accumulate across increments.
+#: The shared-memory / worker-pool / partition-balance families, declared
+#: only when the multiprocess executor uses partitioned dispatch (the one
+#: condition under which it spawns a pool and touches shared columns) —
+#: like :data:`DURABILITY_METRIC_NAMES`, kept out of
+#: :data:`PIPELINE_METRIC_NAMES` so plain runs' cross-executor name-set
+#: comparisons stay exact.  The partition gauges describe the most recent
+#: run's :class:`~repro.parallel.allocation.PartitionPlan`; the counters
+#: accumulate across increments.
 PARTITION_METRIC_NAMES: tuple[str, ...] = (
+    SHM_BYTES,
+    SHM_SEGMENTS,
+    SHM_ROWS,
+    POOL_SPAWNS,
+    POOL_REUSES,
     PARTITIONS_DISPATCHED,
     PARTITION_PAIRS,
     PARTITION_GROUPS,
@@ -202,12 +193,12 @@ def declare_durability_metrics(registry: MetricsRegistry) -> None:
     registry.gauge(CHECKPOINT_EPOCH)
 
 
-def declare_shm_metrics(registry: MetricsRegistry) -> None:
-    """Pre-register the shared-memory/pool families (shm-dispatch runs).
+def declare_partition_metrics(registry: MetricsRegistry) -> None:
+    """Pre-register the shm/pool/partition families (partitioned runs only).
 
     Idempotent; a no-op on a disabled registry.  Called by
-    :class:`~repro.parallel.mp_framework.MultiprocessERPipeline` when it
-    negotiates the shared-memory dispatch mode.
+    :class:`~repro.parallel.mp_framework.MultiprocessERPipeline` when the
+    wiring is eligible for partitioned dispatch.
     """
     if not registry.enabled:
         return
@@ -216,17 +207,6 @@ def declare_shm_metrics(registry: MetricsRegistry) -> None:
     registry.gauge(SHM_ROWS)
     registry.counter(POOL_SPAWNS)
     registry.counter(POOL_REUSES)
-
-
-def declare_partition_metrics(registry: MetricsRegistry) -> None:
-    """Pre-register the partition balance/skew families.
-
-    Idempotent; a no-op on a disabled registry.  Called by
-    :class:`~repro.parallel.mp_framework.MultiprocessERPipeline` when it
-    negotiates block-partitioned dispatch.
-    """
-    if not registry.enabled:
-        return
     registry.counter(PARTITIONS_DISPATCHED)
     registry.counter(PARTITION_PAIRS)
     registry.gauge(PARTITION_GROUPS)

@@ -12,12 +12,7 @@ from repro.parallel.allocation import (
 from repro.parallel.calibration import calibrate_service_model, default_simulator_config
 from repro.parallel.faults import FaultInjector, FaultPlan, FaultSpec, wrap_stages
 from repro.parallel.framework import ParallelERPipeline, ParallelRunResult
-from repro.parallel.mp_framework import (
-    MultiprocessERPipeline,
-    dispatch_mode,
-    negotiate_dispatch_mode,
-    negotiate_partitioned_dispatch,
-)
+from repro.parallel.mp_framework import MultiprocessERPipeline
 from repro.parallel.supervision import Supervisor, extract_entity_id, format_liveness
 from repro.parallel.simulator import (
     PipelineSimulator,
@@ -39,9 +34,6 @@ __all__ = [
     "ParallelERPipeline",
     "ParallelRunResult",
     "MultiprocessERPipeline",
-    "dispatch_mode",
-    "negotiate_dispatch_mode",
-    "negotiate_partitioned_dispatch",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

@@ -21,14 +21,13 @@ must hold for every input — metamorphic oracles:
 ``dirty-self-consistency`` / ``clean-clean-cross-source``
     structural soundness of the match set for each ER variant;
 ``executors-agree``
-    SEQ, PP, MPP and the multiprocess executor produce identical match
-    sets modulo dead letters (none are injected here, so: identical),
-    each verified against the runtime invariants while it runs;
-``partitioned-equals-chunked``
-    block-partitioned multiprocess dispatch (workers own disjoint
-    blocking-key ranges and rescore locally) produces the same match set
-    and the same ``dispatched + prefiltered == cleaned`` accounting as
-    the chunked shm path;
+    SEQ, PP, MPP and the multiprocess executor (partitioned dispatch on
+    a shared-memory backend, so the run really crosses the process
+    boundary) produce identical match sets modulo dead letters (none are
+    injected here, so: identical), each verified against the runtime
+    invariants while it runs; the multiprocess leg additionally keeps
+    the ``dispatched + prefiltered + parent-side compared == cleaned``
+    pair accounting;
 ``interned-equals-string``
     the integer-interned comparison kernel is score-equivalent to the
     string token path;
@@ -217,6 +216,7 @@ def _check_clean_clean_cross_source(case: ERCase) -> None:
 def _check_executors_agree(case: ERCase) -> None:
     # Imported lazily: the executors import the plan module, which imports
     # the invariants package — keeping proptest importable on its own.
+    from repro.core.backends.shm import SharedMemoryBackend
     from repro.parallel.framework import ParallelERPipeline
     from repro.parallel.mp_framework import MultiprocessERPipeline
 
@@ -237,11 +237,22 @@ def _check_executors_agree(case: ERCase) -> None:
         runs.append((name, result.match_pairs, result.items_failed))
 
     checkers["mp"] = InvariantChecker(mode="record")
-    mp = MultiprocessERPipeline(
-        case.config(), workers=2, chunk_size=64, checker=checkers["mp"]
-    )
-    mp_result = mp.run(entities)
+    with SharedMemoryBackend() as backend, MultiprocessERPipeline(
+        case.config(interned=True),
+        workers=2,
+        backend=backend,
+        checker=checkers["mp"],
+        partitioned=True,
+    ) as mp:
+        mp_result = mp.run(entities)
     runs.append(("mp", mp_result.match_pairs, mp_result.items_failed))
+    accounted = mp.pairs_dispatched + mp.pairs_prefiltered + mp.co.compared
+    if accounted != mp_result.comparisons_after_cleaning:
+        raise CheckFailed(
+            f"mp pair accounting broke: dispatched {mp.pairs_dispatched} + "
+            f"prefiltered {mp.pairs_prefiltered} + parent-side "
+            f"{mp.co.compared} != cleaned {mp_result.comparisons_after_cleaning}"
+        )
 
     for name, pairs, failed in runs:
         if failed:
@@ -257,64 +268,6 @@ def _check_executors_agree(case: ERCase) -> None:
         if checker.violations:
             raise CheckFailed(
                 f"invariants violated under executor {name}: {checker.report()}"
-            )
-
-
-def _check_partitioned_equals_chunked(case: ERCase) -> None:
-    # Lazy imports for the same reason as _check_executors_agree.
-    from repro.core.backends.shm import SharedMemoryBackend
-    from repro.parallel.mp_framework import MultiprocessERPipeline
-
-    entities = list(case.entities)
-    outcomes: dict[str, set] = {}
-    checkers: dict[str, InvariantChecker] = {}
-    for name, partitioned in (("chunked", False), ("partitioned", True)):
-        checkers[name] = InvariantChecker(mode="record")
-        backend = SharedMemoryBackend()
-        try:
-            pipeline = MultiprocessERPipeline(
-                case.config(interned=True),
-                workers=2,
-                chunk_size=64,
-                backend=backend,
-                checker=checkers[name],
-                partitioned=partitioned,
-            )
-            result = pipeline.run(entities)
-            if partitioned and not pipeline.partitioned_dispatch:
-                raise CheckFailed(
-                    "partitioned dispatch failed to negotiate on a "
-                    "shared-memory backend with a threshold classifier"
-                )
-            if result.items_failed:
-                raise CheckFailed(
-                    f"{name} dispatch dead-lettered {result.items_failed} "
-                    f"item(s) with no faults injected"
-                )
-            accounted = pipeline.pairs_dispatched + pipeline.pairs_prefiltered
-            if accounted != result.comparisons_after_cleaning:
-                raise CheckFailed(
-                    f"{name} dispatch accounting broke: dispatched "
-                    f"{pipeline.pairs_dispatched} + prefiltered "
-                    f"{pipeline.pairs_prefiltered} != cleaned "
-                    f"{result.comparisons_after_cleaning}"
-                )
-            pipeline.close()
-            outcomes[name] = result.match_pairs
-        finally:
-            backend.unlink()
-    if outcomes["partitioned"] != outcomes["chunked"]:
-        _fail_diff(
-            "partitioned dispatch diverged from chunked",
-            "partitioned",
-            outcomes["partitioned"],
-            "chunked",
-            outcomes["chunked"],
-        )
-    for name, checker in checkers.items():
-        if checker.violations:
-            raise CheckFailed(
-                f"invariants violated under {name} dispatch: {checker.report()}"
             )
 
 
@@ -463,22 +416,12 @@ METAMORPHIC_RELATIONS: tuple[Relation, ...] = (
     Relation(
         name="executors-agree",
         description=(
-            "SEQ, PP, MPP and the multiprocess executor produce the same "
-            "match set (no dead letters), with runtime invariants checked "
-            "on every executor."
+            "SEQ, PP, MPP and the multiprocess executor (partitioned, on "
+            "shared memory) produce the same match set (no dead letters), "
+            "with runtime invariants checked on every executor."
         ),
         gen=er_cases(),
         check=_check_executors_agree,
-        heavy=True,
-    ),
-    Relation(
-        name="partitioned-equals-chunked",
-        description=(
-            "Block-partitioned multiprocess dispatch produces the same "
-            "match set and pair accounting as chunked shm dispatch."
-        ),
-        gen=er_cases(),
-        check=_check_partitioned_equals_chunked,
         heavy=True,
     ),
     Relation(

@@ -194,8 +194,7 @@ class MultiprocessStreamRunner:
     The dynamic-data loop the paper targets: increments arrive over time
     and each must be resolved against *all* state accumulated so far.  The
     runner owns one :class:`~repro.core.backends.shm.SharedMemoryBackend`
-    (so token columns persist and the ``"shm"`` dispatch mode is
-    negotiated) and one persistent
+    (so the shared columns persist across increments) and one
     :class:`~repro.parallel.mp_framework.MultiprocessERPipeline` — the
     worker pool spawns on the first increment and is reused by every
     later one.  Use as a context manager (or call :meth:`close`) to
@@ -206,19 +205,16 @@ class MultiprocessStreamRunner:
     e.g. ``DurableBackend(SharedMemoryBackend(), ...)`` for a durable
     incremental run — to manage its lifecycle yourself.
 
-    ``partitioned="auto"`` (default) additionally negotiates
-    block-partitioned dispatch when the backend and classifier allow it:
-    workers then own disjoint blocking-key ranges and run candidate
-    generation + rescoring locally (see
-    :mod:`repro.parallel.mp_framework`); pass ``False`` to force the
-    chunked path or ``True`` to fail loudly when unavailable.
+    ``partitioned="auto"`` (default) uses block-partitioned dispatch when
+    the wiring is eligible and otherwise resolves every entity in the
+    parent (see :mod:`repro.parallel.mp_framework`); pass ``True`` to fail
+    loudly when ineligible.
     """
 
     def __init__(
         self,
         config: StreamERConfig,
         workers: int = 2,
-        chunk_size: int = 256,
         backend=None,
         registry: MetricsRegistry | None = None,
         metrics_path: str | None = None,
@@ -235,10 +231,8 @@ class MultiprocessStreamRunner:
         self.pipeline = MultiprocessERPipeline(
             config,
             workers=workers,
-            chunk_size=chunk_size,
             backend=self.backend,
             registry=registry,
-            persistent_pool=True,
             partitioned=partitioned,
         )
         self.increments: list[IncrementReport] = []
@@ -246,8 +240,7 @@ class MultiprocessStreamRunner:
 
     @property
     def partitioned_dispatch(self) -> bool:
-        """Whether block-partitioned dispatch was negotiated (see
-        :func:`~repro.parallel.mp_framework.negotiate_partitioned_dispatch`)."""
+        """Whether entity tails run worker-side (no configuration blockers)."""
         return self.pipeline.partitioned_dispatch
 
     def process_increment(

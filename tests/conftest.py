@@ -2,43 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig
 from repro.datasets import DatasetSpec, generate
 from repro.types import EntityDescription
-
-
-def _effective_cpus() -> int:
-    """CPUs this process may actually use (affinity mask, not the box)."""
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        try:
-            return len(getaffinity(0))
-        except OSError:  # pragma: no cover - exotic schedulers
-            pass
-    return os.cpu_count() or 1
-
-
-def pytest_collection_modifyitems(config, items):
-    """Auto-skip ``requires_multicore`` tests on effectively-serial hosts.
-
-    Wall-clock speedup assertions are meaningless when the scheduler
-    grants one CPU (cgroup-pinned CI, taskset-restricted sandboxes):
-    process parallelism then pays IPC for no concurrency, and the tests
-    would fail for reasons that have nothing to do with the code.
-    """
-    if _effective_cpus() >= 2:
-        return
-    skip = pytest.mark.skip(
-        reason="requires >= 2 effective CPUs (scheduler affinity grants 1)"
-    )
-    for item in items:
-        if "requires_multicore" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture()

@@ -141,9 +141,7 @@ class TestNonSequentialExecutors:
         assert snap.comparisons_generated > 0
 
     def test_multiprocess_pipeline(self):
-        pipeline = MultiprocessERPipeline(
-            monitored_config(), workers=2, chunk_size=16
-        )
+        pipeline = MultiprocessERPipeline(monitored_config(), workers=2)
         pipeline.run(entities(30))
         snap = PipelineMonitor(pipeline, interval=10).snapshot()
         assert snap.entities_processed == 30

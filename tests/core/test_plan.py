@@ -63,10 +63,6 @@ class TestPlanConstruction:
         assert plan.serialization_points() == ("bb+bp",)
         assert plan.non_replicable_stages() == ("bb+bp",)
 
-    def test_front_stage_names_exclude_co_and_cl(self):
-        plan = PipelinePlan.from_config(full_config())
-        assert plan.front_stage_names() == ("dr", "bb+bp", "bg", "cg", "cc", "lm")
-
 
 class TestPlanCompilation:
     def test_compile_yields_stage_per_active_node(self):

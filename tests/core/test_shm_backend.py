@@ -154,8 +154,7 @@ class TestBackendLifecycle:
     def test_capabilities_and_layout(self):
         with SharedMemoryBackend() as backend:
             capabilities = backend_capabilities(backend)
-            assert SharedMemoryBackend.TOKEN_COLUMNS in capabilities
-            assert SharedMemoryBackend.PARTITION_COLUMNS in capabilities
+            assert capabilities == {SharedMemoryBackend.PARTITION_COLUMNS}
             layout = backend.layout()
             assert set(layout) == {
                 "tokens", "dictionary", "entities", "membership",
@@ -196,10 +195,10 @@ class TestRunHygiene:
         backend = SharedMemoryBackend()
         prefix = backend.name
         pipeline = MultiprocessERPipeline(
-            interned_config(), workers=2, chunk_size=64, backend=backend
+            interned_config(), workers=2, backend=backend
         )
         pipeline.run(make_entities(120))
-        assert pipeline.dispatch_mode == "shm"
+        assert pipeline.partitioned_dispatch
         pipeline.close()
         backend.unlink()
         assert active_shm_segments(prefix) == []
@@ -210,7 +209,6 @@ class TestRunHygiene:
         pipeline = MultiprocessERPipeline(
             interned_config(),
             workers=2,
-            chunk_size=64,
             faults={"co": FaultSpec(probability=0.3, seed=3)},
             backend=backend,
         )
@@ -225,8 +223,7 @@ class TestRunHygiene:
 
         The finalizer cannot run under ``kill -9``; cleanup then falls to
         the ``multiprocessing.resource_tracker`` sidecar, which requires
-        the creator to stay registered with it — exactly what the
-        attach-side-only unregistration in ``attach_segment`` preserves.
+        the creator to stay registered with it.
         """
         script = (
             "import time\n"
@@ -237,76 +234,110 @@ class TestRunHygiene:
             "print(backend.name, flush=True)\n"
             "time.sleep(60)\n"
         )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            env=env,
-            text=True,
-        )
-        try:
-            prefix = proc.stdout.readline().strip()
-            assert prefix, "victim process never created its backend"
-            assert active_shm_segments(prefix)
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-            # The tracker is a separate process; give it a moment to
-            # notice the pipe closing and sweep the leaked segments.
-            deadline = time.monotonic() + 20
-            while time.monotonic() < deadline:
-                if not active_shm_segments(prefix):
-                    break
-                time.sleep(0.2)
-            assert active_shm_segments(prefix) == []
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait(timeout=10)
+        _kill_and_expect_sweep(script)
+
+
+#: A run whose shared columns grow new generations *after* the pool has
+#: forked: workers attach to segments the parent created post-fork.  An
+#: attach must not disturb the creator's resource-tracker registration
+#: (workers share the creator's tracker), or the tracker logs a KeyError
+#: per segment at unlink and a killed creator's segments are never swept.
+_GROW_AFTER_FORK = """
+import sys, time
+from repro.classification import ThresholdClassifier
+from repro.core import StreamERConfig
+from repro.core.backends import SharedMemoryBackend
+from repro.parallel import MultiprocessERPipeline
+from repro.types import EntityDescription
+
+words = ["glass", "panel", "wood", "fibre", "roof", "window", "door", "steel"]
+entities = [
+    EntityDescription.create(
+        i, {"title": " ".join(words[(i + j) % 8] for j in range(3)) + f" u{i % 40}"}
+    )
+    for i in range(400)
+]
+config = StreamERConfig.interned(
+    alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
+)
+backend = SharedMemoryBackend(data_bytes=1 << 10, dir_rows=16)
+pipeline = MultiprocessERPipeline(config, workers=2, backend=backend, partitioned=True)
+pipeline.run(entities[:40])
+forked_with = len(backend.segment_names())
+pipeline.run(entities[40:])
+assert len(backend.segment_names()) > forked_with, "columns never grew"
+assert pipeline.pool_spawns == 1 and pipeline.pairs_dispatched > 0
+print(backend.name, flush=True)
+if sys.argv[1] == "hang":
+    time.sleep(60)
+pipeline.close()
+backend.unlink()
+"""
+
+
+def _victim(script: str, *args: str) -> subprocess.Popen:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-c", script, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+def _kill_and_expect_sweep(script: str, *args: str) -> None:
+    proc = _victim(script, *args)
+    try:
+        prefix = proc.stdout.readline().strip()
+        assert prefix, "victim never created its backend: " + proc.stderr.read()
+        assert active_shm_segments(prefix)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        # The tracker is a separate process; give it a moment to notice
+        # the pipe closing (pool workers exit on EOF first) and sweep the
+        # leaked segments.
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and active_shm_segments(prefix):
+            time.sleep(0.2)
+        assert active_shm_segments(prefix) == []
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.communicate(timeout=10)
+
+
+class TestGrowthAfterFork:
+    def test_clean_exit_leaves_stderr_empty(self):
+        proc = _victim(_GROW_AFTER_FORK, "exit")
+        out, err = proc.communicate(timeout=RUN_TIMEOUT)
+        assert proc.returncode == 0, err
+        assert err == ""
+        assert active_shm_segments(out.strip()) == []
+
+    def test_sigkill_of_parent_with_live_pool_leaves_no_segment(self):
+        _kill_and_expect_sweep(_GROW_AFTER_FORK, "hang")
 
 
 class TestShmVsMemoryEquivalence:
     def test_match_sets_bit_identical(self):
+        """Same config, workers on shm vs every tail inline on memory."""
         entities = make_entities(150)
         reference = MultiprocessERPipeline(
-            interned_config(), workers=2, chunk_size=64, backend=InMemoryBackend()
+            interned_config(), workers=2, backend=InMemoryBackend()
         )
         reference.run(entities)
-        assert reference.dispatch_mode == "ids"
+        assert not reference.partitioned_dispatch
         expected = reference.backend.matches.pairs()
         reference.close()
 
         with SharedMemoryBackend() as backend:
             pipeline = MultiprocessERPipeline(
-                interned_config(), workers=2, chunk_size=64, backend=backend
+                interned_config(), workers=2, backend=backend
             )
             pipeline.run(entities)
-            assert pipeline.dispatch_mode == "shm"
+            assert pipeline.partitioned_dispatch
             assert backend.matches.pairs() == expected
             pipeline.close()
-
-
-@pytest.mark.requires_multicore
-class TestMulticoreSpeedup:
-    """Wall-clock assertions that only hold with real parallelism."""
-
-    def test_shm_persistent_beats_sequential(self):
-        from repro.core import StreamERPipeline
-
-        entities = make_entities(4000)
-        start = time.perf_counter()
-        sequential = StreamERPipeline(interned_config(), instrument=False)
-        sequential.process_many(entities)
-        seq_seconds = time.perf_counter() - start
-
-        with SharedMemoryBackend() as backend:
-            pipeline = MultiprocessERPipeline(
-                interned_config(), workers=2, chunk_size=256, backend=backend
-            )
-            start = time.perf_counter()
-            pipeline.run(entities)
-            mp_seconds = time.perf_counter() - start
-            assert backend.matches.pairs() == sequential.cl.matches.pairs()
-            pipeline.close()
-        assert mp_seconds < seq_seconds * 1.5

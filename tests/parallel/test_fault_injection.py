@@ -10,6 +10,7 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
+from repro.core.backends import SharedMemoryBackend
 from repro.core.monitoring import PipelineMonitor
 from repro.core.stages import STAGE_ORDER
 from repro.errors import ConfigurationError, InjectedFault
@@ -276,27 +277,45 @@ class TestTotalFailureRegression:
 class TestMultiprocessFaults:
     def test_worker_fault_injection_dead_letters_pairs(self):
         entities = make_entities(40)
-        pipeline = MultiprocessERPipeline(
-            config(),
-            workers=2,
-            chunk_size=16,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": FaultSpec(probability=0.3, seed=5)},
-        )
-        result = pipeline.run(entities)
+        with SharedMemoryBackend() as backend:
+            pipeline = MultiprocessERPipeline(
+                StreamERConfig.interned(
+                    alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
+                ),
+                workers=2,
+                backend=backend,
+                supervision=SupervisionPolicy.none(),
+                faults={"co": FaultSpec(probability=0.3, seed=5)},
+                partitioned=True,
+            )
+            result = pipeline.run(entities)
+            pipeline.close()
         assert result.items_failed > 0
         for letter in result.dead_letters:
             assert letter.stage == "co"
             assert isinstance(letter.entity_id, tuple)  # canonical pair key
-        # Accounting under faults: the dispatch counter moved out of
-        # _encode_chunk, so retries and dead letters must not double- or
-        # under-count — every cleaned pair was dispatched exactly once
-        # (profiles mode has no prefilter).
-        assert pipeline.pairs_prefiltered == 0
+        # Accounting under faults: a failed pair was still dispatched
+        # exactly once, so retries and dead letters must not double- or
+        # under-count.
         assert (
             pipeline.pairs_dispatched + pipeline.pairs_prefiltered
             == result.comparisons_after_cleaning
         )
+
+    def test_inline_co_fault_dead_letters_entities(self):
+        """No shared columns → the co spec wraps the parent's compiled co."""
+        entities = make_entities(40)
+        pipeline = MultiprocessERPipeline(
+            config(),
+            workers=2,
+            supervision=SupervisionPolicy.none(),
+            faults={"co": FaultSpec(probability=0.3, seed=5)},
+        )
+        result = pipeline.run(entities)
+        assert pipeline.pool_spawns == 0
+        assert 0 < result.items_failed < len(entities)
+        assert all(letter.stage == "co" for letter in result.dead_letters)
+        assert result.dead_letter_ids <= {e.eid for e in entities}
 
     def test_front_fault_injection_dead_letters_entities(self):
         entities = make_entities(40)

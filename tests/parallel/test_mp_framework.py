@@ -1,4 +1,4 @@
-"""Tests for the multiprocess comparison executor."""
+"""Tests for the multiprocess executor (worker-side and inline tails)."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
+from repro.core.backends import SharedMemoryBackend
 from repro.errors import ConfigurationError
 from repro.parallel import MultiprocessERPipeline
 from repro.types import EntityDescription
@@ -30,10 +31,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             MultiprocessERPipeline(workers=0)
 
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            MultiprocessERPipeline(chunk_size=0)
-
 
 class TestCorrectness:
     def test_same_matches_as_sequential(self, tiny_dirty_dataset):
@@ -41,7 +38,7 @@ class TestCorrectness:
         sequential = StreamERPipeline(config_for(ds), instrument=False)
         sequential.process_many(ds.stream())
 
-        mp_pipeline = MultiprocessERPipeline(config_for(ds), workers=2, chunk_size=64)
+        mp_pipeline = MultiprocessERPipeline(config_for(ds), workers=2)
         result = mp_pipeline.run(ds.stream())
 
         assert result.match_pairs == sequential.cl.matches.pairs()
@@ -52,12 +49,12 @@ class TestCorrectness:
 
     def test_clean_clean(self, tiny_clean_dataset):
         ds = tiny_clean_dataset
-        mp_pipeline = MultiprocessERPipeline(config_for(ds), workers=2, chunk_size=32)
+        mp_pipeline = MultiprocessERPipeline(config_for(ds), workers=2)
         result = mp_pipeline.run(ds.stream())
         for i, j in result.match_pairs:
             assert i[0] != j[0]
 
-    def test_single_worker_tiny_chunks(self, paper_entities):
+    def test_single_worker(self, paper_entities):
         config = StreamERConfig(
             alpha=5, beta=0.6, classifier=ThresholdClassifier(0.3)
         )
@@ -66,7 +63,7 @@ class TestCorrectness:
             instrument=False,
         )
         sequential.process_many(paper_entities)
-        mp_pipeline = MultiprocessERPipeline(config, workers=1, chunk_size=1)
+        mp_pipeline = MultiprocessERPipeline(config, workers=1)
         result = mp_pipeline.run(paper_entities)
         assert result.match_pairs == sequential.cl.matches.pairs()
 
@@ -90,241 +87,112 @@ class TestCorrectness:
         assert result.entities_processed == 5
 
 
-class TestCompactDispatch:
-    """The zero-copy wire formats introduced by the interned kernel."""
+def interned_config(ds, classifier=None):
+    return StreamERConfig.interned(
+        alpha=StreamERConfig.alpha_for(len(ds), 0.05),
+        beta=0.05,
+        clean_clean=ds.clean_clean,
+        classifier=classifier or ThresholdClassifier(0.5),
+    )
 
-    def test_dispatch_mode_by_comparator_type(self):
-        from repro.comparison import (
-            AttributeWeightedComparator,
-            InternedComparator,
-            TokenSetComparator,
-        )
-        from repro.parallel.mp_framework import dispatch_mode
 
-        assert dispatch_mode(InternedComparator()) == "ids"
-        assert dispatch_mode(TokenSetComparator()) == "tokens"
-        assert dispatch_mode(AttributeWeightedComparator()) == "profiles"
+class TestWorkerSide:
+    """The eligible wiring: interned kernel on a shared-memory backend."""
 
-        class Custom(TokenSetComparator):
-            pass
-
-        # A subclass may inspect attributes; it must ride the legacy format.
-        assert dispatch_mode(Custom()) == "profiles"
-
-    def test_interned_config_selects_id_dispatch(self, tiny_dirty_dataset):
+    def test_threshold_classifier_prefilters_and_accounts(self, tiny_dirty_dataset):
         ds = tiny_dirty_dataset
-        config = StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=ThresholdClassifier(0.5),
-        )
-        mp_pipeline = MultiprocessERPipeline(config, workers=2, chunk_size=64)
-        assert mp_pipeline.dispatch_mode == "ids"
-        result = mp_pipeline.run(ds.stream())
-
+        with SharedMemoryBackend() as backend:
+            mp_pipeline = MultiprocessERPipeline(
+                interned_config(ds), workers=2, backend=backend, partitioned=True
+            )
+            result = mp_pipeline.run(ds.stream())
+            mp_pipeline.close()
         sequential = StreamERPipeline(config_for(ds, threshold=0.5), instrument=False)
         sequential.process_many(ds.stream())
         assert result.match_pairs == sequential.cl.matches.pairs()
-
-    def test_prefilter_accounting_covers_every_pair(self, tiny_dirty_dataset):
-        ds = tiny_dirty_dataset
-        config = StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=ThresholdClassifier(0.5),
-        )
-        mp_pipeline = MultiprocessERPipeline(config, workers=1, chunk_size=32)
-        result = mp_pipeline.run(ds.stream())
         dispatched = mp_pipeline.pairs_dispatched
         prefiltered = mp_pipeline.pairs_prefiltered
         assert dispatched + prefiltered == result.comparisons_after_cleaning
-        assert dispatched > 0
-
-    def test_encode_chunk_ships_each_entity_once(self):
-        from array import array
-
-        from repro.comparison import InternedComparator
-        from repro.reading import TokenDictionary
-        from repro.types import Comparison, Profile
-
-        d = TokenDictionary()
-
-        def interned(eid, tokens):
-            tokens = frozenset(tokens)
-            return Profile(
-                eid=eid,
-                attributes=(("t", " ".join(sorted(tokens))),),
-                tokens=tokens,
-                token_ids=d.intern_set(tokens),
-            )
-
-        config = StreamERConfig(
-            comparator=InternedComparator(threshold=0.5),
-            classifier=ThresholdClassifier(0.5),
-        )
-        pipeline = MultiprocessERPipeline(config, workers=1)
-        hub = interned(1, {"a", "b"})
-        chunk = [
-            Comparison(hub, interned(2, {"a", "c"})),
-            Comparison(hub, interned(3, {"b", "c"})),
-        ]
-        ids_table, str_table, pairs = pipeline._encode_chunk(chunk)
-        assert pairs == [(1, 2), (1, 3)]
-        assert set(ids_table) == {1, 2, 3}  # the hub appears once, not twice
-        assert all(isinstance(payload, array) for payload in ids_table.values())
-        assert str_table == {}
-        # Encoding is pure: dispatch accounting lives on the submit path,
-        # so a re-encoded chunk (supervised retry) cannot double-count.
-        pipeline._encode_chunk(chunk)
-        assert pipeline.pairs_dispatched == 0
-
-    def test_encode_chunk_mixed_pair_falls_back_to_strings(self):
-        from repro.comparison import InternedComparator
-        from repro.reading import TokenDictionary
-        from repro.types import Comparison, Profile
-
-        d = TokenDictionary()
-        with_ids = Profile(
-            eid=1,
-            attributes=(("t", "a b"),),
-            tokens=frozenset({"a", "b"}),
-            token_ids=d.intern_set({"a", "b"}),
-        )
-        without_ids = Profile(
-            eid=2, attributes=(("t", "a c"),), tokens=frozenset({"a", "c"})
-        )
-        config = StreamERConfig(
-            comparator=InternedComparator(threshold=0.5),
-            classifier=ThresholdClassifier(0.5),
-        )
-        pipeline = MultiprocessERPipeline(config, workers=1)
-        ids_table, str_table, pairs = pipeline._encode_chunk(
-            [Comparison(with_ids, without_ids)]
-        )
-        # Both sides travel as strings so the worker compares like with like.
-        assert set(str_table) == {1, 2}
-        assert ids_table == {}
-        assert pairs == [(1, 2)]
+        assert dispatched > 0 and prefiltered > 0
+        assert result.comparisons_after_cleaning == sequential.cc.retained
 
     def test_oracle_classifier_disables_verification(self, tiny_dirty_dataset):
         ds = tiny_dirty_dataset
-        from repro.classification import OracleClassifier
-
-        config = StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=OracleClassifier.from_pairs(ds.ground_truth),
-        )
-        mp_pipeline = MultiprocessERPipeline(config, workers=2, chunk_size=64)
-        assert mp_pipeline._threshold is None
-        assert not mp_pipeline._prefilter
-        result = mp_pipeline.run(ds.stream())
-        assert result.match_pairs == sequential_oracle_pairs(ds)
-
-
-def sequential_oracle_pairs(ds):
-    sequential = StreamERPipeline(config_for(ds), instrument=False)
-    sequential.process_many(ds.stream())
-    return sequential.cl.matches.pairs()
-
-
-class TestShmNegotiation:
-    """The ``"shm"`` dispatch mode exists only when comparator *and*
-    backend both support it; everything else keeps its legacy format."""
-
-    def test_negotiation_requires_both_sides(self):
-        from repro.comparison import InternedComparator, TokenSetComparator
-        from repro.core.backends import SharedMemoryBackend
-        from repro.parallel.mp_framework import negotiate_dispatch_mode
-
-        shm_caps = frozenset({SharedMemoryBackend.TOKEN_COLUMNS})
-        assert negotiate_dispatch_mode(InternedComparator(), shm_caps) == "shm"
-        assert negotiate_dispatch_mode(InternedComparator(), frozenset()) == "ids"
-        assert negotiate_dispatch_mode(TokenSetComparator(), shm_caps) == "tokens"
-        assert negotiate_dispatch_mode(TokenSetComparator()) == "tokens"
-
-    def test_pipeline_negotiates_from_backend(self, tiny_dirty_dataset):
-        from repro.core.backends import SharedMemoryBackend
-
-        ds = tiny_dirty_dataset
-        config = StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=ThresholdClassifier(0.5),
+        config = interned_config(
+            ds, classifier=OracleClassifier.from_pairs(ds.ground_truth)
         )
         with SharedMemoryBackend() as backend:
             mp_pipeline = MultiprocessERPipeline(
-                config, workers=2, chunk_size=64, backend=backend
+                config, workers=2, backend=backend, partitioned=True
             )
-            assert mp_pipeline.dispatch_mode == "shm"
+            result = mp_pipeline.run(ds.stream())
             mp_pipeline.close()
-        # Same config, default backend: no capability, no shm mode.
-        fallback = MultiprocessERPipeline(config, workers=2, chunk_size=64)
-        assert fallback.dispatch_mode == "ids"
-        fallback.close()
+        assert mp_pipeline.pairs_prefiltered == 0  # no threshold, no bound
+        sequential = StreamERPipeline(config_for(ds), instrument=False)
+        sequential.process_many(ds.stream())
+        assert result.match_pairs == sequential.cl.matches.pairs()
 
 
-class TestPersistentPool:
-    def _config(self, ds):
-        return StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=ThresholdClassifier(0.5),
-        )
-
+class TestPoolLifecycle:
     def test_pool_reused_across_runs(self, tiny_dirty_dataset):
         ds = tiny_dirty_dataset
         entities = list(ds.stream())
-        mp_pipeline = MultiprocessERPipeline(self._config(ds), workers=2, chunk_size=64)
-        mp_pipeline.run(entities[:100])
-        mp_pipeline.run(entities[100:200])
-        mp_pipeline.run(entities[200:])
-        assert mp_pipeline.pool_spawns == 1
-        assert mp_pipeline.pool_reuses == 2
-        mp_pipeline.close()
+        with SharedMemoryBackend() as backend:
+            mp_pipeline = MultiprocessERPipeline(
+                interned_config(ds), workers=2, backend=backend
+            )
+            mp_pipeline.run(entities[:100])
+            mp_pipeline.run(entities[100:200])
+            mp_pipeline.run(entities[200:])
+            assert mp_pipeline.pool_spawns == 1
+            assert mp_pipeline.pool_reuses == 2
+            mp_pipeline.close()
+            # close() releases the workers; the next run respawns.
+            mp_pipeline.run([])
+            assert mp_pipeline.pool_spawns == 2
+            mp_pipeline.close()
 
-    def test_non_persistent_pool_respawns(self, tiny_dirty_dataset):
+    def test_no_pool_without_shared_columns(self, tiny_dirty_dataset):
         ds = tiny_dirty_dataset
-        entities = list(ds.stream())
-        mp_pipeline = MultiprocessERPipeline(
-            self._config(ds), workers=2, chunk_size=64, persistent_pool=False
-        )
-        mp_pipeline.run(entities[:100])
-        mp_pipeline.run(entities[100:200])
-        assert mp_pipeline.pool_spawns == 2
-        assert mp_pipeline.pool_reuses == 0
-        mp_pipeline.close()
+        mp_pipeline = MultiprocessERPipeline(interned_config(ds), workers=2)
+        mp_pipeline.run(ds.stream())
+        assert not mp_pipeline.partitioned_dispatch
+        assert mp_pipeline.pool_spawns == 0 and mp_pipeline.pool_reuses == 0
 
     def test_close_is_idempotent_and_context_manager(self, tiny_dirty_dataset):
         ds = tiny_dirty_dataset
-        with MultiprocessERPipeline(
-            self._config(ds), workers=2, chunk_size=64
-        ) as mp_pipeline:
-            mp_pipeline.run(ds.stream())
-        mp_pipeline.close()
-        mp_pipeline.close()
+        with SharedMemoryBackend() as backend:
+            with MultiprocessERPipeline(
+                interned_config(ds), workers=2, backend=backend
+            ) as mp_pipeline:
+                mp_pipeline.run(ds.stream())
+            mp_pipeline.close()
+            mp_pipeline.close()
 
-    def test_incremental_equals_one_shot(self, tiny_dirty_dataset):
+    @pytest.mark.parametrize("shared", [True, False], ids=["workers", "inline"])
+    def test_incremental_equals_one_shot(self, tiny_dirty_dataset, shared):
         ds = tiny_dirty_dataset
         entities = list(ds.stream())
         one_shot = StreamERPipeline(config_for(ds, threshold=0.5), instrument=False)
         one_shot.process_many(entities)
 
-        mp_pipeline = MultiprocessERPipeline(self._config(ds), workers=2, chunk_size=64)
-        for i in range(0, len(entities), 75):
-            mp_pipeline.run(entities[i : i + 75])
-        assert mp_pipeline.backend.matches.pairs() == one_shot.cl.matches.pairs()
-        mp_pipeline.close()
+        backend = SharedMemoryBackend() if shared else None
+        try:
+            mp_pipeline = MultiprocessERPipeline(
+                interned_config(ds), workers=2, backend=backend
+            )
+            assert mp_pipeline.partitioned_dispatch is shared
+            for i in range(0, len(entities), 75):
+                mp_pipeline.run(entities[i : i + 75])
+            assert mp_pipeline.backend.matches.pairs() == one_shot.cl.matches.pairs()
+            mp_pipeline.close()
+        finally:
+            if backend is not None:
+                backend.unlink()
 
 
 class TestShmMetrics:
     def test_shm_gauges_and_pool_counters(self, tiny_dirty_dataset):
-        from repro.core.backends import SharedMemoryBackend
         from repro.observability import MetricsRegistry
         from repro.observability.instrument import (
             POOL_REUSES,
@@ -335,17 +203,12 @@ class TestShmMetrics:
         )
 
         ds = tiny_dirty_dataset
-        config = StreamERConfig.interned(
-            alpha=StreamERConfig.alpha_for(len(ds), 0.05),
-            beta=0.05,
-            clean_clean=ds.clean_clean,
-            classifier=ThresholdClassifier(0.5),
-        )
+        config = interned_config(ds)
         registry = MetricsRegistry()
         entities = list(ds.stream())
         with SharedMemoryBackend() as backend:
             mp_pipeline = MultiprocessERPipeline(
-                config, workers=2, chunk_size=64, backend=backend, registry=registry
+                config, workers=2, backend=backend, registry=registry
             )
             mp_pipeline.run(entities[:150])
             mp_pipeline.run(entities[150:])

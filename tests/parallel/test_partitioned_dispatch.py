@@ -1,18 +1,17 @@
-"""Block-partitioned multiprocess dispatch: planner, negotiation, equivalence.
+"""The multiprocess executor's one decision: worker-side or inline.
 
-The tentpole contract: partitioning the block collection into worker-owned
-key ranges — workers generate candidates AND rescore locally — must be
-*invisible* in every output: match sets bit-identical to the sequential
-pipeline and to chunked dispatch, identical dead-letter sets under
-injected faults, and the same ``dispatched + prefiltered == cleaned``
-pair accounting.  The planner itself is pinned as a deterministic LPT
-bin-packer, and negotiation must refuse loudly (``partitioned=True``)
-or fall back silently (``"auto"``) on ineligible wirings.
+An entity's ``cc → lm → co → cl`` tail runs in a worker (block-partitioned
+dispatch on shared columns) when the wiring is eligible, in the parent
+when it is not.  Either way the choice must be *invisible* in every
+output: match sets bit-identical to the sequential pipeline, the same
+dead letters under seeded faults, and the pair accounting identity
+``lm.materialized == pairs_dispatched + pairs_prefiltered + co.compared``.
+The planner is pinned as a deterministic LPT bin-packer, and eligibility
+must refuse loudly (``partitioned=True``) or fall back with the reason
+recorded (``"auto"`` → ``partition_blockers``) on ineligible wirings.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -22,7 +21,6 @@ from repro.core.backends import (
     InMemoryBackend,
     SharedMemoryBackend,
     active_shm_segments,
-    backend_capabilities,
 )
 from repro.errors import ConfigurationError
 from repro.parallel import (
@@ -30,11 +28,10 @@ from repro.parallel import (
     MultiprocessERPipeline,
     ParallelERPipeline,
     PartitionPlan,
-    negotiate_partitioned_dispatch,
     plan_partitions,
 )
 from repro.streaming import MultiprocessStreamRunner
-from repro.types import Comparison, Profile
+from repro.types import EntityDescription, Profile
 
 RUN_TIMEOUT = 120.0
 
@@ -42,8 +39,6 @@ _WORDS = ["glass", "panel", "wood", "fibre", "roof", "window", "door", "steel"]
 
 
 def make_entities(n: int):
-    from repro.types import EntityDescription
-
     return [
         EntityDescription.create(
             i, {"title": " ".join(_WORDS[(i + j) % len(_WORDS)] for j in range(3))}
@@ -52,14 +47,14 @@ def make_entities(n: int):
     ]
 
 
-def threshold_config() -> StreamERConfig:
-    return StreamERConfig.interned(
-        alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
-    )
+def threshold_config(**overrides) -> StreamERConfig:
+    kwargs = dict(alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4))
+    kwargs.update(overrides)
+    return StreamERConfig.interned(**kwargs)
 
 
 def dataset_config(dataset) -> StreamERConfig:
-    """Interned oracle config for a generated dataset (shm-eligible)."""
+    """Interned oracle config for a generated dataset (eligible wiring)."""
     return StreamERConfig.interned(
         alpha=StreamERConfig.alpha_for(len(dataset), 0.05),
         beta=0.05,
@@ -74,11 +69,22 @@ def sequential_pairs(config: StreamERConfig, entities) -> set:
     return pipeline.cl.matches.pairs()
 
 
-def mp_run(config: StreamERConfig, entities, *, partitioned, **kwargs):
-    """One multiprocess run on a fresh shm backend; returns (pipeline, result).
+def assert_pair_accounting(pipeline: MultiprocessERPipeline) -> None:
+    """Every cleaned pair was resolved exactly once, worker- or parent-side."""
+    assert pipeline.lm.materialized == (
+        pipeline.pairs_dispatched
+        + pipeline.pairs_prefiltered
+        + pipeline.co.compared
+    )
+
+
+def mp_run(config: StreamERConfig, entities, *, wrap=None, **kwargs):
+    """One multiprocess run on a fresh shm backend; returns
+    (pipeline, result, pairs).
 
     The backend is unlinked before returning — pair sets and counters are
     extracted first — so no test leaks ``/dev/shm`` segments on failure.
+    ``wrap`` decorates (or replaces) the backend the pipeline sees.
     """
     backend = SharedMemoryBackend()
     prefix = backend.name
@@ -86,17 +92,16 @@ def mp_run(config: StreamERConfig, entities, *, partitioned, **kwargs):
         pipeline = MultiprocessERPipeline(
             config,
             workers=2,
-            chunk_size=64,
-            backend=backend,
-            partitioned=partitioned,
+            backend=wrap(backend) if wrap is not None else backend,
             **kwargs,
         )
         result = pipeline.run(entities)
-        pairs = backend.matches.pairs()
+        pairs = pipeline.backend.matches.pairs()
         pipeline.close()
     finally:
         backend.unlink()
     assert active_shm_segments(prefix) == []
+    assert_pair_accounting(pipeline)
     return pipeline, result, pairs
 
 
@@ -152,90 +157,117 @@ class _CommittingProxy:
         pass
 
 
-class TestPartitionNegotiation:
-    def test_predicate_requires_shm_capability_and_classifier(self):
-        with SharedMemoryBackend() as backend:
-            capabilities = backend_capabilities(backend)
-            assert negotiate_partitioned_dispatch(
-                "shm", capabilities, ThresholdClassifier(0.4)
-            )
-            assert negotiate_partitioned_dispatch(
-                "shm", capabilities, OracleClassifier.from_pairs([])
-            )
-            assert not negotiate_partitioned_dispatch(
-                "ids", capabilities, ThresholdClassifier(0.4)
-            )
-            assert not negotiate_partitioned_dispatch(
-                "shm", frozenset(), ThresholdClassifier(0.4)
-            )
+class _StatefulThreshold(ThresholdClassifier):
+    """A subclass may consult state the workers lack: exact-type check."""
 
-            class Widened(ThresholdClassifier):
-                pass
 
-            # Exact-type check: a subclass may override classify() with
-            # logic the worker-side rescorer cannot reproduce.
-            assert not negotiate_partitioned_dispatch(
-                "shm", capabilities, Widened(0.4)
-            )
+def _string_config() -> StreamERConfig:
+    return StreamERConfig(alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4))
 
-    def test_auto_negotiates_on_shm_backend(self):
-        with SharedMemoryBackend() as backend:
+
+#: Each configuration blocker alone on an otherwise eligible wiring:
+#: (config, backend wrapper, faults, substring naming the blocker).
+BLOCKERS = {
+    "non-interned-comparator": (_string_config, None, None, "interned"),
+    "backend-without-columns": (
+        threshold_config, lambda shm: InMemoryBackend(), None, "shared-memory",
+    ),
+    "stateful-classifier": (
+        lambda: threshold_config(classifier=_StatefulThreshold(0.4)),
+        None, None, "stateful",
+    ),
+    "durable-commit-hook": (threshold_config, _CommittingProxy, None, "durable"),
+    "worker-side-fault-spec": (
+        threshold_config, None,
+        {"cl": FaultSpec(probability=0.0, seed=1)}, "worker-side",
+    ),
+}
+
+
+class TestTheOneDecision:
+    def test_eligible_wiring_runs_worker_side(self):
+        entities = make_entities(90)
+        pipeline, result, pairs = mp_run(threshold_config(), entities)
+        assert pipeline.partitioned_dispatch
+        assert pipeline.partition_blockers == ()
+        assert pipeline.pool_spawns == 1
+        assert pipeline.pairs_dispatched > 0
+        assert pipeline.co.compared == 0  # no tail ran in the parent
+        assert pairs == sequential_pairs(threshold_config(), entities)
+
+    @pytest.mark.parametrize("blocker", sorted(BLOCKERS))
+    def test_each_blocker_alone_keeps_every_tail_inline(self, blocker):
+        make_config, wrap, faults, names_it = BLOCKERS[blocker]
+        entities = make_entities(90)
+        reference = sequential_pairs(make_config(), entities)
+        assert reference  # a vacuous equivalence proves nothing
+
+        pipeline, _, pairs = mp_run(make_config(), entities, wrap=wrap, faults=faults)
+        assert pipeline.partitioned_dispatch is False
+        assert len(pipeline.partition_blockers) == 1
+        assert names_it in pipeline.partition_blockers[0]
+        assert pipeline.pool_spawns == 0 and pipeline.pool_reuses == 0
+        assert pipeline.pairs_dispatched == pipeline.pairs_prefiltered == 0
+        assert pipeline.co.compared == pipeline.lm.materialized > 0
+        assert pairs == reference
+
+        with pytest.raises(ConfigurationError, match=names_it):
+            mp_run(make_config(), [], wrap=wrap, faults=faults, partitioned=True)
+
+    def test_blockers_are_read_only(self):
+        pipeline = MultiprocessERPipeline(threshold_config(), workers=2)
+        assert isinstance(pipeline.partition_blockers, tuple)
+        with pytest.raises(AttributeError):
+            pipeline.partition_blockers = ()
+
+    def test_mixed_stream_splits_per_entity(self):
+        """Profiles without token ids ride the parent; the rest, workers."""
+        entities = make_entities(90)
+        reference = sequential_pairs(threshold_config(), entities)
+
+        def strip_every_fifth(dr):
+            def reader(entity) -> Profile:
+                profile = dr(entity)
+                if entity.eid % 5 == 0:
+                    return Profile(
+                        eid=profile.eid,
+                        attributes=profile.attributes,
+                        tokens=profile.tokens,
+                    )
+                return profile
+
+            return reader
+
+        backend = SharedMemoryBackend()
+        try:
             pipeline = MultiprocessERPipeline(
-                threshold_config(), workers=2, backend=backend
+                threshold_config(), workers=2, backend=backend, partitioned=True
             )
-            assert pipeline.partitioned_dispatch
+            pipeline._fns["dr"] = strip_every_fifth(pipeline._fns["dr"])
+            result = pipeline.run(entities)
+            pairs = backend.matches.pairs()
             pipeline.close()
+        finally:
+            backend.unlink()
+        assert pipeline.partitioned_dispatch
+        assert result.items_failed == 0
+        # Both sides of the decision really ran.
+        assert pipeline.pairs_dispatched > 0
+        assert pipeline.co.compared > 0
+        assert_pair_accounting(pipeline)
+        assert pairs == reference
 
-    def test_auto_falls_back_on_in_memory_backend(self):
-        pipeline = MultiprocessERPipeline(
-            threshold_config(), workers=2, backend=InMemoryBackend()
-        )
-        assert not pipeline.partitioned_dispatch
-        pipeline.close()
-
-    def test_forced_on_ineligible_backend_raises(self):
-        with pytest.raises(ConfigurationError, match="partitioned dispatch"):
-            MultiprocessERPipeline(
-                threshold_config(),
-                workers=2,
-                backend=InMemoryBackend(),
-                partitioned=True,
-            )
-
-    def test_durable_like_backend_is_excluded(self):
-        with SharedMemoryBackend() as backend:
-            proxy = _CommittingProxy(backend)
-            pipeline = MultiprocessERPipeline(
-                threshold_config(), workers=2, backend=proxy
-            )
-            assert pipeline.dispatch_mode == "shm"
-            assert not pipeline.partitioned_dispatch
-            pipeline.close()
-            with pytest.raises(ConfigurationError, match="durable"):
-                MultiprocessERPipeline(
-                    threshold_config(), workers=2, backend=proxy, partitioned=True
-                )
-
-    def test_worker_side_stage_faults_are_excluded(self):
-        faults = {"cl": FaultSpec(probability=0.5, seed=1)}
-        with SharedMemoryBackend() as backend:
-            pipeline = MultiprocessERPipeline(
-                threshold_config(), workers=2, backend=backend, faults=faults
-            )
-            assert not pipeline.partitioned_dispatch
-            pipeline.close()
-            with pytest.raises(ConfigurationError, match="worker-side"):
-                MultiprocessERPipeline(
-                    threshold_config(),
-                    workers=2,
-                    backend=backend,
-                    faults=faults,
-                    partitioned=True,
-                )
-
-    def test_invalid_value_raises(self):
+    @pytest.mark.parametrize("value", [False, "yes", None])
+    def test_removed_and_invalid_values_raise(self, value):
         with pytest.raises(ConfigurationError, match="partitioned"):
-            MultiprocessERPipeline(threshold_config(), partitioned="yes")
+            MultiprocessERPipeline(threshold_config(), partitioned=value)
+
+    @pytest.mark.parametrize("option", ["chunk_size", "persistent_pool"])
+    def test_removed_options_raise(self, option):
+        with pytest.raises(TypeError, match=option):
+            MultiprocessERPipeline(threshold_config(), **{option: 1})
+        with pytest.raises(TypeError, match="chunk_size"):
+            MultiprocessStreamRunner(threshold_config(), chunk_size=64)
 
 
 class TestPartitionedDispatchEquivalence:
@@ -255,26 +287,15 @@ class TestPartitionedDispatchEquivalence:
             assert result.items_failed == 0
             assert result.match_pairs == reference
 
-        chunked, chunked_result, chunked_pairs = mp_run(
-            config, entities, partitioned=False
-        )
-        assert not chunked.partitioned_dispatch
-        assert chunked_pairs == reference
-
         partitioned, result, pairs = mp_run(config, entities, partitioned=True)
         assert partitioned.partitioned_dispatch
         assert pairs == reference
         assert isinstance(partitioned.last_partition_plan, PartitionPlan)
         assert partitioned.last_partition_plan.used_bins >= 1
-        # The accounting identity holds in both dispatch formats.
-        for pipeline, run_result in (
-            (chunked, chunked_result),
-            (partitioned, result),
-        ):
-            assert (
-                pipeline.pairs_dispatched + pipeline.pairs_prefiltered
-                == run_result.comparisons_after_cleaning
-            )
+        assert (
+            partitioned.pairs_dispatched + partitioned.pairs_prefiltered
+            == result.comparisons_after_cleaning
+        )
 
     def test_partitioned_matches_sequential_clean_clean(self, tiny_clean_dataset):
         config = dataset_config(tiny_clean_dataset)
@@ -287,33 +308,60 @@ class TestPartitionedDispatchEquivalence:
         for left, right in pairs:  # clean-clean never matches within a source
             assert left[0] != right[0]
 
-    def test_fault_parity_with_chunked(self):
-        """Same seeded co faults → same dead letters, same surviving matches.
-
-        The injector keys its verdicts on the canonical pair key, so which
-        dispatch format (or which worker) scores a pair must not change
-        which pairs fault — and with retries disabled both paths must
-        dead-letter exactly the injector's victims.
-        """
+    def test_worker_side_co_faults_dead_letter_exactly_the_victims(self):
+        """Seeded worker-side co faults: the injector keys its verdicts on
+        the canonical pair key, so which worker scores a pair must not
+        change which pairs fault — with retries disabled the dead letters
+        are exactly the injector's victims among the scored pairs, and
+        the surviving matches are SEQ's minus those pairs."""
         entities = make_entities(60)
-        outcomes = {}
-        for partitioned in (False, True):
-            pipeline, result, pairs = mp_run(
-                threshold_config(),
-                entities,
-                partitioned=partitioned,
-                supervision=SupervisionPolicy.none(),
-                faults={"co": FaultSpec(probability=0.3, seed=5)},
-            )
-            assert pipeline.partitioned_dispatch is partitioned
-            assert result.items_failed > 0  # the faults really fired
-            assert result.items_failed == len(result.dead_letters)
-            for letter in result.dead_letters:
-                assert letter.stage == "co"
-            outcomes[partitioned] = (pairs, result.dead_letter_ids)
-        assert outcomes[True] == outcomes[False]
+        spec = FaultSpec(probability=0.3, seed=5)
+        pipeline, result, pairs = mp_run(
+            threshold_config(),
+            entities,
+            partitioned=True,
+            supervision=SupervisionPolicy.none(),
+            faults={"co": spec},
+        )
+        assert result.items_failed > 0  # the faults really fired
+        assert result.items_failed == len(result.dead_letters)
+        for letter in result.dead_letters:
+            assert letter.stage == "co"
+            assert spec.decide("co", letter.entity_id)
+        reference = sequential_pairs(threshold_config(), entities)
+        assert pairs == {p for p in reference if not spec.decide("co", p)}
+        # Deterministic: a second run dead-letters the same pairs.
+        _, again, pairs_again = mp_run(
+            threshold_config(),
+            entities,
+            partitioned=True,
+            supervision=SupervisionPolicy.none(),
+            faults={"co": spec},
+        )
+        assert again.dead_letter_ids == result.dead_letter_ids
+        assert pairs_again == pairs
 
-    def test_persistent_pool_increments_equal_one_shot(self):
+    def test_inline_co_fault_wraps_the_compiled_stage(self):
+        """On an ineligible wiring a co spec is a stage spec like any
+        other: it dead-letters entities at co, exactly as under SEQ-style
+        supervision, and no pool exists to ship it to."""
+        entities = make_entities(60)
+        pipeline = MultiprocessERPipeline(
+            threshold_config(),
+            workers=2,
+            backend=InMemoryBackend(),
+            supervision=SupervisionPolicy.none(),
+            faults={"co": FaultSpec(probability=0.3, seed=5)},
+        )
+        result = pipeline.run(entities)
+        assert pipeline.pool_spawns == 0
+        injector = pipeline.fault_injectors["co"]
+        assert injector.faults_injected > 0
+        assert result.items_failed == injector.faults_injected
+        assert result.dead_letter_ids == injector.faulted_keys
+        assert all(letter.stage == "co" for letter in result.dead_letters)
+
+    def test_pool_survives_increments_and_equals_one_shot(self):
         entities = make_entities(90)
         one_shot, _, reference = mp_run(
             threshold_config(), entities, partitioned=True
@@ -326,9 +374,9 @@ class TestPartitionedDispatchEquivalence:
                 runner.process_increment(entities[start : start + 30])
             assert runner.match_pairs() == reference
             assert len(runner.increments) == 3
-            # The pool survives across increments — that is the point of
-            # the persistent runner; re-negotiation would discard it.
             assert runner.increments[-1].pool_reused
+            assert runner.pipeline.pool_spawns == 1
+            assert runner.pipeline.pool_reuses == 2
 
 
 class TestPrefilterZeroTokenRegression:
@@ -337,66 +385,45 @@ class TestPrefilterZeroTokenRegression:
     Regression for the ``if la and lb`` bypass: a pair with exactly one
     empty token set can never reach a positive threshold (score is
     identically 0) and is droppable, but a pair with *both* sides empty
-    scores jaccard 1.0 and may classify as a match — shipping decisions
-    must distinguish the two.
+    scores jaccard 1.0 and may classify as a match — the worker-side
+    prefilter must distinguish the two.
     """
 
-    @staticmethod
-    def _profile(eid: int, tokens: tuple[str, ...], ids: tuple[int, ...]) -> Profile:
-        return Profile(
-            eid=eid,
-            attributes=(),
-            tokens=frozenset(tokens),
-            token_ids=frozenset(ids),
-        )
+    def test_one_sided_empty_dropped_both_empty_scored(self):
+        # Blocking keys come from tokens, so no stream can put an empty
+        # profile into a block: drive the worker function directly, in
+        # this process, against hand-published rows.
+        from array import array
 
-    def test_one_sided_empty_dropped_both_empty_shipped(self):
-        pipeline = MultiprocessERPipeline(
-            threshold_config(), workers=2, backend=InMemoryBackend()
-        )
-        assert pipeline._prefilter  # interned + positive threshold
-        both_empty = Comparison(
-            left=self._profile(1, (), ()), right=self._profile(2, (), ())
-        )
-        one_sided = Comparison(
-            left=self._profile(3, (), ()),
-            right=self._profile(4, ("wood",), (0,)),
-        )
-        normal = Comparison(
-            left=self._profile(5, ("wood", "glass"), (0, 1)),
-            right=self._profile(6, ("wood", "glass"), (0, 1)),
-        )
-        pipeline._front = lambda entities: iter([[both_empty, one_sided, normal]])
-        shipped = [c for chunk in pipeline._chunks([]) for c in chunk]
-        pipeline.close()
-        assert shipped == [both_empty, normal]
-        assert pipeline.pairs_prefiltered == 1
-        # Why both-empty must ship: the kernel scores it as a match.
-        comparator = pipeline.config.comparator
-        assert comparator.score(both_empty.left, both_empty.right) == 1.0
-        assert comparator.score(one_sided.left, one_sided.right) == 0.0
+        from repro.parallel import mp_framework as worker
 
-
-@pytest.mark.requires_multicore
-class TestPartitionedSpeedup:
-    """ISSUE acceptance: on >= 2 effective CPUs, partitioned dispatch must
-    beat the sequential pipeline outright (mp_speedup > 1)."""
-
-    def test_partitioned_beats_sequential(self):
-        entities = make_entities(4000)
-        start = time.perf_counter()
-        sequential = StreamERPipeline(threshold_config(), instrument=False)
-        sequential.process_many(entities)
-        seq_seconds = time.perf_counter() - start
-
+        config = threshold_config()
         with SharedMemoryBackend() as backend:
             pipeline = MultiprocessERPipeline(
-                threshold_config(), workers=2, chunk_size=256, backend=backend
+                config, workers=1, backend=backend, partitioned=True
             )
-            assert pipeline.partitioned_dispatch
-            start = time.perf_counter()
-            pipeline.run(entities)
-            mp_seconds = time.perf_counter() - start
-            assert backend.matches.pairs() == sequential.cl.matches.pairs()
-            pipeline.close()
-        assert mp_seconds < seq_seconds
+            row_for = backend.token_store.row_for
+            empty_a = row_for(1, frozenset())
+            empty_b = row_for(2, frozenset())
+            wood_a = row_for(3, frozenset({0, 1}))
+            wood_b = row_for(4, frozenset({0, 1}))
+            rows = [
+                backend.publish_membership([empty_a, empty_b, wood_a]),
+                backend.publish_membership([wood_a, wood_b]),
+            ]
+            worker._init_worker(*pipeline._pool_initargs)
+            try:
+                matches, failures, stats = worker._score_partition(
+                    array("Q", rows)
+                )
+            finally:
+                for reader in (
+                    worker._worker_tokens,
+                    worker._worker_membership,
+                    worker._worker_entities,
+                ):
+                    reader.close()
+        assert failures == []
+        assert stats == {"cleaned": 3, "prefiltered": 1}  # (1, 3) dropped
+        # Why both-empty must be scored: the kernel says it is a match.
+        assert matches == [(1, 2, 1.0), (3, 4, 1.0)]

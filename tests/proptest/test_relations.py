@@ -29,7 +29,6 @@ class TestSuiteComposition:
             "dirty-self-consistency",
             "clean-clean-cross-source",
             "executors-agree",
-            "partitioned-equals-chunked",
             "interned-equals-string",
             "resume-equals-uninterrupted",
             "invariants-hold",
@@ -65,11 +64,6 @@ class TestRelationsHold:
 
     def test_executors_agree_holds(self):
         report = run_suite(SEED, examples=2, names=["executors-agree"])
-        failures = report.failures()
-        assert report.ok, failures[0].describe() if failures else ""
-
-    def test_partitioned_equals_chunked_holds(self):
-        report = run_suite(SEED, examples=2, names=["partitioned-equals-chunked"])
         failures = report.failures()
         assert report.ok, failures[0].describe() if failures else ""
 

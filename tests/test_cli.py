@@ -186,6 +186,15 @@ class TestMetrics:
         assert "er_queue_depth" in text
         assert "er_entities_total 4" in text
 
+    def test_multiprocess_executor_runs_worker_side(self, catalog_csv):
+        code, text = self.run_text(
+            ["metrics", str(catalog_csv), "--executor", "mp",
+             "--threshold", "0.6"]
+        )
+        assert code == 0
+        assert "er_entities_total 4" in text
+        assert "er_pool_spawns_total 1" in text
+
     def test_out_file(self, catalog_csv, tmp_path):
         target = tmp_path / "metrics.prom"
         code, text = self.run_text(
