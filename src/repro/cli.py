@@ -239,8 +239,15 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     )
 
     if args.list:
+        from repro.invariants import all_invariants
+
         for name in relation_names():
             out.write(name + "\n")
+        invariants = all_invariants()
+        print(f"{len(invariants)} runtime invariants:", file=sys.stderr)
+        for inv in invariants:
+            where = f"{inv.scope}:{inv.stage}" if inv.stage else inv.scope
+            print(f"  {inv.name} [{where}] {inv.description}", file=sys.stderr)
         return 0
     extra = []
     names = list(args.property) if args.property else None
@@ -436,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--shrink-budget", type=int, default=200,
                        help="max predicate evaluations while shrinking")
     check.add_argument("--list", action="store_true",
-                       help="list relation names and exit")
+                       help="list relation names (stdout) and the runtime "
+                            "invariants (stderr), then exit")
     check.add_argument("--self-test-failure", action="store_true",
                        help="include the intentionally failing relation "
                             "(verifies the failure path end to end)")

@@ -23,6 +23,7 @@ from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan, StageSp
 from repro.core.state import (
     Blacklist,
     BlockCollection,
+    BlockPrefix,
     ERState,
     MatchStore,
     ProfileStore,
@@ -45,6 +46,7 @@ __all__ = [
     "DurabilityConfig",
     "CooccurrenceCounter",
     "BlockCollection",
+    "BlockPrefix",
     "Blacklist",
     "ProfileStore",
     "MatchStore",

@@ -31,7 +31,13 @@ from dataclasses import dataclass
 from repro.classification.classifiers import Classifier, ThresholdClassifier
 from repro.comparison.comparator import TokenSetComparator
 from repro.core.backends.base import CooccurrenceCounter, StateBackend
-from repro.core.state import Blacklist, BlockCollection, MatchStore, ProfileStore
+from repro.core.state import (
+    Blacklist,
+    BlockCollection,
+    BlockPrefix,
+    MatchStore,
+    ProfileStore,
+)
 from repro.errors import UnknownProfileError
 from repro.reading.profiles import ProfileBuilder
 from repro.types import (
@@ -51,13 +57,16 @@ from repro.types import (
 class BlockedEntity:
     """Output of ``f_bb+bp``: the per-entity block snapshot ``B_ei``.
 
-    ``others[k]`` holds the identifiers already present in block ``b_k``
-    (excluding the entity itself), so ``|b_k| = len(others[k]) + 1``.
+    ``others[k]`` is a :class:`~repro.core.state.BlockPrefix` over the
+    identifiers that were in block ``b_k`` before the entity joined it, so
+    ``|b_k| = len(others[k]) + 1``.  It is a view, not a copy: ``len``,
+    truthiness and iteration are all a consumer may rely on, and only
+    ``f_cg`` reads the members — of the keys that survived ghosting.
     Singleton blocks (``others`` empty) have already been removed.
     """
 
     profile: Profile
-    others: dict[str, tuple[EntityId, ...]]
+    others: dict[str, BlockPrefix]
 
     def block_size(self, key: str) -> int:
         return len(self.others[key]) + 1
@@ -161,7 +170,7 @@ class BlockBuildingStage:
         self.pruned_blocks = 0
 
     def __call__(self, profile: Profile) -> BlockedEntity:
-        others: dict[str, tuple[EntityId, ...]] = {}
+        others: dict[str, BlockPrefix] = {}
         for key in profile.tokens:
             if self.enabled and key in self.blacklist:
                 continue
@@ -172,8 +181,7 @@ class BlockBuildingStage:
                 self.pruned_blocks += 1
                 continue
             if size > 1:  # removeSingletons: only blocks with co-members
-                members = self.blocks.block(key)
-                others[key] = tuple(members[:-1])
+                others[key] = BlockPrefix(self.blocks.block(key), size - 1)
         return BlockedEntity(profile=profile, others=others)
 
 
@@ -195,14 +203,13 @@ class BlockGhostingStage:
     def __call__(self, blocked: BlockedEntity) -> BlockedEntity:
         if not self.enabled or not blocked.others:
             return blocked
-        min_size = min(blocked.block_size(key) for key in blocked.others)
-        threshold = min_size / self.beta
-        survivors: dict[str, tuple[EntityId, ...]] = {}
-        for key, others in blocked.others.items():
-            if len(others) + 1 > threshold:
-                self.ghosted_keys += 1
-            else:
-                survivors[key] = others
+        threshold = (min(map(len, blocked.others.values())) + 1) / self.beta
+        survivors = {
+            key: others
+            for key, others in blocked.others.items()
+            if len(others) + 1 <= threshold
+        }
+        self.ghosted_keys += len(blocked.others) - len(survivors)
         blocked.others = survivors
         return blocked
 
@@ -224,17 +231,15 @@ class ComparisonGenerationStage:
     def __call__(self, blocked: BlockedEntity) -> CandidateComparisons:
         eid = blocked.profile.eid
         candidates: list[EntityId] = []
+        for others in blocked.others.values():
+            candidates.extend(others)
         if self.clean_clean:
+            # Same source includes the entity itself.
             my_source = eid[0]  # type: ignore[index]
-            for others in blocked.others.values():
-                for j in others:
-                    if j != eid and j[0] != my_source:  # type: ignore[index]
-                        candidates.append(j)
-        else:
-            for others in blocked.others.values():
-                for j in others:
-                    if j != eid:
-                        candidates.append(j)
+            candidates = [j for j in candidates if j[0] != my_source]  # type: ignore[index]
+        elif eid in candidates:
+            # Only a re-arrived identifier can already sit in its own blocks.
+            candidates = [j for j in candidates if j != eid]
         self.generated += len(candidates)
         return CandidateComparisons(profile=blocked.profile, candidates=candidates)
 

@@ -19,18 +19,46 @@ stages, so executors never hard-code where state lives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from repro.types import EntityId, Match, Profile, pair_key
 
 
+class BlockPrefix:
+    """The first ``n`` members of a block list: a snapshot that copies nothing.
+
+    Valid for as long as anyone holds it because a block list is only ever
+    appended to: :meth:`BlockCollection.remove_block` detaches the list and
+    :meth:`BlockCollection.discard` rebinds a new one, so the ``n`` members
+    seen when the view was taken never move.
+    """
+
+    __slots__ = ("members", "n")
+
+    def __init__(self, members: list[EntityId], n: int) -> None:
+        self.members = members
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[EntityId]:
+        return islice(self.members, self.n)
+
+    def __repr__(self) -> str:
+        return f"BlockPrefix({self.members[: self.n]!r})"
+
+
 class BlockCollection:
     """An incrementally maintained token-to-entities block index.
 
-    Each block is an insertion-ordered list of entity identifiers.  Blocks
-    of size one are kept (they may grow later, as the paper stresses with
-    the "Jane" block of the running example).
+    Each block is an insertion-ordered, append-only list of entity
+    identifiers, which is what lets ``f_bb+bp`` hand out
+    :class:`BlockPrefix` views instead of copies.  Blocks of size one are
+    kept (they may grow later, as the paper stresses with the "Jane" block
+    of the running example).
 
     Size statistics (``sizes``, ``total_assignments``, ``total_comparisons``)
     are maintained as running counters in :meth:`add`, :meth:`remove_block`
@@ -73,16 +101,20 @@ class BlockCollection:
         Empty blocks are dropped.  Returns True when an assignment was
         actually removed.  This is the *only* sanctioned way to shrink a
         block — mutating the list returned by :meth:`block` directly would
-        silently corrupt the running size counters.
+        silently corrupt the running size counters.  The shrunken block is
+        a new list: a :class:`BlockPrefix` over the old one, held by a
+        message still in flight, keeps reading what it saw.
         """
         block = self._blocks.get(key)
         if block is None or eid not in block:
             return False
+        block = block.copy()
         block.remove(eid)
         remaining = len(block)
         self._assignments -= 1
         self._comparisons -= remaining
         if remaining:
+            self._blocks[key] = block
             self._sizes[key] = remaining
         else:
             del self._blocks[key]

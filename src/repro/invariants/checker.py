@@ -147,11 +147,17 @@ class InvariantChecker:
 
     # -- scope entry points --------------------------------------------
 
-    def observe_stage(self, stage: str, payload: Any) -> None:
-        """Run the stage-scope invariants over one output message."""
+    def observe_stage(self, stage: str, payload: Any, source: Any = None) -> None:
+        """Run the stage-scope invariants over one output message.
+
+        ``source`` is the stage's input message, for invariants that
+        relate output to input.
+        """
         invariants = invariants_for("stage", stage)
         if invariants:
-            view = StageView(stage=stage, config=self._config, payload=payload)
+            view = StageView(
+                stage=stage, config=self._config, payload=payload, source=source
+            )
             self._run_checks(invariants, view, stage=stage)
 
     def after_entity(self) -> None:
@@ -239,7 +245,7 @@ class CheckedStage:
     def __call__(self, message):
         out = self.inner(message)
         if self._active:
-            self._checker.observe_stage(self.name, out)
+            self._checker.observe_stage(self.name, out, message)
         return out
 
     def __getattr__(self, attr):

@@ -70,11 +70,16 @@ class StateView:
 
 @dataclass
 class StageView:
-    """A stage-scope observation: one stage's output message."""
+    """A stage-scope observation: one stage's output message.
+
+    ``source`` is the message the stage was called with (None when the
+    observer has only the output), for invariants that relate the two.
+    """
 
     stage: str
     config: Any
     payload: Any
+    source: Any = None
 
 
 @dataclass
@@ -405,23 +410,30 @@ def check_dr_output(view: StageView) -> None:
     "bb-snapshot-wellformed",
     "stage",
     stage="bb+bp",
-    description="B_ei has no singletons and respects the α bound post-purge",
+    description="every B_ei view is a non-empty prefix of its block's "
+    "member list, sized below the α bound post-purge",
 )
 def check_bb_output(view: StageView) -> None:
     blocked = view.payload
     alpha = view.config.alpha
     cleaning = view.config.enable_block_cleaning
     for key, others in blocked.others.items():
-        if not others:
+        n = len(others)
+        if n == 0:
             _fail(
                 "bb-snapshot-wellformed",
                 f"singleton block {key!r} survived removeSingletons",
             )
-        if cleaning and len(others) + 1 >= alpha:
+        if n > len(others.members):
             _fail(
                 "bb-snapshot-wellformed",
-                f"block {key!r} in B_ei has size {len(others) + 1} >= "
-                f"alpha={alpha}",
+                f"view of block {key!r} claims {n} members but its list "
+                f"holds {len(others.members)}",
+            )
+        if cleaning and n + 1 >= alpha:
+            _fail(
+                "bb-snapshot-wellformed",
+                f"block {key!r} in B_ei has size {n + 1} >= alpha={alpha}",
             )
 
 
@@ -443,6 +455,31 @@ def check_cg_output(view: StageView) -> None:
                 "cg-no-self-pairs",
                 f"clean-clean candidate {j!r} shares source with {eid!r}",
             )
+
+
+@_invariant(
+    "cg-multiplicity-conserved",
+    "stage",
+    stage="cg",
+    description="dirty ER: one candidate per member of every surviving "
+    "view, minus the entity's own occurrences (the CBS weights f_cc counts)",
+)
+def check_cg_multiplicity(view: StageView) -> None:
+    blocked = view.source
+    if blocked is None or view.config.clean_clean:
+        return
+    generated = view.payload
+    eid = generated.profile.eid
+    expected = sum(
+        len(others) - sum(1 for j in others if j == eid)
+        for others in blocked.others.values()
+    )
+    if len(generated.candidates) != expected:
+        _fail(
+            "cg-multiplicity-conserved",
+            f"entity {eid!r}: {len(generated.candidates)} candidates from "
+            f"views holding {expected} non-self members",
+        )
 
 
 @_invariant(

@@ -10,9 +10,19 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.reading.interning import TokenDictionary
-from repro.reading.standardize import Standardizer
+from repro.reading.standardize import WORD_RE, Standardizer
 from repro.reading.tokenize import Tokenizer
 from repro.types import EntityDescription, Profile
+
+
+#: One memo entry per raw lower-cased word: the standardized word when it
+#: differs from the raw one (else None), its tokens, their interned ids.
+_WordEntry = tuple[str | None, tuple[str, ...], tuple[int, ...]]
+
+
+def _substitute(replaced: dict[str, str], lowered: str) -> str:
+    """``lowered`` with every word that has an entry in ``replaced`` swapped."""
+    return WORD_RE.sub(lambda match: replaced.get(match[0], match[0]), lowered)
 
 
 @dataclass(frozen=True)
@@ -24,58 +34,66 @@ class ProfileBuilder:
     from the standardized values (token blocking keys).
 
     When a :class:`~repro.reading.interning.TokenDictionary` is attached,
-    every token is additionally interned at tokenize time and the produced
-    profiles carry ``token_ids`` — the dense integer view the comparison
-    kernel and the multiprocess dispatch run on.  Interning rides the same
-    memoization as standardization, so its cost is paid once per distinct
-    attribute value, not once per entity.
+    every token is additionally interned and the produced profiles carry
+    ``token_ids`` — the dense integer view the comparison kernel and the
+    multiprocess dispatch run on.  Ids are assigned in first-occurrence
+    order (attribute order, then word order).
 
-    Attribute values repeat heavily in real data (and across duplicates),
-    so standardization + tokenization results are memoized per distinct
-    value; the cache is bounded to keep streaming memory flat.
+    Values rarely repeat but their words do (a Zipf vocabulary), so the
+    rules run once per distinct *word*: the memo maps a raw lower-cased
+    word to its standardized form, tokens and token ids, and a value costs
+    one regex pass plus one dict probe per word.  ``cache_size`` bounds the
+    memo to keep streaming memory flat.  The memo is tied to the rules it
+    was filled under: it is not a constructor argument, so every
+    construction and every ``dataclasses.replace`` starts with an empty one.
     """
 
     standardizer: Standardizer = field(default_factory=Standardizer)
     tokenizer: Tokenizer = field(default_factory=Tokenizer)
     dictionary: TokenDictionary | None = None
     cache_size: int = 100_000
-    _cache: dict[str, tuple[str, frozenset[str], frozenset[int] | None]] = field(
-        default_factory=dict, repr=False, compare=False
+    _memo: dict[str, _WordEntry] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def with_dictionary(self, dictionary: TokenDictionary) -> "ProfileBuilder":
-        """A copy of this builder interning into ``dictionary`` (fresh cache)."""
-        return dataclasses.replace(self, dictionary=dictionary, _cache={})
+        """A copy of this builder interning into ``dictionary``."""
+        return dataclasses.replace(self, dictionary=dictionary)
 
-    def _value(self, value: str) -> tuple[str, frozenset[str], frozenset[int] | None]:
-        cached = self._cache.get(value)
-        if cached is not None:
-            return cached
-        standardized = self.standardizer.standardize_value(value)
-        tokens = self.tokenizer.token_set((standardized,))
-        ids = self.dictionary.intern_set(tokens) if self.dictionary is not None else None
-        result = (standardized, tokens, ids)
-        if len(self._cache) >= self.cache_size:
-            self._cache.clear()
-        self._cache[value] = result
-        return result
+    def _learn(self, word: str) -> _WordEntry:
+        standardized = self.standardizer.standardize_word(word)
+        tokens = tuple(self.tokenizer.tokens(standardized))
+        ids: tuple[int, ...] = ()
+        if self.dictionary is not None:
+            ids = tuple(map(self.dictionary.intern, tokens))
+        entry = (standardized if standardized != word else None, tokens, ids)
+        if len(self._memo) >= self.cache_size:
+            self._memo.clear()
+        self._memo[word] = entry
+        return entry
 
     def build(self, entity: EntityDescription) -> Profile:
         """Produce the profile ``p_i`` (with keys ``K_i``) for ``e_i``."""
+        memo = self._memo
         attributes = []
         tokens: set[str] = set()
-        interning = self.dictionary is not None
         ids: set[int] = set()
         for name, value in entity.attributes:
-            standardized, value_tokens, value_ids = self._value(value)
+            standardized = value.lower()
+            replaced: dict[str, str] = {}
+            for word in WORD_RE.findall(standardized):
+                replacement, word_tokens, word_ids = memo.get(word) or self._learn(word)
+                if replacement is not None:
+                    replaced[word] = replacement
+                tokens.update(word_tokens)
+                ids.update(word_ids)
+            if replaced:
+                standardized = _substitute(replaced, standardized)
             attributes.append((name, standardized))
-            tokens.update(value_tokens)
-            if interning:
-                ids.update(value_ids)  # type: ignore[arg-type]
         return Profile(
             eid=entity.eid,
             attributes=tuple(attributes),
             tokens=frozenset(tokens),
             source=entity.source,
-            token_ids=frozenset(ids) if interning else None,
+            token_ids=frozenset(ids) if self.dictionary is not None else None,
         )

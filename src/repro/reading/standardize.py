@@ -16,7 +16,9 @@ from typing import Mapping
 
 from repro.types import EntityDescription
 
-_WORD_RE = re.compile(r"[A-Za-z0-9]+")
+#: A word as the rules see it: a maximal ASCII alphanumeric run of the
+#: lower-cased value (shared with the profile builder's per-word memo).
+WORD_RE = re.compile(r"[A-Za-z0-9]+")
 
 #: US -> British spellings seen in product/building descriptions.
 DEFAULT_SPELLING: dict[str, str] = {
@@ -99,7 +101,7 @@ class Standardizer:
         def repl(match: re.Match[str]) -> str:
             return self.standardize_word(match.group(0).lower())
 
-        return _WORD_RE.sub(repl, value.lower())
+        return WORD_RE.sub(repl, value.lower())
 
     def standardize(self, entity: EntityDescription) -> EntityDescription:
         """Return a copy of ``entity`` with standardized attribute values."""

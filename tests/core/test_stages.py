@@ -20,8 +20,19 @@ from repro.core.stages import (
     MaterializedComparisons,
 )
 from repro.classification import ThresholdClassifier
+from repro.core.state import BlockPrefix
 from repro.errors import UnknownProfileError
 from repro.types import Comparison, Profile, ScoredComparison
+
+
+def view(*ids):
+    """A prefix view over exactly ``ids`` (what ``f_bb+bp`` hands out)."""
+    return BlockPrefix(list(ids), len(ids))
+
+
+def snapshot(blocked):
+    """``B_ei`` with every view materialized, for equality assertions."""
+    return {key: list(others) for key, others in blocked.others.items()}
 
 
 def make_profile(eid, tokens, source=None):
@@ -58,8 +69,37 @@ class TestBlockBuildingStage:
         stage = BlockBuildingStage(alpha=10)
         stage(make_profile(1, {"a"}))
         out = stage(make_profile(2, {"a"}))
-        assert out.others == {"a": (1,)}
+        assert snapshot(out) == {"a": [1]}
         assert out.block_size("a") == 2
+
+    def test_snapshot_is_a_view_that_later_arrivals_do_not_change(self):
+        stage = BlockBuildingStage(alpha=10)
+        stage(make_profile(1, {"a"}))
+        out = stage(make_profile(2, {"a"}))
+        members = stage.blocks.block("a")
+        assert out.others["a"].members is members  # nothing was copied
+        stage(make_profile(3, {"a"}))
+        assert members == [1, 2, 3]
+        assert len(out.others["a"]) == 1 and bool(out.others["a"])
+        assert snapshot(out) == {"a": [1]}
+
+    def test_snapshot_survives_pruning_of_its_block(self):
+        stage = BlockBuildingStage(alpha=4)
+        stage(make_profile(1, {"k"}))
+        stage(make_profile(2, {"k"}))
+        held = stage(make_profile(3, {"k"}))
+        stage(make_profile(4, {"k"}))  # reaches α: the block is detached
+        assert "k" not in stage.blocks and "k" in stage.blacklist
+        stage(make_profile(5, {"k"}))  # blacklisted: the old list stays as is
+        assert snapshot(held) == {"k": [1, 2]}
+
+    def test_snapshot_survives_discard_from_its_block(self):
+        stage = BlockBuildingStage(alpha=10)
+        for eid in (1, 2, 3):
+            held = stage(make_profile(eid, {"k"}))
+        assert stage.blocks.discard("k", 1)
+        assert stage.blocks.block("k") == [2, 3]
+        assert snapshot(held) == {"k": [1, 2]}
 
     def test_block_pruning_at_alpha(self):
         stage = BlockBuildingStage(alpha=3)
@@ -84,7 +124,7 @@ class TestBlockBuildingStage:
         for eid in range(5):
             out = stage(make_profile(eid, {"k"}))
         assert len(stage.blocks.block("k")) == 5
-        assert out.others["k"] == (0, 1, 2, 3)
+        assert list(out.others["k"]) == [0, 1, 2, 3]
 
     def test_paper_example_pavilion_pruned_at_e5(self, paper_entities):
         dr = DataReadingStage()
@@ -110,7 +150,7 @@ class TestBlockGhostingStage:
         stage = BlockGhostingStage(beta=0.5)
         blocked = BlockedEntity(
             profile=make_profile(9, {"a", "b"}),
-            others={"a": (1,), "b": (2, 3)},
+            others={"a": view(1), "b": view(2, 3)},
         )
         out = stage(blocked)
         assert set(out.others) == {"a", "b"}
@@ -121,7 +161,7 @@ class TestBlockGhostingStage:
         # b_min = 2, threshold = 2/0.6 ≈ 3.33 → the size-4 block is ghosted.
         blocked = BlockedEntity(
             profile=make_profile(9, set("ab")),
-            others={"small": (1,), "big": (1, 2, 3)},
+            others={"small": view(1), "big": view(1, 2, 3)},
         )
         out = stage(blocked)
         assert set(out.others) == {"small"}
@@ -130,7 +170,7 @@ class TestBlockGhostingStage:
     def test_smallest_block_never_ghosted(self):
         stage = BlockGhostingStage(beta=0.01)
         blocked = BlockedEntity(
-            profile=make_profile(9, {"a"}), others={"only": (1, 2, 3, 4)}
+            profile=make_profile(9, {"a"}), others={"only": view(1, 2, 3, 4)}
         )
         out = stage(blocked)
         assert set(out.others) == {"only"}
@@ -139,7 +179,7 @@ class TestBlockGhostingStage:
         stage = BlockGhostingStage(beta=0.6, enabled=False)
         blocked = BlockedEntity(
             profile=make_profile(9, set()),
-            others={"small": (1,), "big": (1, 2, 3, 4, 5, 6)},
+            others={"small": view(1), "big": view(1, 2, 3, 4, 5, 6)},
         )
         assert set(stage(blocked).others) == {"small", "big"}
 
@@ -173,7 +213,7 @@ class TestComparisonGenerationStage:
         stage = ComparisonGenerationStage()
         blocked = BlockedEntity(
             profile=make_profile(9, set()),
-            others={"a": (1, 2), "b": (2,)},
+            others={"a": view(1, 2), "b": view(2)},
         )
         out = stage(blocked)
         assert sorted(out.candidates, key=repr) == [1, 2, 2]
@@ -183,14 +223,14 @@ class TestComparisonGenerationStage:
         stage = ComparisonGenerationStage(clean_clean=True)
         blocked = BlockedEntity(
             profile=make_profile(("x", 9), set()),
-            others={"a": (("x", 1), ("y", 2))},
+            others={"a": view(("x", 1), ("y", 2))},
         )
         out = stage(blocked)
         assert out.candidates == [("y", 2)]
 
     def test_skips_self(self):
         stage = ComparisonGenerationStage()
-        blocked = BlockedEntity(profile=make_profile(9, set()), others={"a": (9, 1)})
+        blocked = BlockedEntity(profile=make_profile(9, set()), others={"a": view(9, 1)})
         assert stage(blocked).candidates == [1]
 
 

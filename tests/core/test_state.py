@@ -2,7 +2,22 @@
 
 from __future__ import annotations
 
-from repro.core.state import Blacklist, BlockCollection, ERState, MatchStore, ProfileStore
+import pytest
+
+from repro.core.backends import (
+    DurabilityConfig,
+    DurableBackend,
+    InMemoryBackend,
+    ShardedBackend,
+)
+from repro.core.state import (
+    Blacklist,
+    BlockCollection,
+    BlockPrefix,
+    ERState,
+    MatchStore,
+    ProfileStore,
+)
 from repro.types import Match, Profile
 
 
@@ -50,6 +65,68 @@ class TestBlockCollection:
         for eid in (5, 3, 9):
             blocks.add("k", eid)
         assert blocks.block("k") == [5, 3, 9]
+
+
+class TestBlockPrefix:
+    def test_len_truthiness_and_iteration_stop_at_n(self):
+        members = [5, 3, 9, 7]
+        prefix = BlockPrefix(members, 2)
+        assert len(prefix) == 2 and prefix
+        assert list(prefix) == [5, 3]
+        assert list(prefix) == [5, 3]  # re-iterable
+        assert not BlockPrefix(members, 0)
+
+    def test_later_appends_do_not_show(self):
+        blocks = BlockCollection()
+        blocks.add("k", 1)
+        size = blocks.add("k", 2)
+        prefix = BlockPrefix(blocks.block("k"), size - 1)
+        blocks.add("k", 3)
+        assert list(prefix) == [1]
+        assert prefix.members is blocks.block("k")  # a view, not a copy
+
+    @pytest.fixture(params=["memory", "sharded", "durable"])
+    def blocks(self, request, tmp_path):
+        if request.param == "memory":
+            yield BlockCollection()
+        elif request.param == "sharded":
+            yield ShardedBackend(3).blocks
+        else:
+            backend = DurableBackend(
+                InMemoryBackend(), DurabilityConfig(wal_dir=tmp_path / "wal")
+            )
+            yield backend.blocks
+            backend.close()
+
+    def test_discard_rebinds_instead_of_mutating_a_viewed_list(self, blocks):
+        for eid in (1, 2, 3, 4):
+            blocks.add("k", eid)
+        blocks.add("other", 9)
+        held = BlockPrefix(blocks.block("k"), 3)
+        assert blocks.discard("k", 2) is True
+        assert list(held) == [1, 2, 3]  # the view still reads what it saw
+        assert blocks.block("k") == [1, 3, 4]
+        assert blocks.discard("k", 2) is False
+        assert list(held) == [1, 2, 3]
+        # ... and the O(1) counters are still exact.
+        assert dict(blocks.sizes()) == {"k": 3, "other": 1}
+        assert blocks.total_assignments() == 4
+        assert blocks.total_comparisons() == 3
+        for eid in (1, 3, 4):
+            assert blocks.discard("k", eid) is True
+        assert "k" not in blocks
+        assert list(held) == [1, 2, 3]
+        assert blocks.total_assignments() == 1
+        assert blocks.total_comparisons() == 0
+
+    def test_remove_block_detaches_a_viewed_list(self, blocks):
+        for eid in (1, 2, 3):
+            blocks.add("k", eid)
+        held = BlockPrefix(blocks.block("k"), 2)
+        blocks.remove_block("k")
+        blocks.add("k", 7)  # a new list under the same key
+        assert list(held) == [1, 2]
+        assert blocks.block("k") == [7]
 
 
 class TestBlacklist:

@@ -8,6 +8,8 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
+from repro.core.stages import BlockedEntity, CandidateComparisons
+from repro.core.state import BlockPrefix
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants import (
     CheckedStage,
@@ -50,7 +52,9 @@ class TestRegistry:
             "dictionary-bijective",
             "blocked-entities-have-profiles",
             "match-store-consistent",
+            "bb-snapshot-wellformed",
             "cg-no-self-pairs",
+            "cg-multiplicity-conserved",
             "cl-no-self-matches",
             "run-failure-accounting",
             "sim-item-conservation",
@@ -165,6 +169,54 @@ class TestStageEnforcement:
         checker.observe_stage("cl", [Match(left=1, right=1, similarity=1.0)])
         assert [v.invariant for v in checker.violations] == ["cl-no-self-matches"]
         assert checker.violations[0].stage == "cl"
+
+    @staticmethod
+    def blocked(eid, **others) -> BlockedEntity:
+        profile = Profile(eid=eid, attributes=(), tokens=frozenset(others))
+        return BlockedEntity(profile=profile, others=others)
+
+    def observe(self, stage, payload, source=None, **config):
+        checker = InvariantChecker(mode="record")
+        checker.bind(small_config(**config), backend=object())
+        checker.observe_stage(stage, payload, source)
+        return [v.invariant for v in checker.violations]
+
+    def test_wellformed_views_pass_bb_check(self):
+        members = [1, 2, 3]
+        blocked = self.blocked(
+            4, a=BlockPrefix(members, 3), b=BlockPrefix(members, 1)
+        )
+        assert self.observe("bb+bp", blocked, alpha=5) == []
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            BlockPrefix([1, 2], 0),  # a singleton block made it into B_ei
+            BlockPrefix([1, 2], 3),  # longer than the list it views
+            BlockPrefix([1, 2, 3, 4, 5], 4),  # |b| = 5 = α survived the purge
+        ],
+        ids=["empty", "overlong", "oversized"],
+    )
+    def test_malformed_view_fails_bb_check(self, view):
+        violations = self.observe("bb+bp", self.blocked(9, k=view), alpha=5)
+        assert violations == ["bb-snapshot-wellformed"]
+
+    def test_cg_multiplicity_is_conserved(self):
+        blocked = self.blocked(
+            9, a=BlockPrefix([1, 2, 5], 2), b=BlockPrefix([2, 9, 3], 3)
+        )
+        good = CandidateComparisons(profile=blocked.profile, candidates=[1, 2, 2, 3])
+        assert self.observe("cg", good, blocked) == []
+        # A member dropped, and a member read past the view's end.
+        for candidates in ([1, 2, 3], [1, 2, 5, 2, 3]):
+            bad = CandidateComparisons(profile=blocked.profile, candidates=candidates)
+            assert self.observe("cg", bad, blocked) == ["cg-multiplicity-conserved"]
+
+    def test_cg_multiplicity_needs_the_input_and_dirty_er(self):
+        blocked = self.blocked(("x", 9), a=BlockPrefix([("x", 1), ("y", 2)], 2))
+        out = CandidateComparisons(profile=blocked.profile, candidates=[("y", 2)])
+        assert self.observe("cg", out, blocked, clean_clean=True) == []
+        assert self.observe("cg", out) == []  # no source message: nothing to relate
 
     def test_stage_without_invariants_checks_nothing(self):
         checker = InvariantChecker(mode="raise")

@@ -16,9 +16,10 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
+from repro.core.state import BlockPrefix
 from repro.errors import InvariantViolation
 from repro.invariants import InvariantChecker
-from repro.streaming import SlidingWindowERPipeline
+from repro.streaming import SlidingWindowERPipeline, UpdateAwareERPipeline
 from repro.types import EntityDescription
 
 
@@ -88,6 +89,45 @@ class TestWindowReArrivalRegression:
         window.process_many(self.STREAM[:3])  # e1 e2 e1'
         assert window.stats.evicted_entities == 0
         assert window.stats.removed_assignments > 0  # e1's old blocks
+
+
+class TestReArrivalLeavesHeldViewsAlone:
+    """Retiring an entity shrinks blocks through ``discard``.  A message
+    still in flight may hold :class:`BlockPrefix` views over those blocks,
+    so the shrink must never show through a view taken before it."""
+
+    STREAM = TestWindowReArrivalRegression.STREAM + [
+        EntityDescription.create(2, {"desc": "glass roof frame"}),
+        EntityDescription.create(4, {"desc": "steel frame"}),
+        EntityDescription.create(5, {"desc": "glass roof panel"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SlidingWindowERPipeline(config(), window=2),
+            lambda: SlidingWindowERPipeline(config(), window=100),
+            lambda: UpdateAwareERPipeline(config()),
+        ],
+        ids=["window-2", "window-100", "update-aware"],
+    )
+    def test_views_taken_before_a_retire_still_read_the_same(self, make):
+        wrapper = make()
+        blocks = wrapper.pipeline.bb.blocks
+        held: list[tuple[str, BlockPrefix, list]] = []
+        for entity in self.STREAM:
+            wrapper.process(entity)
+            profile = wrapper.pipeline.lm.profiles.get(entity.eid)
+            for key in profile.tokens:
+                members = blocks.block(key)
+                if members:
+                    view = BlockPrefix(members, len(members))
+                    held.append((key, view, list(view)))
+        # The scenario is live: some viewed block was shrunk after the view.
+        assert any(blocks.block(key) is not view.members for key, view, _ in held)
+        for _, view, seen in held:
+            assert list(view) == seen
+        assert not check_state_of(wrapper.pipeline).violations
 
 
 class TestBlockCounterDrift:

@@ -140,3 +140,109 @@ class TestReorderBuffer:
         entities = list(ds.stream())
         pipeline.run(entities)
         assert seen == [e.eid for e in entities]
+
+
+class TestPruningWhileOlderEntitiesAreQueued:
+    """``f_bb+bp`` hands out views, not copies, and runs ahead of ``f_bg`` /
+    ``f_cg``: a block can be pruned (or just keep growing) while messages
+    viewing it are still queued.  The gate below holds every ``f_bg`` call
+    until pruning has fired, so the race is the test's premise, not luck."""
+
+    ALPHA = 6
+
+    def entities(self):
+        from repro.types import EntityDescription
+
+        # "shared" reaches α with the sixth arrival; "pair<k>" blocks stay small.
+        return [
+            EntityDescription.create(i, {"t": f"shared pair{i // 2} own{i}"})
+            for i in range(14)
+        ]
+
+    def config(self):
+        return StreamERConfig(
+            alpha=self.ALPHA, beta=0.2, classifier=ThresholdClassifier(0.2)
+        )
+
+    @pytest.mark.parametrize("micro_batch_size", [1, 4])
+    def test_views_over_a_pruned_block_stay_intact(self, micro_batch_size):
+        import time
+
+        from repro.core import InMemoryBackend
+        from repro.invariants import InvariantChecker
+        from repro.parallel.faults import FaultSpec
+
+        entities = self.entities()
+        sequential = StreamERPipeline(self.config(), instrument=False)
+        sequential.process_many(entities)
+        expected = sequential.cl.matches.pairs()
+        # The premise: pairs found only through the block that gets pruned.
+        assert (0, 2) in expected and "shared" in sequential.bb.blacklist
+
+        backend = InMemoryBackend()
+        seen: dict = {}
+
+        def hold_until_pruned(blocked):
+            deadline = time.monotonic() + 30
+            while "shared" not in backend.blacklist:
+                assert time.monotonic() < deadline, "bb+bp never pruned"
+                time.sleep(0.001)
+            view = blocked.others.get("shared")
+            if view is not None:
+                seen[blocked.profile.eid] = (view, list(view))
+            return blocked
+
+        checker = InvariantChecker(mode="record")
+        parallel = ParallelERPipeline(
+            self.config(),
+            processes=8,
+            micro_batch_size=micro_batch_size,
+            backend=backend,
+            checker=checker,
+            faults={"bg": FaultSpec(mode="corrupt", corrupt=hold_until_pruned)},
+        )
+        result = parallel.run(entities, timeout=60)
+        assert not result.dead_letters
+        assert result.match_pairs == expected
+        # Entities 1..4 joined "shared" before it was pruned; each view was
+        # read after the prune and shows exactly the earlier arrivals.
+        assert {eid: members for eid, (_, members) in seen.items()} == {
+            i: list(range(i)) for i in range(1, self.ALPHA - 1)
+        }
+        assert all(list(view) == members for view, members in seen.values())
+        assert "shared" not in backend.blocks
+        assert not checker.violations
+        assert checker.checks_performed > 0
+
+    def test_views_over_a_growing_block_stop_at_their_arrival(self):
+        import time
+
+        from repro.core import InMemoryBackend
+        from repro.parallel.faults import FaultSpec
+
+        entities = self.entities()
+        config = StreamERConfig(
+            alpha=1000, beta=0.2, classifier=ThresholdClassifier(0.2)
+        )
+        sequential = StreamERPipeline(config, instrument=False)
+        sequential.process_many(entities)
+
+        backend = InMemoryBackend()
+
+        def hold_until_all_blocked(blocked):
+            deadline = time.monotonic() + 30
+            while len(backend.blocks.block("shared")) < len(entities):
+                assert time.monotonic() < deadline, "bb+bp never finished"
+                time.sleep(0.001)
+            return blocked
+
+        parallel = ParallelERPipeline(
+            config,
+            processes=8,
+            backend=backend,
+            faults={"cg": FaultSpec(mode="corrupt", corrupt=hold_until_all_blocked)},
+        )
+        result = parallel.run(entities, timeout=60)
+        assert not result.dead_letters
+        assert result.match_pairs == sequential.cl.matches.pairs()
+        assert parallel.compiled.get("cg").generated == sequential.cg.generated

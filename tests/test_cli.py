@@ -220,6 +220,17 @@ class TestCheck:
         assert "incremental-equals-batch" in names
         assert "executors-agree" in names
 
+    def test_list_describes_the_runtime_invariants_on_stderr(self, capsys):
+        from repro.invariants import all_invariants
+
+        code, text = self.run_text(["check", "--list"])
+        assert code == 0 and "runtime" not in text  # stdout: relation names only
+        err = capsys.readouterr().err
+        assert f"{len(all_invariants())} runtime invariants:" in err
+        for inv in all_invariants():
+            assert inv.name in err and inv.description in err
+        assert "cg-multiplicity-conserved [stage:cg]" in err
+
     def test_passing_subset_exits_zero(self):
         code, text = self.run_text(
             ["check", "--seed", "2021", "--examples", "2",
