@@ -1,14 +1,7 @@
 """Comparison substrate: similarity measures and profile comparators."""
 
 from repro.comparison.comparator import AttributeWeightedComparator, TokenSetComparator
-from repro.comparison.kernel import (
-    InternedComparator,
-    galloping_intersect_size,
-    intersect_size,
-    merge_intersect_size,
-    similarity_bound,
-    similarity_from_intersection,
-)
+from repro.comparison.kernel import InternedComparator, similarity_bound
 from repro.comparison.tfidf import IncrementalTfIdfComparator
 from repro.comparison.similarity import (
     SET_SIMILARITIES,
@@ -31,10 +24,6 @@ __all__ = [
     "InternedComparator",
     "IncrementalTfIdfComparator",
     "similarity_bound",
-    "similarity_from_intersection",
-    "intersect_size",
-    "merge_intersect_size",
-    "galloping_intersect_size",
     "jaccard",
     "dice",
     "overlap",

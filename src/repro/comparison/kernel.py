@@ -25,11 +25,11 @@ set-similarity-join literature end to end:
    those pairs, the match set is again byte-identical; only the
    non-match bookkeeping disappears.
 
-The sorted-array intersection helpers (merge / galloping / numpy) back the
-multiprocess worker path, which receives sorted id arrays off the wire; the
-in-process hot loop uses frozenset intersection, which measures fastest for
-the small token sets typical of entity profiles (CPython set ops are C
-loops, and galloping only pays off for heavily skewed large sets).
+Every executor scores through this one kernel.  The hot loop intersects
+with ``a.intersection(b)`` — a C loop — whose right operand may be any
+iterable of ids: a pool worker hands it the partner's packed id *array*
+straight off the shared column and builds a set only for the arriving
+entity (see :mod:`repro.parallel.mp_framework`).
 
 Safety argument for the prefilter (``docs/performance.md`` repeats this
 with the full derivation): with ``m = min(|a|, |b|)``, ``M = max(|a|, |b|)``
@@ -47,95 +47,14 @@ A pair skipped by the prefilter therefore *cannot* reach the threshold.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from repro.comparison.similarity import SET_SIMILARITIES
 from repro.errors import ConfigurationError
 from repro.types import Comparison, Profile, ScoredComparison
 
-__all__ = [
-    "InternedComparator",
-    "similarity_bound",
-    "similarity_from_intersection",
-    "intersect_size",
-    "merge_intersect_size",
-    "galloping_intersect_size",
-]
-
-# --------------------------------------------------------------------------
-# Sorted-array intersection (worker-side payloads, large/skewed sets)
-
-#: Below this combined size, plain merge beats numpy's call overhead.
-_NUMPY_MIN_SIZE = 256
-#: Size ratio beyond which per-element binary search (galloping) wins.
-_GALLOP_RATIO = 16
-
-
-def merge_intersect_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """|a ∩ b| of two *sorted, duplicate-free* sequences by linear merge."""
-    i = j = size = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            size += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return size
-
-
-def galloping_intersect_size(small: Sequence[int], large: Sequence[int]) -> int:
-    """|small ∩ large| by binary-searching each element of the smaller side.
-
-    O(|small| · log |large|) — the winning strategy when one side is much
-    larger than the other (hub entities in oversized blocks).
-    """
-    size = 0
-    lo = 0
-    hi = len(large)
-    for x in small:
-        lo = bisect_left(large, x, lo, hi)
-        if lo == hi:
-            break
-        if large[lo] == x:
-            size += 1
-            lo += 1
-    return size
-
-
-def intersect_size(a: Sequence[int], b: Sequence[int]) -> int:
-    """|a ∩ b| of two sorted, duplicate-free int sequences.
-
-    Picks the strategy by size and skew: numpy's vectorized
-    ``intersect1d`` for large inputs, galloping binary search for heavily
-    skewed ones, linear merge otherwise.
-    """
-    la, lb = len(a), len(b)
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    if la == 0:
-        return 0
-    if la + lb >= _NUMPY_MIN_SIZE and la * _GALLOP_RATIO > lb:
-        return int(
-            np.intersect1d(
-                np.asarray(a, dtype=np.int64),
-                np.asarray(b, dtype=np.int64),
-                assume_unique=True,
-            ).size
-        )
-    if la * _GALLOP_RATIO <= lb:
-        return galloping_intersect_size(a, b)
-    return merge_intersect_size(a, b)
-
+__all__ = ["InternedComparator", "similarity_bound"]
 
 # --------------------------------------------------------------------------
 # Length-based similarity bounds
@@ -168,33 +87,6 @@ _BOUNDS: dict[str, Callable[[int, int], float]] = {
 def similarity_bound(measure: str, la: int, lb: int) -> float:
     """Upper bound on ``measure`` given only the two (nonzero) set sizes."""
     return _BOUNDS[measure](la, lb)
-
-
-def similarity_from_intersection(measure: str, inter: int, la: int, lb: int) -> float:
-    """The measure's value from an intersection size and the two set sizes.
-
-    Every supported measure is a function of ``(|a ∩ b|, |a|, |b|)`` alone,
-    which is what lets the multiprocess worker score packed id *arrays*
-    without materializing sets.  The arithmetic mirrors
-    :mod:`repro.comparison.similarity` expression for expression (including
-    the two-empty-sets convention of 1.0), so results are bit-identical to
-    the set-based functions.
-    """
-    if not la and not lb:
-        return 1.0
-    if measure == "jaccard":
-        union = la + lb - inter
-        return inter / union if union else 0.0
-    if measure == "dice":
-        return 2.0 * inter / (la + lb)
-    if measure == "overlap":
-        denom = min(la, lb)
-        return inter / denom if denom else 0.0
-    if measure == "cosine":
-        denom = math.sqrt(la * lb)
-        return inter / denom if denom else 0.0
-    known = ", ".join(sorted(_BOUNDS))
-    raise ConfigurationError(f"unknown measure {measure!r}; expected one of: {known}")
 
 
 # --------------------------------------------------------------------------
@@ -261,13 +153,11 @@ class InternedComparator:
         sim = self.score(comparison.left, comparison.right)
         return ScoredComparison(comparison=comparison, similarity=sim)
 
-    def bound(self, la: int, lb: int) -> float:
-        """Upper bound on this measure for (nonzero) set sizes la, lb."""
-        return _BOUNDS[self.measure](la, lb)
-
     # -- batched kernel ------------------------------------------------
 
-    def compare_batch(self, comparisons: list[Comparison]) -> list[ScoredComparison]:
+    def compare_batch(
+        self, comparisons: list[Comparison], tally=None
+    ) -> list[ScoredComparison]:
         """Score a batch; with a threshold, emit only potential matches.
 
         Without a ``threshold`` this returns one :class:`ScoredComparison`
@@ -276,8 +166,13 @@ class InternedComparator:
         after scoring (verification), so the result contains exactly the
         pairs a :class:`~repro.classification.classifiers.
         ThresholdClassifier` at that threshold would accept.
+
+        ``tally`` (``f_co`` passes itself) has its ``prefiltered`` attribute
+        raised, once per batch, by the number of pairs the length-prefilter
+        branches below skipped.
         """
         out: list[ScoredComparison] = []
+        skipped = 0
         append = out.append
         thr = self.threshold
         measure = self.measure
@@ -329,6 +224,7 @@ class InternedComparator:
                     if la <= lb:
                         try:
                             if la / lb < thr:
+                                skipped += 1
                                 continue
                         except ZeroDivisionError:
                             # la == lb == 0: two empty sets score 1.0 and
@@ -336,12 +232,15 @@ class InternedComparator:
                             append(emit(comparison=c, similarity=1.0))
                             continue
                     elif lb / la < thr:  # la > lb, so la >= 1: never raises
+                        skipped += 1
                         continue
-                    inter = len(a & b)  # type: ignore[operator]
+                    inter = len(a.intersection(b))  # type: ignore[union-attr]
                     denom = la + lb - inter
                     s = inter / denom if denom else 1.0
                     if s >= thr:
                         append(emit(comparison=c, similarity=s))
+                if tally is not None:
+                    tally.prefiltered += skipped
             else:
                 for c in comparisons:
                     left = c.left
@@ -359,7 +258,7 @@ class InternedComparator:
                         b = c.right.tokens
                         prev_left = None  # re-derive the ids view next pair
                     lb = len(b)
-                    inter = len(a & b)  # type: ignore[operator]
+                    inter = len(a.intersection(b))  # type: ignore[union-attr]
                     denom = la + lb - inter
                     s = inter / denom if denom else 1.0
                     if s >= thr:
@@ -382,8 +281,11 @@ class InternedComparator:
                 s = 1.0 if la == lb else 0.0
             else:
                 if pre and bound(la, lb) < thr:  # type: ignore[operator]
+                    skipped += 1
                     continue
                 s = sim(a, b)  # type: ignore[arg-type]
             if thr is None or s >= thr:
                 append(ScoredComparison(comparison=c, similarity=s))
+        if tally is not None:
+            tally.prefiltered += skipped
         return out

@@ -12,12 +12,16 @@ from typing import Callable, Iterable, Set
 
 SetSimilarity = Callable[[Set[str], Set[str]], float]
 
+# The four set measures intersect with ``a.intersection(b)`` rather than
+# ``a & b``: the right operand may then be any sized iterable, which is how
+# the interned kernel scores a set against a packed id array.
+
 
 def jaccard(a: Set[str], b: Set[str]) -> float:
     """Jaccard coefficient |a ∩ b| / |a ∪ b| (1.0 for two empty sets)."""
     if not a and not b:
         return 1.0
-    inter = len(a & b)
+    inter = len(a.intersection(b))
     union = len(a) + len(b) - inter
     return inter / union if union else 0.0
 
@@ -27,7 +31,7 @@ def dice(a: Set[str], b: Set[str]) -> float:
     if not a and not b:
         return 1.0
     denom = len(a) + len(b)
-    return 2.0 * len(a & b) / denom if denom else 0.0
+    return 2.0 * len(a.intersection(b)) / denom if denom else 0.0
 
 
 def overlap(a: Set[str], b: Set[str]) -> float:
@@ -35,7 +39,7 @@ def overlap(a: Set[str], b: Set[str]) -> float:
     if not a and not b:
         return 1.0
     denom = min(len(a), len(b))
-    return len(a & b) / denom if denom else 0.0
+    return len(a.intersection(b)) / denom if denom else 0.0
 
 
 def cosine(a: Set[str], b: Set[str]) -> float:
@@ -43,7 +47,7 @@ def cosine(a: Set[str], b: Set[str]) -> float:
     if not a and not b:
         return 1.0
     denom = math.sqrt(len(a) * len(b))
-    return len(a & b) / denom if denom else 0.0
+    return len(a.intersection(b)) / denom if denom else 0.0
 
 
 def levenshtein(a: str, b: str, max_distance: int | None = None) -> int:

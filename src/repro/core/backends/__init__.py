@@ -26,7 +26,6 @@ from repro.core.backends.shm import (
     SharedColumnStore,
     SharedMemoryBackend,
     SharedTokenArrayStore,
-    SharedTokenDictionary,
     active_shm_segments,
 )
 
@@ -50,6 +49,5 @@ __all__ = [
     "SharedColumnStore",
     "SharedMemoryBackend",
     "SharedTokenArrayStore",
-    "SharedTokenDictionary",
     "active_shm_segments",
 ]

@@ -69,10 +69,8 @@ __all__ = [
     "SHM_NAME_PREFIX",
     "SharedColumnReader",
     "SharedColumnStore",
-    "SharedDictionaryReader",
     "SharedMemoryBackend",
     "SharedTokenArrayStore",
-    "SharedTokenDictionary",
     "active_shm_segments",
     "attach_segment",
     "decode_membership",
@@ -370,6 +368,12 @@ class SharedColumnReader:
         return int(self._ctl[_CTL_PUBLISHED])
 
     def _refresh(self) -> None:
+        # Horizon first: the writer may be appending while we attach (a
+        # pool worker starts mid-increment).  Every row below a horizon
+        # read *now* lives in generations that already exist, so the tables
+        # read afterwards cover it; read last, the horizon could take in
+        # rows of a generation created after the tables were sized up.
+        published = int(self._ctl[_CTL_PUBLISHED])
         data_gens = int(self._ctl[_CTL_DATA_GENS])
         while len(self._data) < data_gens:
             g = len(self._data)
@@ -393,7 +397,7 @@ class SharedColumnReader:
             )
             self._dir_caps.append(rows)
             self._dir_bases.append(base)
-        self._rows_known = int(self._ctl[_CTL_PUBLISHED])
+        self._rows_known = published
 
     def record(self, row: int) -> np.ndarray:
         """Zero-copy ``uint8`` view of a published record."""
@@ -503,44 +507,6 @@ class SharedTokenArrayStore:
         return decode_packed(self.columns.record(row))
 
 
-class SharedTokenDictionary(TokenDictionary):
-    """A :class:`TokenDictionary` whose id → token column is shared.
-
-    Interning happens in the parent exactly as before (dict probe, lock
-    on miss); the only addition is that a first-seen token's UTF-8 bytes
-    are appended to a shared column under the same lock, so row ``i`` of
-    the column is always the token with id ``i``.  Workers (or any other
-    process) can decode ids without the parent pickling the dictionary.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns: SharedColumnStore) -> None:
-        super().__init__()
-        self.columns = columns
-
-    def _on_new_token(self, token: str, token_id: int) -> None:
-        self.columns.append(token.encode("utf-8"))
-
-
-class SharedDictionaryReader:
-    """Decode token ids from another process, straight off the column."""
-
-    __slots__ = ("_reader",)
-
-    def __init__(self, prefix: str) -> None:
-        self._reader = SharedColumnReader(prefix)
-
-    def __len__(self) -> int:
-        return len(self._reader)
-
-    def decode(self, token_id: int) -> str:
-        return bytes(self._reader.record(token_id)).decode("utf-8")
-
-    def close(self) -> None:
-        self._reader.close()
-
-
 def _finalize_backend(creator_pid: int, stores) -> None:
     """Module-level so ``weakref.finalize`` holds no reference cycles.
 
@@ -558,14 +524,14 @@ def _finalize_backend(creator_pid: int, stores) -> None:
 class SharedMemoryBackend:
     """A :class:`~repro.core.backends.StateBackend` with shared token state.
 
-    Four columns live in shared memory — the token dictionary's id →
-    token strings, the per-entity packed token-id arrays, the row →
-    entity-id mirror and the per-entity candidate (membership) records —
-    because those are exactly what a worker needs to resolve an entity's
-    ``cc → lm → co → cl`` tail.  The remaining stores (blocks,
-    blacklist, profiles, matches, co-occurrence) are parent-only state
-    that never crosses the process boundary, so they stay as the plain
-    in-memory implementations (injectable, like
+    Three columns live in shared memory — the per-entity packed token-id
+    arrays, the row → entity-id mirror and the per-entity candidate
+    (membership) records — because those are exactly what a worker needs
+    to run an entity's ``cc → lm → co → cl`` tail.  Everything else
+    (blocks, blacklist, profiles, matches, co-occurrence, and the token
+    dictionary, which only ``f_dr`` in the parent consults) is parent-only
+    state that never crosses the process boundary, so it stays as the
+    plain in-memory implementations (injectable, like
     :class:`~repro.core.backends.memory.InMemoryBackend`).
 
     Lifecycle: the creating process owns the segments.  ``close()``
@@ -605,21 +571,18 @@ class SharedMemoryBackend:
         created: list[SharedColumnStore] = []
         try:
             token_columns = self._column(created, "t", data_bytes, dir_rows)
-            dict_columns = self._column(created, "g", data_bytes, dir_rows)
             entity_columns = self._column(created, "e", data_bytes, dir_rows)
             membership_columns = self._column(created, "m", data_bytes, dir_rows)
         except BaseException:
             for store in created:
                 store.unlink()
             raise
-        self._stores = (
-            token_columns, dict_columns, entity_columns, membership_columns,
-        )
+        self._stores = (token_columns, entity_columns, membership_columns)
         self.membership_columns = membership_columns
         self.token_store = SharedTokenArrayStore(
             token_columns, entity_columns=entity_columns
         )
-        self.dictionary = SharedTokenDictionary(dict_columns)
+        self.dictionary = TokenDictionary()
         self.blocks = blocks if blocks is not None else BlockCollection()
         self.blacklist = blacklist if blacklist is not None else Blacklist()
         self.profiles = profiles if profiles is not None else ProfileStore()
@@ -660,7 +623,6 @@ class SharedMemoryBackend:
         """Column prefixes a worker needs to attach (picklable, tiny)."""
         return {
             "tokens": self.token_store.columns.prefix,
-            "dictionary": self.dictionary.columns.prefix,
             "entities": self.token_store.entity_columns.prefix,
             "membership": self.membership_columns.prefix,
         }

@@ -122,8 +122,12 @@ class PipelineMonitor:
         co = self.pipeline.compiled.get("co")
         executed = co.compared if co is not None else 0
         # The multiprocess executor's parent-side ``co`` only sees the
-        # tails it ran inline; worker-side scoring counts as dispatches.
-        return executed + getattr(self.pipeline, "pairs_dispatched", 0)
+        # tails it ran inline; the workers' ``co`` examined the rest.
+        return (
+            executed
+            + getattr(self.pipeline, "pairs_dispatched", 0)
+            + getattr(self.pipeline, "pairs_prefiltered", 0)
+        )
 
     def _recent_rates(self, now_entities: int, now_seconds: float,
                       now_comparisons: int) -> tuple[float, float]:

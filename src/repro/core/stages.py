@@ -335,7 +335,9 @@ class ComparisonStage:
     whole per-entity batch in one call; threshold-aware comparators may
     emit *fewer* scored comparisons than they were given — exactly the
     pairs that can still classify as matches — so ``compared`` counts the
-    pairs examined, not the pairs emitted.
+    pairs examined, not the pairs emitted.  ``prefiltered`` is the part of
+    ``compared`` the kernel's length prefilter skipped without intersecting
+    (the kernel reports it; 0 for per-pair comparators).
     """
 
     name = "co"
@@ -343,12 +345,13 @@ class ComparisonStage:
     def __init__(self, comparator: TokenSetComparator | None = None) -> None:
         self.comparator = comparator or TokenSetComparator()
         self.compared = 0
+        self.prefiltered = 0
         self._batch = getattr(self.comparator, "compare_batch", None)
 
     def __call__(self, materialized: MaterializedComparisons) -> ScoredComparisons:
         comparisons = materialized.comparisons
         if self._batch is not None:
-            scored = self._batch(comparisons)
+            scored = self._batch(comparisons, self)
         else:
             scored = [self.comparator.compare(c) for c in comparisons]
         self.compared += len(comparisons)

@@ -15,7 +15,7 @@ name                                      kind       meaning
 ``er_dead_letters_total{stage}``          counter    items dead-lettered at the stage
 ``er_retries_total{stage}``               counter    supervised re-executions at the stage
 ``er_comparisons_generated_total``        counter    candidate pairs out of ``f_cg``
-``er_comparisons_executed_total``         counter    pairs actually scored by ``f_co``
+``er_comparisons_executed_total``         counter    pairs ``f_co`` examined (``co.compared``)
 ``er_entities_total``                     counter    entities admitted into the run
 ``er_matches_total``                      counter    new matches recorded by ``f_cl``
 ``er_entity_latency_seconds``             histogram  end-to-end per-entity latency

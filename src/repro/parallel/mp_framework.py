@@ -17,36 +17,36 @@ are bin-packed onto the workers by comparison count
 (:func:`~repro.parallel.allocation.plan_partitions` — the load-balancing
 move of Kolb/Thor/Rahm's MapReduce sorted-neighborhood blocking).  Each
 worker receives one descriptor per increment — a flat ``uint64`` array of
-membership rows — and performs the I-WNP cleaning count filter, the
-length prefilter, kernel scoring *and* the ``f_cl`` decision locally
-against the shared columns.  The parent only merges matches (the match
-store de-duplicates) and heals failures.  Keys never span workers, so
-the per-entity cleaning semantics are preserved exactly.
+membership rows — and runs the plan's own ``cc → lm → co → cl`` stages
+over it: the same classes, built by the same
+:class:`~repro.core.plan.StageSpec` factories, against a worker backend
+whose profile store is a read view over the shared columns.  The parent
+only merges matches (its match store stays the sole owner of *M*).  Keys
+never span workers, so per-entity cleaning semantics hold exactly.
 
 **In the parent, via the compiled plan's own stages** under the
 supervisor — sequential semantics, no pool.
 
-Which of the two is resolved *once*, at construction, against the
-configuration blockers listed on :attr:`MultiprocessERPipeline.
-partition_blockers` (non-interned comparator, backend without shared
-columns, stateful classifier, durable per-entity commit hook, fault
-specs on ``cc``/``lm``/``cl``); an ineligible wiring never spawns a pool.
-On an eligible wiring, an individual entity still falls back to the
-parent when it or a partner has no interned token ids (no shared-column
-row to hand a worker).
+Which of the two is resolved *once*, at construction, against the four
+configuration blockers (:attr:`MultiprocessERPipeline.partition_blockers`:
+non-interned comparator, backend without shared columns, classifier that
+may need more than token ids, durable per-entity commit hook); an
+ineligible wiring never spawns a pool.  On an eligible wiring, an entity
+still runs in the parent when it has no candidates (nothing to dispatch)
+or it or a partner has no interned token ids (no row to hand a worker).
 
 The pool is spawned on the first :meth:`MultiprocessERPipeline.run` and
 reused by every later one (the streaming increments of dynamic ER), so
-fork cost and worker shm attachment are paid once per pipeline.  Call
-:meth:`~MultiprocessERPipeline.close` (or use the pipeline as a context
-manager) to release the workers; a GC/exit finalizer covers the rest.
+fork and shm attachment are paid once per pipeline.  ``close()`` (or the
+context manager) releases the workers; a GC/exit finalizer covers the rest.
 
 Results are identical to the sequential pipeline; the differential suite
-asserts this for eligible wirings and for every blocker.  Robustness
-mirrors the thread framework: every parent-side stage call runs under a
-:class:`~repro.parallel.supervision.Supervisor`, and workers guard every
-pair individually and report failures back as data (see ``supervision``
-and ``faults`` on :class:`MultiprocessERPipeline`).
+asserts this for eligible wirings and for every blocker.  Robustness is
+the thread framework's: every stage call, parent- or worker-side, runs
+under a :class:`~repro.parallel.supervision.Supervisor` with the
+pipeline's policy, fault specs are entity-keyed everywhere, and workers
+report dead letters and retries back as data — one poison entity cannot
+tear down ``pool.imap``.
 """
 
 from __future__ import annotations
@@ -56,15 +56,14 @@ import pickle
 import time
 import weakref
 from array import array
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from repro.classification.classifiers import OracleClassifier, ThresholdClassifier
-from repro.comparison.kernel import (
-    InternedComparator,
-    intersect_size,
-    similarity_from_intersection,
-)
+from repro.comparison.kernel import InternedComparator
 from repro.core.backends import StateBackend
+from repro.core.backends.base import CooccurrenceCounter
 from repro.core.backends.shm import (
     SharedColumnReader,
     SharedMemoryBackend,
@@ -74,6 +73,8 @@ from repro.core.backends.shm import (
 from repro.core.config import StreamERConfig, SupervisionPolicy
 from repro.core.pipeline import ERResult
 from repro.core.plan import PipelinePlan
+from repro.core.stages import CandidateComparisons
+from repro.core.state import MatchStore
 from repro.errors import ConfigurationError
 from repro.invariants.checker import InvariantChecker
 from repro.observability.instrument import (
@@ -97,193 +98,158 @@ from repro.observability.instrument import (
 from repro.parallel.allocation import plan_partitions
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.observability.trace import Tracer
-from repro.parallel.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.parallel.faults import FaultInjector, FaultPlan, wrap_stages
 from repro.parallel.supervision import Supervisor
-from repro.types import (
-    Comparison,
-    EntityDescription,
-    EntityId,
-    Match,
-    ScoredComparison,
-    pair_key,
-)
+from repro.types import DeadLetter, EntityDescription, Match, Profile
 
-#: Classifier types whose decision is a pure function of the scored pair —
-#: what a worker can decide without the match store.  Exact-type checks:
-#: a subclass may consult state the workers lack.
+#: Classifier types known to decide from the scored pair's ids and
+#: similarity alone — all a worker's profiles carry.  Exact-type checks: a
+#: subclass may read tokens or attributes, or consult the match store.
 _PARTITIONABLE_CLASSIFIERS = (ThresholdClassifier, OracleClassifier)
 
-#: The stages whose semantics move into the workers under partitioned
-#: dispatch; ``co`` is the fourth, and the one the workers exist for.
-_WORKER_SIDE_STAGES = ("cc", "lm", "cl")
-
-
-# Worker-process state, installed once per worker by the pool initializer.
-_worker_comparator = None
-_worker_classifier = None
-_worker_scorer: Callable | None = None
-_worker_tokens: SharedColumnReader | None = None
-_worker_membership: SharedColumnReader | None = None
-_worker_entities: SharedColumnReader | None = None
-_worker_row_cache: dict = {}
-_worker_eid_cache: dict = {}
-_worker_cc_enabled: bool = True
-_worker_prefilter: bool = False
-
-#: Bound on the worker-side row → decoded-array cache.  Entities recur
-#: across increments (that is the point of shared columns), so the hit
-#: rate is high; the bound only guards pathological vocabularies.
+#: Bound on the worker-side row → profile cache.  Entities recur across
+#: increments (that is the point of shared columns), so the hit rate is
+#: high; the bound only guards pathological vocabularies.
 _ROW_CACHE_LIMIT = 1 << 16
 
 
-def _score_id_pair(item: tuple) -> float:
-    # item = (eid_i, eid_j, ids_i, ids_j); the entity ids ride along only
-    # so the fault injector can key its decision by the canonical pair.
-    a, b = item[2], item[3]
-    return similarity_from_intersection(
-        _worker_comparator.measure, intersect_size(a, b), len(a), len(b)  # type: ignore[union-attr]
-    )
+class _RowProfiles:
+    """The worker's profile store: a read view over the shared token and
+    entity columns, keyed by row.
 
-
-def _worker_row_ids(row: int) -> array:
-    """Decode (and cache) the packed id array behind a shared-column row."""
-    ids = _worker_row_cache.get(row)
-    if ids is None:
-        ids = decode_packed(_worker_tokens.record(row))  # type: ignore[union-attr]
-        if len(_worker_row_cache) >= _ROW_CACHE_LIMIT:
-            _worker_row_cache.clear()
-        _worker_row_cache[row] = ids
-    return ids
-
-
-def _worker_row_eid(row: int):
-    """Decode (and cache) the entity id behind a shared-column row."""
-    eid = _worker_eid_cache.get(row)
-    if eid is None:
-        eid = pickle.loads(bytes(_worker_entities.record(row)))  # type: ignore[union-attr]
-        if len(_worker_eid_cache) >= _ROW_CACHE_LIMIT:
-            _worker_eid_cache.clear()
-        _worker_eid_cache[row] = eid
-    return eid
-
-
-def _init_worker(
-    comparator: InternedComparator,
-    fault_spec: FaultSpec | None,
-    shm_layout: dict,
-    cc_enabled: bool,
-    prefilter: bool,
-    classifier: ThresholdClassifier | OracleClassifier,
-) -> None:
-    global _worker_comparator, _worker_classifier, _worker_scorer
-    global _worker_tokens, _worker_membership, _worker_entities
-    global _worker_row_cache, _worker_eid_cache
-    global _worker_cc_enabled, _worker_prefilter
-    _worker_comparator = comparator
-    _worker_classifier = classifier
-    # Attach to the parent's shared columns exactly once, here; every
-    # descriptor afterwards carries row numbers, not data.
-    _worker_tokens = SharedColumnReader(shm_layout["tokens"])
-    _worker_membership = SharedColumnReader(shm_layout["membership"])
-    _worker_entities = SharedColumnReader(shm_layout["entities"])
-    _worker_row_cache = {}
-    _worker_eid_cache = {}
-    _worker_cc_enabled = cc_enabled
-    _worker_prefilter = prefilter
-    if fault_spec is None:
-        _worker_scorer = _score_id_pair
-    else:
-        # Built inside the worker, so the lambda never crosses the process
-        # boundary; decisions hash the canonical pair key, hence agree in
-        # every worker however partitions are distributed.
-        _worker_scorer = FaultInjector(
-            _score_id_pair,
-            fault_spec,
-            stage="co",
-            key_fn=lambda item: pair_key(item[0], item[1]),
-        )
-
-
-def _score_partition(rows: array) -> tuple[list, list, dict]:
-    """Resolve one partition descriptor entirely inside a worker.
-
-    The descriptor is a flat ``uint64`` array of membership rows.  Each row
-    decodes to ``[own_row, partner_row, ...]`` — one entity's candidate
-    list with multiplicity, in shared token-column rows.  The worker then
-    replays the sequential tail for that entity: the I-WNP count filter
-    (partner kept when its block co-occurrence count is at least the
-    average — or plain dedup when cleaning is disabled), the kernel
-    length prefilter, scoring, threshold verification, and the ``f_cl``
-    decision.  Returns ``(matches, failures, stats)``: matched triples
-    ``(left, right, score)``, failed triples ``(left, right, error)`` —
-    every pair is guarded individually, so failures travel back as data
-    and one poison pair cannot tear down ``pool.imap`` — and the
-    cleaned/prefiltered counts the parent folds into its accounting.
-    Row ↔ entity-id maps are bijective within one record (every eid
-    resolves to exactly one current row at publish time), so counting by
-    row is counting by partner.
+    Inside one membership record rows stand in for entity ids (an eid has
+    exactly one current row at publish time: a bijection), which lets
+    ``f_cc`` and ``f_lm`` run unmodified on row numbers.  The profiles
+    carry the *decoded* entity id — injectors, dead letters, the classifier
+    and the matches all see real ids — and the token ids, nothing else.
+    Partners keep the packed id array off the column (a cached ``frozenset``
+    per row costs ~6 % peak RSS); only the arriving entity gets a set,
+    which is all the kernel's ``a.intersection(b)`` needs.
     """
-    scorer = _worker_scorer
-    assert scorer is not None, "worker not initialized"
-    thr = _worker_comparator.threshold  # type: ignore[union-attr]
-    classifier = _worker_classifier
-    truth = classifier.truth if type(classifier) is OracleClassifier else None
-    cl_thr = classifier.threshold if truth is None else None
-    prefilter = _worker_prefilter
-    bound = _worker_comparator.bound if prefilter else None  # type: ignore[union-attr]
-    matches: list[tuple] = []
-    failures: list[tuple] = []
-    cleaned = 0
-    prefiltered = 0
-    for membership_row in rows:
-        record = decode_membership(
-            _worker_membership.record(membership_row)  # type: ignore[union-attr]
+
+    def __init__(self, tokens: SharedColumnReader, entities: SharedColumnReader) -> None:
+        self._tokens = tokens
+        self._entities = entities
+        self._cache: dict[int, Profile] = {}
+
+    def put(self, profile: Profile) -> None:
+        """No-op: the parent published the row before dispatching it."""
+
+    def get(self, row: int) -> Profile:
+        profile = self._cache.get(row)
+        if profile is None:
+            profile = Profile(
+                eid=pickle.loads(bytes(self._entities.record(row))),
+                attributes=(),
+                tokens=frozenset(),
+                token_ids=decode_packed(self._tokens.record(row)),  # type: ignore[arg-type]
+            )
+            if len(self._cache) >= _ROW_CACHE_LIMIT:
+                self._cache.clear()
+            self._cache[row] = profile
+        return profile
+
+    def arriving(self, row: int) -> Profile:
+        """The profile of the entity whose tail is about to run."""
+        stored = self.get(row)
+        return replace(stored, token_ids=frozenset(stored.token_ids))  # type: ignore[arg-type]
+
+
+class _Worker:
+    """One pool worker's state: the shared-column readers, the plan's tail
+    built against them, and the supervision policy."""
+
+    def __init__(
+        self,
+        plan: PipelinePlan,
+        tail: tuple[str, ...],
+        faults: FaultPlan,
+        policy: SupervisionPolicy,
+        layout: dict[str, str],
+    ) -> None:
+        # Attach to the parent's shared columns exactly once, here; every
+        # descriptor afterwards carries row numbers, not data.
+        self.membership, tokens, entities = self.readers = [
+            SharedColumnReader(layout[column])
+            for column in ("membership", "tokens", "entities")
+        ]
+        self.profiles = _RowProfiles(tokens, entities)
+        backend = SimpleNamespace(
+            cooccurrence=CooccurrenceCounter(),
+            profiles=self.profiles,
+            matches=MatchStore(),
         )
-        own = int(record[0])
-        counts: dict[int, int] = {}
-        get = counts.get
-        for partner_row in record[1:]:
-            partner = int(partner_row)
-            counts[partner] = get(partner, 0) + 1
-        if not counts:
-            continue
-        if _worker_cc_enabled:
-            avg = (len(record) - 1) / len(counts)
-            survivors = [row for row, count in counts.items() if count >= avg]
+        #: The plan's own stage objects (counters are read per partition)
+        #: and the callables a partition runs: the same objects, behind the
+        #: ordinary entity-keyed injector where ``faults`` names them —
+        #: hash-keyed verdicts agree however partitions are dealt.
+        self.stages = {
+            name: plan.spec(name).factory(plan.config, backend) for name in tail
+        }
+        self.fns: dict[str, Callable] = dict(self.stages)
+        wrap_stages(self.fns, faults)
+        self.policy = policy
+
+    def counters(self) -> dict[str, int]:
+        cc, lm, co = (self.stages.get(name) for name in ("cc", "lm", "co"))
+        return {
+            "retained": cc.retained if cc is not None else 0,
+            "materialized": lm.materialized,
+            "compared": co.compared,
+            "prefiltered": co.prefiltered,
+        }
+
+    def close(self) -> None:
+        for reader in self.readers:
+            reader.close()
+
+
+#: Installed once per worker process by the pool initializer — never
+#: lazily: ``fork`` inherits module globals, so state built on first use
+#: by an in-process caller would leak into every later pool.
+_worker: _Worker | None = None
+
+
+def _init_worker(*args) -> None:
+    global _worker
+    _worker = _Worker(*args)
+
+
+def _run_partition(rows: array) -> tuple[list[Match], list[DeadLetter], dict, dict, dict]:
+    """Run the plan's tail over one partition descriptor, inside a worker.
+
+    Each membership row of the descriptor decodes to ``[own_row,
+    partner_row, ...]`` — one entity's candidate list with multiplicity:
+    ``f_cg``'s output message with rows for ids.  It flows through the tail
+    callables, each call under a :class:`Supervisor` with the pipeline's
+    policy, so failures travel back as data.  Returns ``(matches,
+    dead_letters, retries, items, counters)``: what ``f_cl`` emitted
+    (against a per-partition scratch store; the parent's store has the last
+    word), the supervisor's dead letters and per-stage retry counts, the
+    entities that finished each stage, and the stage counters' deltas.
+    """
+    worker = _worker
+    assert worker is not None, "worker not initialized"
+    supervisor = Supervisor(worker.policy)
+    worker.stages["cl"].matches = MatchStore()
+    before = worker.counters()
+    items = dict.fromkeys(worker.fns, 0)
+    matches: list[Match] = []
+    for membership_row in rows:
+        record = decode_membership(worker.membership.record(membership_row)).tolist()
+        message: object = CandidateComparisons(
+            profile=worker.profiles.arriving(record[0]), candidates=record[1:]
+        )
+        for name, fn in worker.fns.items():
+            ok, message = supervisor.execute(name, fn, message)
+            if not ok:
+                break
+            items[name] += 1
         else:
-            survivors = list(counts)
-        cleaned += len(survivors)
-        a = _worker_row_ids(own)
-        la = len(a)
-        left = _worker_row_eid(own)
-        for row in survivors:
-            b = _worker_row_ids(row)
-            lb = len(b)
-            if prefilter:
-                # Exactly one empty side scores identically 0, below any
-                # positive threshold — droppable.  Both-empty pairs must
-                # still be scored: jaccard on two empty sets is 1.0,
-                # which can classify as a match.
-                if (la == 0) != (lb == 0):
-                    prefiltered += 1
-                    continue
-                if la and bound(la, lb) < thr:  # type: ignore[misc]
-                    prefiltered += 1
-                    continue
-            right = _worker_row_eid(row)
-            try:
-                score = scorer((left, right, a, b))
-            except Exception as exc:
-                failures.append((left, right, repr(exc)))
-                continue
-            if thr is not None and score < thr:
-                continue  # kernel-verified non-match
-            if truth is not None:
-                if pair_key(left, right) in truth:
-                    matches.append((left, right, score))
-            elif score >= cl_thr:  # type: ignore[operator]
-                matches.append((left, right, score))
-    return matches, failures, {"cleaned": cleaned, "prefiltered": prefiltered}
+            matches.extend(message)  # type: ignore[arg-type]
+    after = worker.counters()
+    counters = {name: after[name] - before[name] for name in after}
+    return matches, supervisor.dead_letters, supervisor.retries_by_stage, items, counters
 
 
 def _terminate_pool(pool) -> None:
@@ -295,9 +261,8 @@ def _terminate_pool(pool) -> None:
 def _unwrap(stage):
     """The bare stage object behind Instrumented/Checked decorators.
 
-    The wrappers use ``__slots__`` with read-only delegation, so stats the
-    partitioned path maintains on the workers' behalf (``cc.retained``,
-    ``lm.materialized``) must be written to the innermost object.
+    The wrappers delegate reads only, so the counters folded in from the
+    workers (``cc.retained``, ``lm.materialized``) go to the innermost object.
     """
     inner = stage
     while True:
@@ -314,22 +279,21 @@ class MultiprocessERPipeline:
     Parameters
     ----------
     config:
-        The usual stream-ER configuration (the comparator is shipped to
-        the workers once, at pool start).
+        The usual stream-ER configuration (it reaches the workers once,
+        inside the plan, at pool start).
     workers:
         Number of worker processes (≥ 1).
     supervision:
-        Retry/dead-letter policy.  Parent-side stage failures dead-letter
-        the entity; worker-side scoring failures are retried *in the
-        parent* (with the parent's uninjected comparator) and then
-        dead-letter the pair.
+        Retry/dead-letter policy, applied to every stage call wherever it
+        runs: a stage that keeps failing dead-letters the *entity* at that
+        stage, in the parent and in a worker alike, so one fault plan and
+        one policy give one dead-letter set under every executor.
     faults:
-        Optional fault-injection plan.  Under partitioned dispatch a spec
-        for ``"co"`` is shipped to the workers (it must stay picklable)
-        and keyed by the canonical pair key, so the same seeded faults hit
-        the same pairs however partitions are distributed; every other
-        spec — and ``"co"`` too on an ineligible wiring — wraps the
-        parent-side stage callable.
+        Optional fault-injection plan, entity-keyed.  Every spec wraps the
+        parent-side stage callable (:attr:`fault_injectors`); under
+        partitioned dispatch the tail stages' specs also go to the workers,
+        which wrap their own stage objects the same way (so a ``corrupt``
+        callable must be picklable on platforms without ``fork``).
     backend:
         Where the parent-side ER state lives (default: a fresh in-memory
         backend, which is not eligible for partitioned dispatch; pass a
@@ -339,9 +303,11 @@ class MultiprocessERPipeline:
         default one is derived from ``config``.
     registry:
         An optional :class:`~repro.observability.MetricsRegistry`.  Stages
-        the parent runs are instrumented like everywhere else; worker-side
-        scoring is observed from the parent (per-partition turnaround into
-        ``er_stage_service_seconds{stage="co"}``).
+        the parent runs are instrumented like everywhere else; worker-side,
+        ``er_stage_items_total{stage}`` is folded in from the workers'
+        counts (entities that finished the stage, as everywhere) and
+        ``er_stage_service_seconds{stage="co"}`` observes per-partition
+        turnaround from the parent.
     tracer:
         An optional :class:`~repro.observability.Tracer`; sampled entities
         get spans for every stage the parent runs (worker-side stages
@@ -359,13 +325,17 @@ class MultiprocessERPipeline:
         :class:`~repro.errors.ConfigurationError` naming the blockers
         instead of falling back.
 
-    After a run, ``pairs_prefiltered`` counts the comparisons the workers
-    dropped by the length prefilter and ``pairs_dispatched`` those they
-    scored; with the parent-side ``co.compared`` they always sum to the
-    after-cleaning count ``lm.materialized``.  ``pool_spawns`` /
-    ``pool_reuses`` count pool creations vs. runs that reused a live pool
-    (both stay 0 on an ineligible wiring); ``last_partition_plan`` holds
-    the most recent :class:`~repro.parallel.allocation.PartitionPlan`.
+    After a run, ``pairs_prefiltered`` and ``pairs_dispatched`` are the sums
+    of the workers' ``co.prefiltered`` and ``co.compared - co.prefiltered``.
+    The accounting identity, for both sides of the decision at once:
+    ``lm.materialized == pairs_dispatched + pairs_prefiltered +
+    co.compared`` (the parent's ``co``) — exact on a fault-free run, and
+    otherwise exact after subtracting the materialized pairs of entities
+    dead-lettered at ``co`` (``lm`` counted them, ``co`` never finished
+    them).  ``pool_spawns`` / ``pool_reuses`` count pool creations vs. runs
+    that reused a live pool (both 0 on an ineligible wiring);
+    ``last_partition_plan`` is the latest
+    :class:`~repro.parallel.allocation.PartitionPlan`.
     """
 
     def __init__(
@@ -426,67 +396,48 @@ class MultiprocessERPipeline:
         self._pool = None
         self._pool_finalizer: weakref.finalize | None = None
 
-        faults = dict(faults) if faults else {}
-        unknown = [name for name in faults if name not in self._fns]
-        if unknown:
-            raise ConfigurationError(f"fault plan names unknown stages {unknown}")
-        self._blockers = self._find_blockers(faults)
+        faults = dict(faults or {})
+        self._blockers = self._find_blockers()
         if self._blockers and partitioned is True:
             raise ConfigurationError(
                 "partitioned dispatch unavailable: " + "; ".join(self._blockers)
             )
         self.partitioned_dispatch = not self._blockers
         if self.partitioned_dispatch:
-            self._init_partitioned(faults.pop("co", None))
-        self.fault_injectors: dict[str, FaultInjector] = {}
-        for name, spec in faults.items():
-            injector = FaultInjector(self._fns[name], spec, stage=name)
-            self._fns[name] = injector
-            self.fault_injectors[name] = injector
+            self._token_store = self.backend.token_store
+            self._ctx = mp.get_context(
+                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+            )
+            self._pool_initargs = (
+                self.plan,
+                self._tail,
+                {name: faults[name] for name in self._tail if name in faults},
+                self.supervisor.policy,
+                self.backend.layout(),
+            )
+            declare_partition_metrics(self.registry)
+        #: Parent-side injectors only; workers build their own.
+        self.fault_injectors: dict[str, FaultInjector] = wrap_stages(self._fns, faults)
 
-    def _find_blockers(self, faults: dict) -> tuple[str, ...]:
+    def _find_blockers(self) -> tuple[str, ...]:
         """Why this wiring cannot use partitioned dispatch (empty: it can)."""
         blockers: list[str] = []
         if type(self.config.comparator) is not InternedComparator:
             blockers.append(
-                "comparator is not the interned kernel (workers score "
-                "packed token-id rows)"
+                "comparator is not the interned kernel (workers score id rows)"
             )
         if SharedMemoryBackend.PARTITION_COLUMNS not in self.compiled.capabilities:
             blockers.append("backend does not publish shared-memory columns")
         if type(self.config.classifier) not in _PARTITIONABLE_CLASSIFIERS:
             blockers.append(
-                "classifier is stateful (not an exact threshold/oracle "
-                "classifier)"
+                "classifier may be stateful or read attributes (not an exact "
+                "threshold/oracle classifier; workers hold token ids only)"
             )
         if hasattr(self.backend, "commit_entity"):
-            # A durable backend commits per entity through the cl stage
-            # wrapper; worker-side cl would bypass it and the WAL would
-            # silently miss matches.
+            # The commit rides the parent's cl wrapper; a worker-side cl
+            # would bypass it and the WAL would silently miss matches.
             blockers.append("durable backends commit per-entity through cl")
-        moved = [name for name in faults if name in _WORKER_SIDE_STAGES]
-        if moved:
-            blockers.append(
-                f"fault specs on {moved} target stages that run worker-side "
-                "under partitioned dispatch"
-            )
         return tuple(blockers)
-
-    def _init_partitioned(self, worker_fault_spec: FaultSpec | None) -> None:
-        comparator = self.config.comparator
-        self._token_store = self.backend.token_store
-        self._ctx = mp.get_context(
-            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-        )
-        self._pool_initargs = (
-            comparator,
-            worker_fault_spec,
-            self.backend.layout(),
-            self.cc is not None and bool(_unwrap(self.cc).enabled),
-            bool(comparator.prefilter and (comparator.threshold or 0.0) > 0.0),
-            self.config.classifier,
-        )
-        declare_partition_metrics(self.registry)
 
     @property
     def partition_blockers(self) -> tuple[str, ...]:
@@ -525,8 +476,7 @@ class MultiprocessERPipeline:
         return self._pool
 
     def _release_pool(self, graceful: bool) -> None:
-        """Let workers finish queued tasks and exit (``graceful``), or drop
-        in-flight tasks after a failed run."""
+        """Let workers finish and exit (``graceful``), or drop their tasks."""
         pool, self._pool = self._pool, None
         if pool is None:
             return
@@ -539,9 +489,8 @@ class MultiprocessERPipeline:
         pool.join()
 
     def close(self) -> None:
-        """Release the worker pool.  The backend is caller-owned state and
-        is *not* touched (a shm backend keeps serving other executors or a
-        later pipeline; unlink it via its own lifecycle)."""
+        """Release the worker pool.  The backend is caller-owned and *not*
+        touched (unlink a shm backend via its own lifecycle)."""
         self._release_pool(graceful=True)
 
     def __enter__(self) -> "MultiprocessERPipeline":
@@ -559,8 +508,7 @@ class MultiprocessERPipeline:
         supervisor (a poison entity is dead-lettered at the stage that
         rejected it and the stream keeps flowing), then takes the one
         decision: publish its tail to the workers, or run it inline.
-        Published tails are planned, dispatched and merged once, after
-        the last entity of the increment.
+        Published tails are planned, dispatched and merged once, at the end.
         """
         start = time.perf_counter()
         matches: list[Match] = []
@@ -650,28 +598,25 @@ class MultiprocessERPipeline:
     # -- partitioned dispatch ------------------------------------------
 
     def _publish(self, blocked, generated, groups: dict, group_costs: dict) -> bool:
-        """Hand one entity's tail to the workers; False when it cannot ride
-        the shared columns (the caller then runs the tail inline).
+        """Hand one entity's tail to the workers; False when it has no
+        candidates or cannot ride the shared columns (the caller then runs
+        the tail inline).
 
         The candidate list is resolved to token-column rows *at arrival
         time*, exactly when the sequential pipeline would materialize the
-        partners — so a partner that re-arrives later in the same
-        increment with changed tokens is compared against the version
-        that was current when this entity arrived.
+        partners — so a partner that re-arrives later in the increment with
+        changed tokens is compared as it was when this entity arrived.
         """
         profiles = self.backend.profiles
         row_for = self._token_store.row_for
         profile = generated.profile
         # lm's state duty (register the profile before lookups) stays in
-        # the parent, as does publishing the entity's token row so later
-        # arrivals can reference it.
+        # the parent; token rows are published on first reference.
         profiles.put(profile)
         candidates = generated.candidates
-        if profile.token_ids is None:
-            return not candidates  # nothing to compare: nothing to run inline
+        if not candidates or profile.token_ids is None:
+            return False
         record = array("Q", (row_for(profile.eid, profile.token_ids),))
-        if not candidates:
-            return True
         for j in candidates:
             other = profiles.get(j)
             if other is None or other.token_ids is None:
@@ -713,7 +658,6 @@ class MultiprocessERPipeline:
         if metrics_on:
             matches_metric = registry.counter(MATCHES)
             co_service = registry.histogram(STAGE_SERVICE_SECONDS, stage="co")
-            co_items = registry.counter(STAGE_ITEMS, stage="co")
             executed_metric = registry.counter(COMPARISONS_EXECUTED)
             registry.counter(PARTITIONS_DISPATCHED).inc(len(descriptors))
             registry.counter(PARTITION_PAIRS).inc(plan.total_cost)
@@ -721,74 +665,36 @@ class MultiprocessERPipeline:
             registry.gauge(PARTITION_IMBALANCE).set(plan.imbalance)
             registry.gauge(PARTITION_LARGEST_SHARE).set(plan.largest_share)
         match_store = self.backend.matches
-        cleaned_total = 0
+        lm = _unwrap(self.lm)
+        cc = _unwrap(self.cc) if self.cc is not None else None
         last_yield = time.perf_counter()
-        for partition_matches, failures, stats in pool.imap(_score_partition, descriptors):
-            scored_here = stats["cleaned"] - stats["prefiltered"]
+        for found, dead_letters, retries, items, counters in pool.imap(
+            _run_partition, descriptors
+        ):
             if metrics_on:
-                # Worker-side scoring is observed from the parent: the
-                # turnaround between successive result arrivals is the
+                # Turnaround between successive result arrivals is the
                 # closest analogue of per-partition service time here.
                 now = time.perf_counter()
                 co_service.observe(now - last_yield)
                 last_yield = now
-                co_items.inc(scored_here)
-                executed_metric.inc(scored_here)
-            cleaned_total += stats["cleaned"]
-            self.pairs_dispatched += scored_here
-            self.pairs_prefiltered += stats["prefiltered"]
-            found = [
-                Match(left=left, right=right, similarity=score)
-                for left, right, score in partition_matches
-            ]
-            found.extend(
-                filter(None, (self._heal_pair(*failure) for failure in failures))
-            )
+                for name, count in items.items():
+                    registry.counter(STAGE_ITEMS, stage=name).inc(count)
+                executed_metric.inc(counters["compared"])
+            self.supervisor.absorb(dead_letters, retries)
+            # Fold the workers' stage counters into the canonical ones —
+            # except co.compared: each side of the decision stays accountable.
+            self.pairs_dispatched += counters["compared"] - counters["prefiltered"]
+            self.pairs_prefiltered += counters["prefiltered"]
+            lm.materialized += counters["materialized"]
+            if cc is not None:
+                cc.retained += counters["retained"]
             for match in found:
                 if match_store.add(match):
                     matches.append(match)
                     if metrics_on:
                         matches_metric.inc()
-        # The cleaning/materialization the workers performed on the
-        # stages' behalf, folded back into the canonical stage counters.
-        if cleaned_total:
-            _unwrap(self.lm).materialized += cleaned_total
-            if self.cc is not None:
-                _unwrap(self.cc).retained += cleaned_total
         if metrics_on:
             backend = self.backend
             registry.gauge(SHM_BYTES).set(backend.shm_bytes())
             registry.gauge(SHM_SEGMENTS).set(len(backend.segment_names()))
             registry.gauge(SHM_ROWS).set(len(self._token_store))
-
-    def _heal_pair(self, left: EntityId, right: EntityId, error: str) -> Match | None:
-        """Parent-side rescue of a worker-failed pair.
-
-        Rebuild the comparison from the profile store (both sides were
-        registered before their rows were published), retry with the
-        parent's uninjected comparator — transient worker trouble heals
-        here, genuinely poison pairs fail again and are dead-lettered —
-        then re-verify against the kernel threshold and classify with the
-        real classifier.
-        """
-        comparison = Comparison(
-            left=self.backend.profiles.get(left),
-            right=self.backend.profiles.get(right),
-        )
-        attempts = 1
-        for _ in range(self.supervisor.policy.retries_for("co")):
-            self.supervisor.record_retry("co")
-            attempts += 1
-            try:
-                score = self.config.comparator.score(comparison.left, comparison.right)
-            except Exception as exc:
-                error = repr(exc)
-                continue
-            threshold = self.config.comparator.threshold
-            if threshold is not None and score < threshold:
-                return None
-            return self.config.classifier.classify(
-                ScoredComparison(comparison=comparison, similarity=score)
-            )
-        self.supervisor.record_failure("co", comparison, error, attempts)
-        return None

@@ -29,7 +29,7 @@ from typing import Callable
 from repro.core.config import SupervisionPolicy
 from repro.observability.instrument import DEAD_LETTERS, RETRIES
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
-from repro.types import DeadLetter, EntityId, pair_key
+from repro.types import DeadLetter, EntityId
 
 
 def extract_entity_id(payload: object) -> EntityId | None:
@@ -47,13 +47,6 @@ def extract_entity_id(payload: object) -> EntityId | None:
     profile = getattr(payload, "profile", None)
     if profile is not None:
         return getattr(profile, "eid", None)
-    left = getattr(payload, "left", None)
-    right = getattr(payload, "right", None)
-    if left is not None and right is not None:
-        # A Comparison: identify the dead letter by its canonical pair key.
-        lid, rid = getattr(left, "eid", None), getattr(right, "eid", None)
-        if lid is not None and rid is not None:
-            return pair_key(lid, rid)
     return None
 
 
@@ -75,35 +68,56 @@ class Supervisor:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self._lock = threading.Lock()
         self.dead_letters: list[DeadLetter] = []
-        self.retries_performed = 0
+        self.retries_by_stage: dict[str, int] = {}
         self.failures_by_stage: dict[str, int] = {}
+
+    @property
+    def retries_performed(self) -> int:
+        return sum(self.retries_by_stage.values())
 
     @property
     def items_failed(self) -> int:
         return len(self.dead_letters)
 
-    def record_retry(self, stage: str) -> None:
+    def record_retry(self, stage: str, count: int = 1) -> None:
         with self._lock:
-            self.retries_performed += 1
+            self.retries_by_stage[stage] = self.retries_by_stage.get(stage, 0) + count
         if self.registry.enabled:
-            self.registry.counter(RETRIES, stage=stage).inc()
+            self.registry.counter(RETRIES, stage=stage).inc(count)
 
     def record_failure(
-        self, stage: str, payload: object, error: BaseException | str, attempts: int
+        self, stage: str, payload: object, error: BaseException, attempts: int
     ) -> DeadLetter:
         """Route one exhausted item to the dead-letter queue."""
         letter = DeadLetter(
             stage=stage,
             entity_id=extract_entity_id(payload),
-            error=error if isinstance(error, str) else repr(error),
+            error=repr(error),
             attempts=attempts,
         )
+        self._route(letter)
+        return letter
+
+    def _route(self, letter: DeadLetter) -> None:
+        stage = letter.stage
         with self._lock:
             self.dead_letters.append(letter)
             self.failures_by_stage[stage] = self.failures_by_stage.get(stage, 0) + 1
         if self.registry.enabled:
             self.registry.counter(DEAD_LETTERS, stage=stage).inc()
-        return letter
+
+    def absorb(self, dead_letters: list[DeadLetter], retries: dict[str, int]) -> None:
+        """Fold in what another process's supervisor recorded.
+
+        A pool worker runs its stage calls under its own ``Supervisor`` with
+        this pipeline's policy and ships the outcome back as data
+        (``dead_letters`` and ``retries_by_stage``); absorbing it makes the
+        run result and the registry read as if the calls had run here.
+        """
+        for letter in dead_letters:
+            self._route(letter)
+        for stage, count in retries.items():
+            self.record_retry(stage, count)
 
     def execute(
         self, stage: str, fn: Callable[[object], object], payload: object

@@ -79,16 +79,7 @@ class TokenDictionary:
                     tid = len(self._tokens)
                     self._tokens.append(token)
                     self._ids[token] = tid
-                    self._on_new_token(token, tid)
         return tid
-
-    def _on_new_token(self, token: str, token_id: int) -> None:
-        """Subclass hook: a token was just assigned its id (lock held).
-
-        Called exactly once per distinct token, in id order, which is what
-        lets :class:`~repro.core.backends.shm.SharedTokenDictionary` mirror
-        the id → token column into shared memory as a plain append.
-        """
 
     def intern_set(self, tokens: Iterable[str]) -> frozenset[int]:
         """Intern every token; the resulting set of ids."""

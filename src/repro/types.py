@@ -66,7 +66,10 @@ class Profile:
     holds the dense integer ids of exactly the tokens in ``tokens``, and the
     comparison kernel scores pairs on these compact int sets instead of the
     string sets.  ``None`` means the profile was built without interning
-    (the string path); scoring falls back to ``tokens``.
+    (the string path); scoring falls back to ``tokens``.  Scoring only
+    sizes and iterates a partner's ``token_ids``, so a multiprocess pool
+    worker hands partners over with the packed id ``array`` straight off
+    the shared column instead of a set.
     """
 
     eid: EntityId

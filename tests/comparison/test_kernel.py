@@ -11,17 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.comparison import (
-    SET_SIMILARITIES,
-    InternedComparator,
-    galloping_intersect_size,
-    intersect_size,
-    merge_intersect_size,
-    similarity_bound,
-    similarity_from_intersection,
-)
+from repro.comparison import SET_SIMILARITIES, InternedComparator, similarity_bound
+from repro.core.stages import ComparisonStage, MaterializedComparisons
 from repro.errors import ConfigurationError
 from repro.reading import TokenDictionary
+from repro.reading.interning import pack_ids
 from repro.types import Comparison, Profile
 
 id_sets = st.sets(st.integers(min_value=0, max_value=200), max_size=30)
@@ -46,40 +40,6 @@ def string_profile(eid, tokens):
     )
 
 
-class TestIntersectHelpers:
-    @given(id_sets, id_sets)
-    def test_merge_equals_set_intersection(self, a, b):
-        assert merge_intersect_size(sorted(a), sorted(b)) == len(a & b)
-
-    @given(id_sets, id_sets)
-    def test_galloping_equals_set_intersection(self, a, b):
-        small, large = sorted(a), sorted(b)
-        if len(small) > len(large):
-            small, large = large, small
-        assert galloping_intersect_size(small, large) == len(a & b)
-
-    @given(id_sets, id_sets)
-    def test_dispatcher_equals_set_intersection(self, a, b):
-        assert intersect_size(sorted(a), sorted(b)) == len(a & b)
-
-    def test_numpy_path_for_large_inputs(self):
-        a = list(range(0, 600, 2))  # 300 elements: combined size >= 256
-        b = list(range(0, 600, 3))
-        assert intersect_size(a, b) == len(set(a) & set(b))
-
-    def test_galloping_path_for_skewed_inputs(self):
-        small = [10, 500, 9000]
-        large = list(range(10000))
-        assert intersect_size(small, large) == 3
-        assert intersect_size(large, small) == 3
-
-    def test_empty_sides(self):
-        assert intersect_size([], [1, 2]) == 0
-        assert intersect_size([1, 2], []) == 0
-        assert merge_intersect_size([], []) == 0
-        assert galloping_intersect_size([], [1]) == 0
-
-
 class TestBounds:
     def test_known_values(self):
         assert similarity_bound("jaccard", 2, 4) == 0.5
@@ -93,21 +53,6 @@ class TestBounds:
             return
         bound = similarity_bound(measure, len(a), len(b))
         assert SET_SIMILARITIES[measure](a, b) <= bound + 1e-12
-
-
-class TestSimilarityFromIntersection:
-    @given(measures, token_sets, token_sets)
-    def test_bitwise_parity_with_set_functions(self, measure, a, b):
-        value = similarity_from_intersection(measure, len(a & b), len(a), len(b))
-        assert value == SET_SIMILARITIES[measure](a, b)
-
-    def test_two_empty_sets_score_one(self):
-        for measure in SET_SIMILARITIES:
-            assert similarity_from_intersection(measure, 0, 0, 0) == 1.0
-
-    def test_unknown_measure_raises(self):
-        with pytest.raises(ConfigurationError):
-            similarity_from_intersection("hamming", 1, 2, 3)
 
 
 class TestInternedComparatorValidation:
@@ -256,3 +201,66 @@ class TestCompareBatch:
             pytest.approx(1 / 3),
             pytest.approx(1 / 3),
         ]
+
+    @given(
+        measures,
+        st.lists(st.tuples(id_sets, id_sets), max_size=12),
+        st.sampled_from([None, 0.0, 0.5, 0.7]),
+    )
+    def test_packed_array_partner_scores_like_a_set(self, measure, pairs, threshold):
+        """The pool worker's route: the arriving side is a set, the partner
+        the packed id array straight off the shared column."""
+
+        def profile(eid, ids):
+            return Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=ids)
+
+        comparator = InternedComparator(measure=measure, threshold=threshold)
+        on_sets = comparator.compare_batch(
+            [Comparison(profile(1, frozenset(a)), profile(2, frozenset(b))) for a, b in pairs]
+        )
+        on_arrays = comparator.compare_batch(
+            [Comparison(profile(1, frozenset(a)), profile(2, pack_ids(b))) for a, b in pairs]
+        )
+        assert [s.similarity for s in on_arrays] == [s.similarity for s in on_sets]
+
+
+class TestPrefilterZeroTokenRegression:
+    """The length prefilter must not treat 'empty side' as 'cheap skip'.
+
+    Regression for the ``if la and lb`` bypass a hand-copied prefilter once
+    had: a pair with exactly one empty token set can never reach a positive
+    threshold (score is identically 0) and is droppable, but a pair with
+    *both* sides empty scores jaccard 1.0 and may classify as a match.
+    """
+
+    def test_one_sided_empty_dropped_both_empty_scored(self):
+        d = TokenDictionary()
+        both_empty, one_sided = batch_for([(set(), set()), (set(), {"a", "b"})], d)
+        stage = ComparisonStage(InternedComparator(threshold=0.4))
+        out = stage(
+            MaterializedComparisons(
+                profile=both_empty.left, comparisons=[both_empty, one_sided]
+            )
+        )
+        assert [(s.comparison, s.similarity) for s in out.scored] == [(both_empty, 1.0)]
+        assert stage.compared == 2
+        assert stage.prefiltered == 1
+
+    @pytest.mark.parametrize("measure", sorted(SET_SIMILARITIES))
+    def test_prefiltered_counts_only_length_skips(self, measure):
+        d = TokenDictionary()
+        pairs = [
+            ({"a"}, {"a", "b", "c", "d", "e"}),  # length bound below 0.5
+            ({"a", "b"}, {"c", "d"}),  # scored, then verified away
+            ({"a", "b"}, {"a", "b"}),
+        ]
+        stage = ComparisonStage(InternedComparator(measure=measure, threshold=0.5))
+        comparisons = batch_for(pairs, d)
+        stage(MaterializedComparisons(profile=comparisons[0].left, comparisons=comparisons))
+        assert stage.compared == 3
+        assert stage.prefiltered == (0 if measure == "overlap" else 1)
+        unfiltered = ComparisonStage(
+            InternedComparator(measure=measure, threshold=0.5, prefilter=False)
+        )
+        unfiltered(MaterializedComparisons(profile=comparisons[0].left, comparisons=comparisons))
+        assert unfiltered.prefiltered == 0

@@ -29,11 +29,9 @@ from repro.core.backends import (
     SharedColumnStore,
     SharedMemoryBackend,
     SharedTokenArrayStore,
-    SharedTokenDictionary,
     active_shm_segments,
     backend_capabilities,
 )
-from repro.core.backends.shm import SharedDictionaryReader
 from repro.parallel import FaultSpec, MultiprocessERPipeline
 from repro.types import EntityDescription
 
@@ -110,6 +108,36 @@ class TestSharedColumnStore:
         finally:
             store.unlink()
 
+    def test_refresh_racing_a_growing_writer_never_outruns_its_mappings(
+        self, monkeypatch
+    ):
+        """A pool worker attaches while the parent is still publishing.  If
+        the writer grows a data generation *during* the reader's refresh,
+        the reader's row horizon must not cover rows whose generation it has
+        not mapped: the horizon is read before the generation tables."""
+        from repro.core.backends import shm
+
+        store = SharedColumnStore(data_bytes=16, dir_rows=8)
+        try:
+            store.append(b"first")
+            real_attach = shm.attach_segment
+
+            def attach_then_write(name):
+                segment = real_attach(name)
+                if name == f"{store.prefix}i0":
+                    # After the reader sized up the data generations: a
+                    # record too big for generation 0 opens generation 1.
+                    store.append(b"second" * 8)
+                return segment
+
+            monkeypatch.setattr(shm, "attach_segment", attach_then_write)
+            with SharedColumnReader(store.prefix) as reader:
+                monkeypatch.undo()
+                assert len(store) == 2
+                assert bytes(reader.record(1)) == b"second" * 8
+        finally:
+            store.unlink()
+
     def test_reader_context_manager(self):
         store = SharedColumnStore()
         try:
@@ -121,27 +149,13 @@ class TestSharedColumnStore:
 
 
 class TestSharedTokenStores:
-    def test_dictionary_cross_attach_decode(self):
-        columns = SharedColumnStore()
-        try:
-            dictionary = SharedTokenDictionary(columns)
-            tokens = ["wood", "panel", "pavillon", "fibre", "日本語"]
-            ids = [dictionary.intern(t) for t in tokens]
-            reader = SharedDictionaryReader(columns.prefix)
-            assert [reader.decode(i) for i in ids] == tokens
-            assert len(reader) == len(tokens)
-            reader.close()
-        finally:
-            columns.unlink()
-
     def test_token_array_round_trip_and_identity_cache(self):
         columns = SharedColumnStore()
         try:
             store = SharedTokenArrayStore(columns)
             ids = array("Q", [3, 1, 4, 1, 5, 92])
             row = store.row_for(7, ids)
-            # Ids are packed in canonical (sorted) order — the comparison
-            # kernel's merge walk requires it.
+            # Ids are packed in canonical (sorted) order.
             assert store.ids_at(row).tolist() == sorted(ids)
             # Same eid + same token ids → same row, no second append.
             assert store.row_for(7, ids) == row
@@ -156,12 +170,10 @@ class TestBackendLifecycle:
             capabilities = backend_capabilities(backend)
             assert capabilities == {SharedMemoryBackend.PARTITION_COLUMNS}
             layout = backend.layout()
-            assert set(layout) == {
-                "tokens", "dictionary", "entities", "membership",
-            }
+            assert set(layout) == {"tokens", "entities", "membership"}
             assert all(name.startswith(backend.name) for name in layout.values())
             assert backend.shm_bytes() > 0
-            assert len(backend.segment_names()) >= 8  # 4 stores x (ctl+data+dir)
+            assert len(backend.segment_names()) == 9  # 3 stores x (ctl+data+dir)
 
     def test_context_manager_unlinks_all_segments(self):
         with SharedMemoryBackend() as backend:
@@ -181,8 +193,8 @@ class TestBackendLifecycle:
         prefix = backend.name
         # Growth after construction must be covered by the finalizer too.
         for i in range(20_000):
-            backend.dictionary.intern(f"token-{i}")
-        assert len(active_shm_segments(prefix)) > 4
+            backend.token_store.row_for(i, frozenset({i, i + 1}))
+        assert len(active_shm_segments(prefix)) > 9
         del backend
         gc.collect()
         assert active_shm_segments(prefix) == []
@@ -230,7 +242,7 @@ class TestRunHygiene:
             "from repro.core.backends import SharedMemoryBackend\n"
             "backend = SharedMemoryBackend()\n"
             "for i in range(500):\n"
-            "    backend.dictionary.intern(f'token-{i}')\n"
+            "    backend.token_store.row_for(i, frozenset({i}))\n"
             "print(backend.name, flush=True)\n"
             "time.sleep(60)\n"
         )

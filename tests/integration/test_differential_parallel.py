@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.classification import OracleClassifier
+from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
 from repro.core.backends import (
     ShardedBackend,
@@ -33,9 +33,11 @@ from repro.core.plan import STAGE_ORDER
 from repro.datasets import DatasetSpec, generate
 from repro.observability import (
     COMPARISONS_EXECUTED,
+    COMPARISONS_GENERATED,
     ENTITIES,
     MATCHES,
     PIPELINE_METRIC_NAMES,
+    STAGE_ITEMS,
     MetricsRegistry,
     Tracer,
 )
@@ -87,6 +89,41 @@ def run_mp(dataset, *, shared: bool, entities=None, **kwargs):
             assert active_shm_segments(prefix) == []
     assert mp.pool_spawns == (1 if shared else 0)
     return mp, result
+
+
+#: The three places an entity's tail can run under supervision.
+EXECUTORS = ("thread", "mp-inline", "mp-partitioned")
+
+
+def run_faulty(dataset, executor: str, **kwargs):
+    """(pipeline, result) of one supervised run on the named executor."""
+    if executor == "thread":
+        pipeline = ParallelERPipeline(config_for(dataset), processes=12, **kwargs)
+        return pipeline, pipeline.run(dataset.stream(), timeout=RUN_TIMEOUT)
+    return run_mp(dataset, shared=executor == "mp-partitioned", **kwargs)
+
+
+def assert_pair_accounting(mp: MultiprocessERPipeline, lost: int = 0) -> None:
+    """The accounting identity, for both sides of the decision at once:
+    every pair ``lm`` materialized was examined by exactly one ``co`` — a
+    worker's (dispatched or prefiltered) or the parent's.  Exact on
+    fault-free runs; ``lost`` is the materialized pairs of entities
+    dead-lettered at ``co``."""
+    assert mp.lm.materialized - lost == (
+        mp.pairs_dispatched + mp.pairs_prefiltered + mp.co.compared
+    )
+
+
+def materialized_per_entity(dataset) -> dict:
+    """Entity id → comparisons ``lm`` materializes for it (fault-free; a
+    ``co`` fault changes nothing upstream of ``co``)."""
+    pipeline = StreamERPipeline(config_for(dataset), instrument=False)
+    sizes = {}
+    for entity in dataset.stream():
+        before = pipeline.lm.materialized
+        pipeline.process(entity)
+        sizes[entity.eid] = pipeline.lm.materialized - before
+    return sizes
 
 
 def sequential_pairs(dataset, entities=None) -> set:
@@ -237,41 +274,59 @@ class TestFaultsAtComparison:
         assert all(d.stage == "co" for d in result.dead_letters)
         assert result.match_pairs == self._expected(seeded_dirty, dead)
 
-    def test_multiprocess_worker_side_is_pair_level(self, seeded_dirty):
-        """Worker dead letters are *pairs*: expected = sequential minus them."""
-        _, result = run_mp(
-            seeded_dirty,
-            shared=True,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": FaultSpec(probability=0.3, seed=17)},
-        )
-        dead_pairs = result.dead_letter_ids
-        assert dead_pairs
-        assert all(d.stage == "co" for d in result.dead_letters)
-        expected = sequential_pairs(seeded_dirty) - dead_pairs
-        assert result.match_pairs == expected
-
-    def test_multiprocess_inline_is_entity_level(self, seeded_dirty):
-        """Inline, a co spec wraps the compiled stage: same loss rule as
-        the thread framework, and the same victims for the same seed."""
+    @pytest.mark.parametrize(
+        "policy", [SupervisionPolicy.none(), None], ids=["no-retries", "default-policy"]
+    )
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_one_plan_one_policy_one_dead_letter_set(
+        self, seeded_dirty, executor, policy
+    ):
+        """A permanent ``co`` spec dead-letters exactly the seeded
+        *entities* — whichever executor runs the stage, in whichever
+        process, with or without a retry budget — and loses exactly the
+        matches anchored at them."""
         spec = FaultSpec(probability=0.3, seed=17)
-        _, result = run_mp(
-            seeded_dirty,
-            shared=False,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": spec},
+        victims = {e.eid for e in seeded_dirty.stream() if spec.decide("co", e.eid)}
+        assert victims
+        pipeline, result = run_faulty(
+            seeded_dirty, executor, supervision=policy, faults={"co": spec}
         )
-        dead = result.dead_letter_ids
-        assert dead
+        assert result.dead_letter_ids == victims
         assert all(d.stage == "co" for d in result.dead_letters)
-        assert result.match_pairs == self._expected(seeded_dirty, dead)
-        threads = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
+        assert result.match_pairs == self._expected(seeded_dirty, victims)
+        budget = 0 if policy is not None else SupervisionPolicy().max_retries
+        assert result.retries == budget * len(victims)
+        if executor != "thread":
+            # The pair-accounting identity under faults: lm counted the
+            # victims' pairs, co never finished them.
+            lost = materialized_per_entity(seeded_dirty)
+            assert_pair_accounting(pipeline, lost=sum(lost[eid] for eid in victims))
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_transient_co_fault_heals_everywhere(self, seeded_dirty, executor):
+        spec = FaultSpec(probability=0.3, seed=17, transient_attempts=1)
+        victims = {e.eid for e in seeded_dirty.stream() if spec.decide("co", e.eid)}
+        pipeline, result = run_faulty(seeded_dirty, executor, faults={"co": spec})
+        assert result.items_failed == 0
+        assert result.retries == len(victims)
+        assert result.match_pairs == sequential_pairs(seeded_dirty)
+        if executor != "thread":
+            assert_pair_accounting(pipeline)
+
+    def test_lm_fault_spec_dispatches_worker_side(self, seeded_dirty):
+        """Fault specs on ``cc``/``lm``/``cl`` are no dispatch blocker
+        (``run_mp`` asserts ``partitioned_dispatch``): the workers
+        dead-letter the thread framework's victims."""
+        kwargs = dict(
             supervision=SupervisionPolicy.none(),
-            faults={"co": spec},
-        ).run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        assert threads.dead_letter_ids == dead
+            faults={"lm": FaultSpec(probability=0.3, seed=23)},
+        )
+        _, threads = run_faulty(seeded_dirty, "thread", **kwargs)
+        pipeline, result = run_faulty(seeded_dirty, "mp-partitioned", **kwargs)
+        assert result.dead_letter_ids == threads.dead_letter_ids != set()
+        assert all(d.stage == "lm" for d in result.dead_letters)
+        assert result.match_pairs == threads.match_pairs
+        assert_pair_accounting(pipeline)  # lm never counted the victims
 
 
 class TestShardedBackendEquivalence:
@@ -538,10 +593,21 @@ class TestObservabilityAcrossExecutors:
         for label, names in name_sets.items():
             assert names == name_sets["seq"], f"{label} diverges"
 
-        # Worker-side runs add exactly the shm/pool/partition families.
+        # Worker-side runs add exactly the shm/pool/partition families…
         on_workers = MetricsRegistry()
         run_mp(seeded_dirty, shared=True, registry=on_workers)
         assert on_workers.names() == name_sets["seq"] | set(PARTITION_METRIC_NAMES)
+        # …and the shared families *mean* the same there: every stage
+        # counts the entities that finished it, whichever process ran it.
+        seq = registries["seq"]
+        for stage in STAGE_ORDER:
+            assert (
+                on_workers.value(STAGE_ITEMS, stage=stage)
+                == seq.value(STAGE_ITEMS, stage=stage)
+                == len(seeded_dirty)
+            )
+        for family in (COMPARISONS_GENERATED, COMPARISONS_EXECUTED, MATCHES):
+            assert on_workers.value(family) == seq.value(family) > 0
 
     def test_enabling_metrics_changes_no_matches(self, seeded_dirty):
         expected = sequential_pairs(seeded_dirty)
@@ -663,7 +729,27 @@ class TestSharedMemoryBackendEquivalence:
         mp, result = run_mp(seeded_dirty, shared=True)
         assert result.match_pairs == expected
         assert result.items_failed == 0
-        assert mp.pairs_dispatched + mp.pairs_prefiltered == mp.lm.materialized
+        assert mp.co.compared == 0  # no tail with candidates ran inline
+        assert_pair_accounting(mp)
+
+    def test_multiprocess_pair_counters_equal_sequential(self, seeded_dirty):
+        """Workers run the kernel SEQ runs, so their summed counters are
+        SEQ's (a threshold classifier, so the length prefilter is live)."""
+        config = StreamERConfig.interned(
+            alpha=StreamERConfig.alpha_for(len(seeded_dirty), 0.05),
+            beta=0.05,
+            classifier=ThresholdClassifier(0.8),
+        )
+        seq = StreamERPipeline(config, instrument=False)
+        seq.process_many(seeded_dirty.stream())
+        with SharedMemoryBackend() as backend, MultiprocessERPipeline(
+            config, workers=2, backend=backend, partitioned=True
+        ) as mp:
+            mp.run(seeded_dirty.stream())
+            assert backend.matches.pairs() == seq.cl.matches.pairs()
+        assert seq.co.prefiltered > 0
+        assert seq.co.prefiltered == mp.pairs_prefiltered
+        assert seq.co.compared - seq.co.prefiltered == mp.pairs_dispatched
 
     def test_multiprocess_clean_clean(self, seeded_clean):
         expected = self._interned_expected(seeded_clean)
@@ -683,20 +769,6 @@ class TestSharedMemoryBackendEquivalence:
             assert "interned" in mp.partition_blockers[0]
             assert mp.pool_spawns == 0
             assert result.match_pairs == expected
-
-    def test_multiprocess_worker_faults_heal_by_parent_retry(self, seeded_dirty):
-        """Seeded worker faults under the default policy: every failed
-        pair is rescored by the parent's uninjected comparator, so the
-        match set is unchanged and nothing is dead-lettered."""
-        expected = self._interned_expected(seeded_dirty)
-        _, result = run_mp(
-            seeded_dirty,
-            shared=True,
-            faults={"co": FaultSpec(probability=0.3, seed=17)},
-        )
-        assert result.retries > 0
-        assert result.items_failed == 0
-        assert result.match_pairs == expected
 
     def test_persistent_pool_across_increments(self, seeded_dirty):
         """Increment-by-increment processing with one warm pool equals the

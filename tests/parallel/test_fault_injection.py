@@ -10,7 +10,6 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
-from repro.core.backends import SharedMemoryBackend
 from repro.core.monitoring import PipelineMonitor
 from repro.core.stages import STAGE_ORDER
 from repro.errors import ConfigurationError, InjectedFault
@@ -275,33 +274,6 @@ class TestTotalFailureRegression:
 
 
 class TestMultiprocessFaults:
-    def test_worker_fault_injection_dead_letters_pairs(self):
-        entities = make_entities(40)
-        with SharedMemoryBackend() as backend:
-            pipeline = MultiprocessERPipeline(
-                StreamERConfig.interned(
-                    alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
-                ),
-                workers=2,
-                backend=backend,
-                supervision=SupervisionPolicy.none(),
-                faults={"co": FaultSpec(probability=0.3, seed=5)},
-                partitioned=True,
-            )
-            result = pipeline.run(entities)
-            pipeline.close()
-        assert result.items_failed > 0
-        for letter in result.dead_letters:
-            assert letter.stage == "co"
-            assert isinstance(letter.entity_id, tuple)  # canonical pair key
-        # Accounting under faults: a failed pair was still dispatched
-        # exactly once, so retries and dead letters must not double- or
-        # under-count.
-        assert (
-            pipeline.pairs_dispatched + pipeline.pairs_prefiltered
-            == result.comparisons_after_cleaning
-        )
-
     def test_inline_co_fault_dead_letters_entities(self):
         """No shared columns → the co spec wraps the parent's compiled co."""
         entities = make_entities(40)

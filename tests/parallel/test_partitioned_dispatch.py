@@ -4,8 +4,10 @@ An entity's ``cc → lm → co → cl`` tail runs in a worker (block-partitioned
 dispatch on shared columns) when the wiring is eligible, in the parent
 when it is not.  Either way the choice must be *invisible* in every
 output: match sets bit-identical to the sequential pipeline, the same
-dead letters under seeded faults, and the pair accounting identity
-``lm.materialized == pairs_dispatched + pairs_prefiltered + co.compared``.
+(entity-level) dead letters under seeded faults, and the pair accounting
+identity ``lm.materialized == pairs_dispatched + pairs_prefiltered +
+co.compared`` (exact on fault-free runs; the differential suite checks its
+form under ``co`` faults).
 The planner is pinned as a deterministic LPT bin-packer, and eligibility
 must refuse loudly (``partitioned=True``) or fall back with the reason
 recorded (``"auto"`` → ``partition_blockers``) on ineligible wirings.
@@ -70,7 +72,9 @@ def sequential_pairs(config: StreamERConfig, entities) -> set:
 
 
 def assert_pair_accounting(pipeline: MultiprocessERPipeline) -> None:
-    """Every cleaned pair was resolved exactly once, worker- or parent-side."""
+    """Every cleaned pair was resolved exactly once, worker- or parent-side
+    (exact unless an entity is dead-lettered at ``co``, after ``lm`` counted
+    its pairs; no test here injects that)."""
     assert pipeline.lm.materialized == (
         pipeline.pairs_dispatched
         + pipeline.pairs_prefiltered
@@ -177,10 +181,6 @@ BLOCKERS = {
         None, None, "stateful",
     ),
     "durable-commit-hook": (threshold_config, _CommittingProxy, None, "durable"),
-    "worker-side-fault-spec": (
-        threshold_config, None,
-        {"cl": FaultSpec(probability=0.0, seed=1)}, "worker-side",
-    ),
 }
 
 
@@ -213,6 +213,26 @@ class TestTheOneDecision:
 
         with pytest.raises(ConfigurationError, match=names_it):
             mp_run(make_config(), [], wrap=wrap, faults=faults, partitioned=True)
+
+    @pytest.mark.parametrize("stage", ["cc", "lm", "cl"])
+    def test_tail_fault_specs_dispatch_worker_side(self, stage):
+        """A fault spec on a tail stage is no blocker: the workers wrap
+        their own copy of the stage with the same entity-keyed injector."""
+        entities = make_entities(90)
+        spec = FaultSpec(probability=0.3, seed=11)
+        pipeline, result, _ = mp_run(
+            threshold_config(),
+            entities,
+            partitioned=True,
+            supervision=SupervisionPolicy.none(),
+            faults={stage: spec},
+        )
+        assert pipeline.partitioned_dispatch
+        assert pipeline.pool_spawns == 1 and pipeline.pairs_dispatched > 0
+        assert result.dead_letter_ids == {
+            e.eid for e in entities if spec.decide(stage, e.eid)
+        }
+        assert {letter.stage for letter in result.dead_letters} == {stage}
 
     def test_blockers_are_read_only(self):
         pipeline = MultiprocessERPipeline(threshold_config(), workers=2)
@@ -308,39 +328,6 @@ class TestPartitionedDispatchEquivalence:
         for left, right in pairs:  # clean-clean never matches within a source
             assert left[0] != right[0]
 
-    def test_worker_side_co_faults_dead_letter_exactly_the_victims(self):
-        """Seeded worker-side co faults: the injector keys its verdicts on
-        the canonical pair key, so which worker scores a pair must not
-        change which pairs fault — with retries disabled the dead letters
-        are exactly the injector's victims among the scored pairs, and
-        the surviving matches are SEQ's minus those pairs."""
-        entities = make_entities(60)
-        spec = FaultSpec(probability=0.3, seed=5)
-        pipeline, result, pairs = mp_run(
-            threshold_config(),
-            entities,
-            partitioned=True,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": spec},
-        )
-        assert result.items_failed > 0  # the faults really fired
-        assert result.items_failed == len(result.dead_letters)
-        for letter in result.dead_letters:
-            assert letter.stage == "co"
-            assert spec.decide("co", letter.entity_id)
-        reference = sequential_pairs(threshold_config(), entities)
-        assert pairs == {p for p in reference if not spec.decide("co", p)}
-        # Deterministic: a second run dead-letters the same pairs.
-        _, again, pairs_again = mp_run(
-            threshold_config(),
-            entities,
-            partitioned=True,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": spec},
-        )
-        assert again.dead_letter_ids == result.dead_letter_ids
-        assert pairs_again == pairs
-
     def test_inline_co_fault_wraps_the_compiled_stage(self):
         """On an ineligible wiring a co spec is a stage spec like any
         other: it dead-letters entities at co, exactly as under SEQ-style
@@ -379,28 +366,25 @@ class TestPartitionedDispatchEquivalence:
             assert runner.pipeline.pool_reuses == 2
 
 
-class TestPrefilterZeroTokenRegression:
-    """The length prefilter must not treat 'empty side' as 'cheap skip'.
+class TestWorkerFunctionInProcess:
+    """The worker function is the plan's tail over a partition descriptor.
 
-    Regression for the ``if la and lb`` bypass: a pair with exactly one
-    empty token set can never reach a positive threshold (score is
-    identically 0) and is droppable, but a pair with *both* sides empty
-    scores jaccard 1.0 and may classify as a match — the worker-side
-    prefilter must distinguish the two.
+    Blocking keys come from tokens, so no stream can put an empty profile
+    into a block: drive the worker function directly, in this process,
+    against hand-published rows.  The zero-token cases are the regression
+    of a hand-copied prefilter that once lived here (the kernel-level
+    twin is ``tests/comparison/test_kernel.py``): exactly one empty side
+    is droppable, two empty sides score jaccard 1.0 and must be scored.
     """
 
     def test_one_sided_empty_dropped_both_empty_scored(self):
-        # Blocking keys come from tokens, so no stream can put an empty
-        # profile into a block: drive the worker function directly, in
-        # this process, against hand-published rows.
         from array import array
 
         from repro.parallel import mp_framework as worker
 
-        config = threshold_config()
         with SharedMemoryBackend() as backend:
             pipeline = MultiprocessERPipeline(
-                config, workers=1, backend=backend, partitioned=True
+                threshold_config(), workers=1, backend=backend, partitioned=True
             )
             row_for = backend.token_store.row_for
             empty_a = row_for(1, frozenset())
@@ -413,17 +397,23 @@ class TestPrefilterZeroTokenRegression:
             ]
             worker._init_worker(*pipeline._pool_initargs)
             try:
-                matches, failures, stats = worker._score_partition(
-                    array("Q", rows)
+                matches, dead_letters, retries, items, counters = (
+                    worker._run_partition(array("Q", rows))
                 )
             finally:
-                for reader in (
-                    worker._worker_tokens,
-                    worker._worker_membership,
-                    worker._worker_entities,
-                ):
-                    reader.close()
-        assert failures == []
-        assert stats == {"cleaned": 3, "prefiltered": 1}  # (1, 3) dropped
+                # fork inherits module globals: leave none behind.
+                worker._worker.close()
+                worker._worker = None
+        assert dead_letters == [] and retries == {}
+        assert items == {"cc": 2, "lm": 2, "co": 2, "cl": 2}  # entities per stage
+        assert counters == {
+            "retained": 3,
+            "materialized": 3,
+            "compared": 3,
+            "prefiltered": 1,  # (1, 3) dropped
+        }
         # Why both-empty must be scored: the kernel says it is a match.
-        assert matches == [(1, 2, 1.0), (3, 4, 1.0)]
+        assert [(m.left, m.right, m.similarity) for m in matches] == [
+            (1, 2, 1.0),
+            (3, 4, 1.0),
+        ]
