@@ -20,6 +20,7 @@ from repro.classification import OracleClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.datasets import load, oracle_for
 from repro.evaluation import format_table, scientific
+from repro.observability import stage_seconds
 
 BASELINE_CONFIGS = (
     (0.005, 0.1, "CBS", "WNP"),
@@ -60,7 +61,7 @@ def baseline_rows(name: str) -> list[dict[str, object]]:
 
 
 def our_breakdown(pipeline: StreamERPipeline, elapsed: float) -> tuple[float, float]:
-    t = pipeline.timings.seconds
+    t = stage_seconds(pipeline.registry)
     bt = sum(t.get(s, 0.0) for s in ("dr", "bb+bp", "bg", "cg", "lm"))
     return bt, t.get("cc", 0.0)
 

@@ -6,7 +6,6 @@ from repro.core.backends.base import (
     backend_capabilities,
 )
 from repro.core.backends.durable import (
-    CommittingStage,
     DurabilityConfig,
     DurableBackend,
     config_fingerprint,
@@ -36,7 +35,6 @@ __all__ = [
     "InMemoryBackend",
     "DurableBackend",
     "DurabilityConfig",
-    "CommittingStage",
     "config_fingerprint",
     "ShardedBackend",
     "ShardedBlockCollection",

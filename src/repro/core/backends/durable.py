@@ -8,10 +8,11 @@ logging proxy that appends a WAL record before applying the mutation.
 Stages receive the proxies through plan compilation exactly as they
 would receive the bare stores, so no stage knows durability exists.
 
-The unit of crash consistency is the *entity*: plan compilation wraps
-the classification stage in a :class:`CommittingStage` that calls
+The unit of crash consistency is the *entity*: the compiled plan's
+per-stage callable for the classification stage calls
 :meth:`DurableBackend.commit_entity` after each entity leaves the
-pipeline, appending a sequenced ``commit`` record (and, under the
+pipeline (inside the stage's timed region, before its invariant check),
+appending a sequenced ``commit`` record (and, under the
 default ``fsync="commit"`` policy, fsyncing the log).  Recovery replays
 up to the last commit; an entity whose commit never hit the log is
 re-fed by the caller.  This guarantee is exact for the sequential
@@ -60,7 +61,6 @@ from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 __all__ = [
     "DurabilityConfig",
     "DurableBackend",
-    "CommittingStage",
     "config_fingerprint",
 ]
 
@@ -518,27 +518,3 @@ class DurableBackend:
     def __getattr__(self, attr: str):
         return getattr(self.inner, attr)
 
-
-class CommittingStage:
-    """Wraps ``f_cl`` to commit each entity after classification.
-
-    Innermost of the stage wrappers (instrumentation and invariant
-    checking wrap outside it), so the commit record lands inside the
-    stage's measured service time and attribute delegation still chains
-    through to the real stage.
-    """
-
-    __slots__ = ("inner", "name", "_backend")
-
-    def __init__(self, name: str, inner: Callable, backend: DurableBackend) -> None:
-        self.inner = inner
-        self.name = name
-        self._backend = backend
-
-    def __call__(self, message):
-        out = self.inner(message)
-        self._backend.commit_entity(message.profile.eid)
-        return out
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)

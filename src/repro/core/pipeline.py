@@ -2,10 +2,11 @@
 
 Compiles the :class:`~repro.core.plan.PipelinePlan` for its configuration
 into a single-threaded executor that processes one entity description at a
-time, supporting both incremental and streaming use.  Per-stage wall-clock
-time is accumulated so the bottleneck analysis of Figure 6 can be
-regenerated, and per-stage counters expose the comparison-reduction
-numbers of Table III / Figure 7.
+time, supporting both incremental and streaming use.  Per-stage service
+time lives in the metrics registry (``er_stage_service_seconds{stage}``,
+read back with :func:`~repro.observability.instrument.stage_seconds`), so
+the bottleneck analysis of Figure 6 can be regenerated, and per-stage
+counters expose the comparison-reduction numbers of Table III / Figure 7.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ from repro.core.plan import PipelinePlan
 from repro.core.state import ERState
 from repro.errors import ConfigurationError
 from repro.invariants.checker import InvariantChecker
-from repro.observability.instrument import DEAD_LETTERS, ENTITIES, ENTITY_LATENCY_SECONDS
+from repro.observability.instrument import (
+    DEAD_LETTERS,
+    ENTITIES,
+    ENTITY_LATENCY_SECONDS,
+    stage_seconds,
+)
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.observability.trace import Tracer
-from repro.types import DeadLetter, EntityDescription, Match, StageTimings
+from repro.types import DeadLetter, EntityDescription, Match
 
 
 @dataclass
@@ -38,7 +44,6 @@ class ERResult:
 
     entities_processed: int = 0
     matches: list[Match] = field(default_factory=list)
-    timings: StageTimings = field(default_factory=StageTimings)
     comparisons_generated: int = 0
     comparisons_after_cleaning: int = 0
     blocks_pruned: int = 0
@@ -58,38 +63,6 @@ class ERResult:
         """Entity identifiers of all dead-lettered items."""
         return {d.entity_id for d in self.dead_letters}
 
-    @classmethod
-    def merge(cls, results: Iterable["ERResult"]) -> "ERResult":
-        """Combine results of runs over disjoint partitions (shards).
-
-        Matches are deduplicated by canonical pair key (a pair discovered
-        in two partitions counts once); counters, timings, failures and
-        dead letters are summed; ``elapsed_seconds`` is the *maximum* over
-        the inputs, since sharded partitions execute concurrently.
-        """
-        merged = cls()
-        seen: set[tuple] = set()
-        elapsed = 0.0
-        for result in results:
-            merged.entities_processed += result.entities_processed
-            for match in result.matches:
-                key = match.key()
-                if key not in seen:
-                    seen.add(key)
-                    merged.matches.append(match)
-            for stage, seconds in result.timings.seconds.items():
-                merged.timings.add(stage, seconds)
-            merged.comparisons_generated += result.comparisons_generated
-            merged.comparisons_after_cleaning += result.comparisons_after_cleaning
-            merged.blocks_pruned += result.blocks_pruned
-            merged.keys_ghosted += result.keys_ghosted
-            merged.items_failed += result.items_failed
-            merged.retries += result.retries
-            merged.dead_letters.extend(result.dead_letters)
-            elapsed = max(elapsed, result.elapsed_seconds)
-        merged.elapsed_seconds = elapsed
-        return merged
-
 
 class StreamERPipeline:
     """Sequential end-to-end ER over dynamic data.
@@ -104,8 +77,11 @@ class StreamERPipeline:
     config:
         Pipeline parameters; see :class:`~repro.core.config.StreamERConfig`.
     instrument:
-        When True (default), each stage call is timed individually.  Turn
-        off to shave the timer overhead in throughput experiments.
+        Shorthand for "own an enabled
+        :class:`~repro.observability.MetricsRegistry`" when ``registry``
+        is None, so per-stage service time can be read back with
+        :func:`~repro.observability.instrument.stage_seconds`.  Default
+        False: the bare stage chain, no timer reads.
     backend:
         Where the ER state lives; defaults to a fresh
         :class:`~repro.core.backends.InMemoryBackend`.
@@ -126,7 +102,7 @@ class StreamERPipeline:
         An optional :class:`~repro.invariants.InvariantChecker`; when
         enabled, stage outputs are verified per message and the
         state-scope invariants run every ``checker.state_every`` entities.
-        Defaults to ``None`` — no wrapping, zero overhead.
+        Defaults to ``None`` — no check, zero overhead.
     wal_dir:
         When given, state is wrapped in a
         :class:`~repro.core.backends.DurableBackend`: every mutation is
@@ -153,7 +129,7 @@ class StreamERPipeline:
     def __init__(
         self,
         config: StreamERConfig | None = None,
-        instrument: bool = True,
+        instrument: bool = False,
         backend: StateBackend | None = None,
         plan: PipelinePlan | None = None,
         registry: MetricsRegistry | None = None,
@@ -167,9 +143,9 @@ class StreamERPipeline:
     ) -> None:
         self.plan = plan if plan is not None else PipelinePlan.from_config(config)
         self.config = self.plan.config
-        self.instrument = instrument
-        self.timings = StageTimings()
-        self.registry = registry if registry is not None else NULL_REGISTRY
+        if registry is None:
+            registry = MetricsRegistry() if instrument else NULL_REGISTRY
+        self.registry = registry
         self.tracer = tracer
         self.checker = checker if (checker is not None and checker.enabled) else None
         if self.checker is not None:
@@ -229,7 +205,8 @@ class StreamERPipeline:
         self.lm = self.compiled.get("lm")
         self.co = self.compiled.get("co")
         self.cl = self.compiled.get("cl")
-        self._stages = tuple(stage for _, stage in self.compiled.ordered())
+        self._named_stages = tuple(self.compiled.ordered())
+        self._stages = tuple(stage for _, stage in self._named_stages)
         self._entities_processed = recovered_count
         self.items_failed = 0
         self.retries_performed = 0
@@ -262,31 +239,22 @@ class StreamERPipeline:
         seq = self._entities_processed
         self._entities_processed += 1
         trace = self.tracer.start(seq, entity.eid) if self.tracer is not None else None
-        entity_start = time.perf_counter() if (self._metrics_on or trace) else 0.0
-        if self.instrument or trace is not None:
-            message: object = entity
-            for stage in self._stages:
-                start = time.perf_counter()
-                if trace is not None:
-                    # No queues in the sequential executor: a stage's
-                    # enqueue instant is its service start.
-                    trace.record_start(stage.name, at=start)
-                message = stage(message)
-                end = time.perf_counter()
-                if self.instrument:
-                    self.timings.add(stage.name, end - start)
-                if trace is not None:
-                    trace.record_finish(stage.name, at=end)
-            out = message
-        else:
-            out = entity
+        entity_start = time.perf_counter() if self._metrics_on else 0.0
+        out: object = entity
+        if trace is None:
             for stage in self._stages:
                 out = stage(out)
+        else:
+            for name, stage in self._named_stages:
+                # No queues in the sequential executor: a stage's enqueue
+                # instant is its service start.
+                trace.record_start(name)
+                out = stage(out)
+                trace.record_finish(name)
+            trace.complete()
         if self._metrics_on:
             self._entities_metric.inc()
             self._latency_metric.observe(time.perf_counter() - entity_start)
-        if trace is not None:
-            trace.complete()
         if self.checker is not None:
             self.checker.after_entity()
         return out  # type: ignore[return-value]
@@ -340,7 +308,6 @@ class StreamERPipeline:
         return ERResult(
             entities_processed=count,
             matches=matches,
-            timings=self.timings,
             comparisons_generated=self.cg.generated - start_generated,
             comparisons_after_cleaning=self.lm.materialized - start_materialized,
             blocks_pruned=self.bb.pruned_blocks - start_pruned,
@@ -358,16 +325,19 @@ class StreamERPipeline:
     # -- statistics ---------------------------------------------------
 
     def summary(self) -> ERResult:
-        """Cumulative summary since pipeline construction."""
+        """Cumulative summary since pipeline construction.
+
+        ``elapsed_seconds`` is the total stage service time the registry
+        recorded (0 without an enabled registry).
+        """
         return ERResult(
             entities_processed=self._entities_processed,
             matches=self.cl.matches.matches(),
-            timings=self.timings,
             comparisons_generated=self.cg.generated,
             comparisons_after_cleaning=self.lm.materialized,
             blocks_pruned=self.bb.pruned_blocks,
             keys_ghosted=self.bg.ghosted_keys if self.bg is not None else 0,
-            elapsed_seconds=self.timings.total(),
+            elapsed_seconds=sum(stage_seconds(self.registry).values()),
             items_failed=self.items_failed,
             dead_letters=list(self.dead_letters),
         )

@@ -27,7 +27,10 @@ which execution constraints apply:
 Executors *compile* the plan — :meth:`PipelinePlan.compile` instantiates
 every active stage against one backend and returns a
 :class:`CompiledPipeline` — instead of hand-constructing stages, so stage
-wiring, ordering and state ownership are defined exactly once.
+wiring, ordering and state ownership are defined exactly once.  The
+compiled pipeline is also the one place that decides what happens around
+a stage call (durable commit, metrics, invariant checks): it composes
+those duties into a single callable per stage, at compile time.
 
 ``STAGE_ORDER`` (the full eight-name tuple) is re-exported here and is the
 canonical import site for every stage-name consumer outside ``core``.
@@ -36,6 +39,7 @@ canonical import site for every stage-name consumer outside ``core``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable
 
 from repro.comparison.kernel import InternedComparator
@@ -44,7 +48,6 @@ from repro.core.backends import (
     StateBackend,
     backend_capabilities,
 )
-from repro.core.backends.durable import CommittingStage
 from repro.core.config import StreamERConfig
 from repro.core.stages import (
     STAGE_ORDER,
@@ -58,8 +61,16 @@ from repro.core.stages import (
     LoadManagementStage,
 )
 from repro.errors import ConfigurationError
-from repro.invariants.checker import CheckedStage, InvariantChecker
-from repro.observability.instrument import InstrumentedStage, declare_pipeline_metrics
+from repro.invariants.checker import InvariantChecker
+from repro.invariants.checks import invariants_for
+from repro.observability.instrument import (
+    COMPARISONS_EXECUTED,
+    COMPARISONS_GENERATED,
+    MATCHES,
+    STAGE_ITEMS,
+    STAGE_SERVICE_SECONDS,
+    declare_pipeline_metrics,
+)
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 
 __all__ = [
@@ -198,12 +209,11 @@ class PipelinePlan:
     ) -> "CompiledPipeline":
         """Instantiate every active stage against one state backend.
 
-        With an enabled ``registry``, every stage is wrapped in an
-        :class:`~repro.observability.instrument.InstrumentedStage` so all
-        executors compiling this plan emit the shared metric vocabulary.
-        With an enabled ``checker``, stages are additionally wrapped in a
-        :class:`~repro.invariants.checker.CheckedStage` so every output
-        message is verified against the registered stage invariants.
+        With an enabled ``registry`` every stage call records the shared
+        metric vocabulary; with an enabled ``checker`` every output message
+        is verified against the registered stage invariants; on a durable
+        backend every entity is committed as it leaves ``f_cl``.  See
+        :class:`CompiledPipeline` for how those duties are composed.
         """
         return CompiledPipeline(
             self,
@@ -213,20 +223,64 @@ class PipelinePlan:
         )
 
 
+#: The counter a stage call feeds besides its item count: stage → (metric,
+#: size read off the call's input and output).  Read off the messages, not
+#: diffed from stage counters, so interleaved executors or retries on one
+#: compiled plan still count right.
+_MESSAGE_COUNTERS: dict[str, tuple[str, Callable]] = {
+    "cg": (COMPARISONS_GENERATED, lambda message, out: len(out.candidates)),
+    "co": (COMPARISONS_EXECUTED, lambda message, out: len(message.comparisons)),
+    "cl": (MATCHES, lambda message, out: len(out)),
+}
+
+
+class _StageCall:
+    """One stage call with every duty around it: the stage, the durable
+    commit (``f_cl`` only), then service time, item count and message
+    counter (the commit inside the timed region), then the stage-scope
+    invariants — outside the timing, so a violating call is still timed."""
+
+    __slots__ = ("name", "_stage", "_commit", "_service", "_items", "_counter", "_size", "_check")
+
+    def __init__(self, name, stage, commit, registry: MetricsRegistry, check) -> None:
+        self.name = name
+        self._stage = stage
+        self._commit = commit
+        self._service = registry.histogram(STAGE_SERVICE_SECONDS, stage=name)
+        self._items = registry.counter(STAGE_ITEMS, stage=name)
+        metric, self._size = _MESSAGE_COUNTERS.get(name, (None, None))
+        self._counter = registry.counter(metric) if metric is not None else None
+        self._check = check
+
+    def __call__(self, message):
+        start = perf_counter()
+        out = self._stage(message)
+        if self._commit is not None:
+            self._commit(message.profile.eid)
+        self._service.observe(perf_counter() - start)
+        self._items.inc()
+        if self._counter is not None:
+            self._counter.inc(self._size(message, out))
+        if self._check is not None:
+            self._check(self.name, out, message)
+        return out
+
+
 class CompiledPipeline:
     """The plan's stages, instantiated in order against a shared backend.
 
-    This is what an executor consumes: an ordered mapping of active stage
-    name → stage callable, plus the backend that owns all mutable state.
+    This is what an executor consumes: the stage objects by name
+    (:meth:`get` / :meth:`stage` — counters are read and written on them
+    directly), one callable per stage in pipeline order (:meth:`ordered` /
+    :meth:`stage_functions`), and the backend that owns all mutable state.
     Dropped optional nodes are simply absent — executors query with
     :meth:`get` and treat ``None`` as "not in this run".
 
-    With an enabled metrics ``registry``, stage callables are
-    :class:`~repro.observability.instrument.InstrumentedStage` wrappers —
-    transparent for attribute access (``compiled.get("cg").generated``
-    still resolves) but recording per-stage service time, item counts and
-    the comparison/match counters into the registry.  With the default
-    ``NULL_REGISTRY``, stages are left bare and nothing is recorded.
+    The per-stage callable is built once, here — the one place that decides
+    what happens around a stage call.  With nothing to do per call
+    (disabled registry, no stage-scope invariant to check, not the durable
+    ``f_cl``) it *is* the stage object: the bare hot path pays no extra
+    frame.  Otherwise it is one :class:`_StageCall`.
     """
 
     def __init__(
@@ -245,35 +299,31 @@ class CompiledPipeline:
         self.capabilities = backend_capabilities(backend)
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.checker = checker if (checker is not None and checker.enabled) else None
+        declare_pipeline_metrics(self.registry, plan.stage_names())
+        if self.checker is not None:
+            self.checker.bind(plan.config, backend, self.registry)
         self._stages: dict[str, Callable] = {
             spec.name: spec.factory(plan.config, backend) for spec in plan.specs
         }
-        if hasattr(backend, "commit_entity") and "cl" in self._stages:
-            # Durable backend: commit each entity as it leaves ``f_cl``.
-            # Innermost wrapper, so instrumentation times the commit and
-            # invariant checking still sees the stage's real output.
-            self._stages["cl"] = CommittingStage("cl", self._stages["cl"], backend)
-        if self.registry.enabled:
-            declare_pipeline_metrics(self.registry, self.plan.stage_names())
-            self._stages = {
-                name: InstrumentedStage(name, stage, self.registry)
-                for name, stage in self._stages.items()
-            }
-        if self.checker is not None:
-            # Checking wraps *outside* instrumentation, so a violation's
-            # stage timing is still recorded and attribute delegation
-            # chains through both wrappers.
-            self.checker.bind(plan.config, backend, self.registry)
-            self._stages = {
-                name: CheckedStage(name, stage, self.checker)
-                for name, stage in self._stages.items()
-            }
+        # A durable backend commits each entity as it leaves ``f_cl``.
+        commit_entity = getattr(backend, "commit_entity", None)
+        self._calls: dict[str, Callable] = {}
+        for name, stage in self._stages.items():
+            commit = commit_entity if name == "cl" else None
+            check = None
+            if self.checker is not None and invariants_for("stage", name):
+                check = self.checker.observe_stage
+            if commit is None and check is None and not self.registry.enabled:
+                self._calls[name] = stage
+            else:
+                self._calls[name] = _StageCall(name, stage, commit, self.registry, check)
 
     @property
     def names(self) -> tuple[str, ...]:
         return self.plan.stage_names()
 
     def stage(self, name: str) -> Callable:
+        """The stage object; raises for a node that is not in the plan."""
         try:
             return self._stages[name]
         except KeyError:
@@ -282,13 +332,13 @@ class CompiledPipeline:
             ) from None
 
     def get(self, name: str):
-        """The stage callable, or None when the node is not in the plan."""
+        """The stage object, or None when the node is not in the plan."""
         return self._stages.get(name)
 
     def ordered(self) -> list[tuple[str, Callable]]:
-        """(name, stage) pairs in pipeline order."""
-        return [(spec.name, self._stages[spec.name]) for spec in self.plan.specs]
+        """(name, per-stage callable) pairs in pipeline order."""
+        return [(spec.name, self._calls[spec.name]) for spec in self.plan.specs]
 
     def stage_functions(self) -> dict[str, Callable]:
-        """A mutable name → callable mapping (for wrapping/fault injection)."""
-        return dict(self._stages)
+        """A mutable name → per-stage callable mapping (for wrapping)."""
+        return dict(self._calls)

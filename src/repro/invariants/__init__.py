@@ -13,15 +13,15 @@ contracts first-class:
   ``simulation``);
 * :mod:`repro.invariants.checker` — :class:`InvariantChecker`, compiled
   into any executor at :meth:`~repro.core.plan.PipelinePlan.compile` time
-  (every stage wrapped in a :class:`CheckedStage`, exactly like
-  ``InstrumentedStage``), with near-zero overhead when absent.
+  (its stage-scope check is one duty of the per-stage callable the
+  compiled plan composes), with zero overhead when absent.
 
 ``repro-er check`` runs the invariant suite together with the metamorphic
 oracle suite of :mod:`repro.proptest`; see ``docs/correctness.md``.
 """
 
 from repro.errors import InvariantViolation
-from repro.invariants.checker import CheckedStage, InvariantChecker, Violation
+from repro.invariants.checker import InvariantChecker, Violation
 from repro.invariants.checks import (
     Invariant,
     RunView,
@@ -38,7 +38,6 @@ from repro.invariants.checks import (
 __all__ = [
     "InvariantViolation",
     "InvariantChecker",
-    "CheckedStage",
     "Violation",
     "Invariant",
     "StateView",

@@ -2,8 +2,9 @@
 
 An :class:`InvariantChecker` is handed to an executor (or directly to
 :meth:`~repro.core.plan.PipelinePlan.compile`); the compiled pipeline then
-wraps every stage in a :class:`CheckedStage` — the exact mechanism
-:class:`~repro.observability.instrument.InstrumentedStage` uses — so the
+calls :meth:`InvariantChecker.observe_stage` after every call of a stage
+that has stage-scope invariants — one duty of the single per-stage
+callable it composes, beside metrics and the durable commit — so the
 same checker works in the sequential pipeline, the thread framework, the
 multiprocess executor and (for the run-level conservation checks) the
 simulator, without any executor-specific shims.  ``checker=None`` (the
@@ -37,7 +38,7 @@ from repro.invariants.checks import (
     invariants_for,
 )
 
-__all__ = ["InvariantChecker", "CheckedStage", "Violation"]
+__all__ = ["InvariantChecker", "Violation"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class InvariantChecker:
         inside a supervised worker.
     enabled:
         ``False`` turns the checker into a no-op without rewiring call
-        sites (the compiled plan then leaves stages unwrapped).
+        sites (the compiled plan then adds no check to any stage call).
     """
 
     def __init__(
@@ -222,31 +223,3 @@ class InvariantChecker:
         if self.mode == "raise":
             self.raise_if_violated()
 
-
-class CheckedStage:
-    """A stage callable wrapped with output invariant checking.
-
-    Mirrors :class:`~repro.observability.instrument.InstrumentedStage`:
-    attribute reads fall through to the wrapped stage (which may itself be
-    an ``InstrumentedStage``), so counters like ``cg.generated`` stay
-    reachable through however many wrappers the compile produced.
-    """
-
-    __slots__ = ("inner", "name", "_checker", "_active")
-
-    def __init__(self, name: str, inner: Callable, checker: InvariantChecker) -> None:
-        self.inner = inner
-        self.name = name
-        self._checker = checker
-        # Resolve once: stages without registered invariants pay nothing
-        # beyond one attribute load and a falsy test per call.
-        self._active = bool(invariants_for("stage", name))
-
-    def __call__(self, message):
-        out = self.inner(message)
-        if self._active:
-            self._checker.observe_stage(self.name, out, message)
-        return out
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)

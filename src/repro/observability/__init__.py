@@ -27,8 +27,8 @@ from repro.observability.instrument import (
     RETRIES,
     STAGE_ITEMS,
     STAGE_SERVICE_SECONDS,
-    InstrumentedStage,
     declare_pipeline_metrics,
+    stage_seconds,
 )
 from repro.observability.registry import (
     DEFAULT_TIME_BUCKETS,
@@ -50,8 +50,8 @@ __all__ = [
     "EntityTrace",
     "StageSpan",
     "Tracer",
-    "InstrumentedStage",
     "declare_pipeline_metrics",
+    "stage_seconds",
     "PIPELINE_METRIC_NAMES",
     "STAGE_ITEMS",
     "STAGE_SERVICE_SECONDS",

@@ -27,16 +27,15 @@ plan's active stages, so every export carries the complete vocabulary
 in the sequential pipeline) and name-set comparisons across executors are
 exact.
 
-:class:`InstrumentedStage` wraps a stage callable with timing and the
-stage-specific counters while *delegating attribute access* to the
-wrapped stage — executors and tests that read ``cg.generated`` or
-``bb.pruned_blocks`` through the compiled plan keep working unchanged.
+The stage-labelled families and the comparison/match counters are
+recorded at one call site, the per-stage callable
+:class:`~repro.core.plan.CompiledPipeline` composes at compile time;
+:func:`stage_seconds` reads the per-stage service totals back.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from time import perf_counter
+from collections.abc import Iterable
 
 from repro.observability.registry import MetricsRegistry
 
@@ -73,7 +72,7 @@ __all__ = [
     "declare_pipeline_metrics",
     "declare_durability_metrics",
     "declare_partition_metrics",
-    "InstrumentedStage",
+    "stage_seconds",
 ]
 
 STAGE_ITEMS = "er_stage_items_total"
@@ -214,63 +213,15 @@ def declare_partition_metrics(registry: MetricsRegistry) -> None:
     registry.gauge(PARTITION_LARGEST_SHARE)
 
 
-class InstrumentedStage:
-    """A stage callable wrapped with service timing and item counting.
+def stage_seconds(registry: MetricsRegistry) -> dict[str, float]:
+    """Seconds each stage spent in service: the sums of
+    ``er_stage_service_seconds{stage}`` (empty for a disabled registry).
 
-    Attribute reads fall through to the wrapped stage, so counters like
-    ``generated`` / ``pruned_blocks`` / ``matches`` stay reachable through
-    the compiled plan whether or not metrics are on.
+    The one reader of "where did the time go" per stage — a run's total
+    stage time is ``sum(stage_seconds(registry).values())``.
     """
-
-    __slots__ = ("inner", "name", "_service", "_items", "_observe_message")
-
-    def __init__(self, name: str, inner: Callable, registry: MetricsRegistry) -> None:
-        self.inner = inner
-        self.name = name
-        self._service = registry.histogram(STAGE_SERVICE_SECONDS, stage=name)
-        self._items = registry.counter(STAGE_ITEMS, stage=name)
-        self._observe_message = _message_observer(name, registry)
-
-    def __call__(self, message):
-        start = perf_counter()
-        out = self.inner(message)
-        self._service.observe(perf_counter() - start)
-        self._items.inc()
-        if self._observe_message is not None:
-            self._observe_message(message, out)
-        return out
-
-    def __getattr__(self, attr):
-        return getattr(self.inner, attr)
-
-
-def _message_observer(name: str, registry: MetricsRegistry):
-    """Stage-specific counter hook (None for stages with nothing extra).
-
-    The hooks read sizes off the inter-stage messages rather than diffing
-    stage-internal counters, so they stay correct when several executors
-    (or several supervised retries) interleave on one compiled plan.
-    """
-    if name == "cg":
-        generated = registry.counter(COMPARISONS_GENERATED)
-
-        def observe_cg(message, out) -> None:
-            generated.inc(len(out.candidates))
-
-        return observe_cg
-    if name == "co":
-        executed = registry.counter(COMPARISONS_EXECUTED)
-
-        def observe_co(message, out) -> None:
-            executed.inc(len(message.comparisons))
-
-        return observe_co
-    if name == "cl":
-        matches = registry.counter(MATCHES)
-
-        def observe_cl(message, out) -> None:
-            if out:
-                matches.inc(len(out))
-
-        return observe_cl
-    return None
+    return {
+        dict(metric.labels)["stage"]: metric.sum
+        for metric in registry.collect()
+        if metric.name == STAGE_SERVICE_SECONDS
+    }

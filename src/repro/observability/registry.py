@@ -18,7 +18,7 @@ Design constraints, in order:
 1. **Near-zero overhead when disabled.**  A registry constructed with
    ``enabled=False`` (or the shared :data:`NULL_REGISTRY`) hands out
    singleton null instruments whose methods are no-ops, and exposes
-   ``enabled`` so wiring code can skip wrapping stages entirely — the
+   ``enabled`` so the compiled plan can hand out bare stages — the
    disabled path adds no locks, no allocation, no timer reads.
 2. **Thread safety.**  Instruments are shared across worker threads in
    the parallel framework; every mutation takes the instrument's lock

@@ -1,8 +1,10 @@
 """Calibrating the simulator from real measurements.
 
 The simulator is only as honest as its inputs; this module owns the one
-supported calibration path: run the *instrumented sequential pipeline*
-over real (or realistic) entities, convert its per-stage totals into
+supported calibration path: run the sequential pipeline with an enabled
+metrics registry over real (or realistic) entities, read its per-stage
+service totals back from the registry
+(:func:`~repro.observability.instrument.stage_seconds`), convert them into
 per-entity means, and derive the default machine parameters the
 reproduction uses everywhere (per-message overhead = 5% of the mean
 per-entity cost, buffer capacity 16 — the Akka Streams default).
@@ -16,6 +18,7 @@ from repro.core.config import StreamERConfig
 from repro.core.pipeline import StreamERPipeline
 from repro.core.stages import STAGE_ORDER
 from repro.errors import ConfigurationError
+from repro.observability.instrument import stage_seconds
 from repro.parallel.simulator import ServiceModel, SimulatorConfig
 from repro.types import EntityDescription
 
@@ -28,8 +31,9 @@ def calibrate_service_model(
 ) -> ServiceModel:
     """Measure per-stage service times by running the real pipeline.
 
-    Returns a :class:`ServiceModel` whose per-stage means are the measured
-    totals divided by the number of entities, with lognormal variability
+    Returns a :class:`ServiceModel` whose per-stage means are the
+    registry's ``er_stage_service_seconds{stage}`` sums divided by the
+    number of entities, with lognormal variability
     of coefficient ``cv`` around them.
     """
     if not entities:
@@ -37,9 +41,8 @@ def calibrate_service_model(
     pipeline = StreamERPipeline(config, instrument=True)
     pipeline.process_many(entities)
     n = len(entities)
-    means = {
-        stage: pipeline.timings.seconds.get(stage, 0.0) / n for stage in STAGE_ORDER
-    }
+    seconds = stage_seconds(pipeline.registry)
+    means = {stage: seconds.get(stage, 0.0) / n for stage in STAGE_ORDER}
     return ServiceModel(mean_seconds=means, cv=cv, seed=seed)
 
 

@@ -24,8 +24,10 @@ whose profile store is a read view over the shared columns.  The parent
 only merges matches (its match store stays the sole owner of *M*).  Keys
 never span workers, so per-entity cleaning semantics hold exactly.
 
-**In the parent, via the compiled plan's own stages** under the
-supervisor — sequential semantics, no pool.
+**In the parent, via the compiled plan's own per-stage callables** under
+the supervisor — sequential semantics, no pool.  ``self.lm`` / ``self.cc``
+are the plan's stage objects themselves, so the counters the workers
+report are folded straight into them.
 
 Which of the two is resolved *once*, at construction, against the four
 configuration blockers (:attr:`MultiprocessERPipeline.partition_blockers`:
@@ -258,20 +260,6 @@ def _terminate_pool(pool) -> None:
     pool.join()
 
 
-def _unwrap(stage):
-    """The bare stage object behind Instrumented/Checked decorators.
-
-    The wrappers delegate reads only, so the counters folded in from the
-    workers (``cc.retained``, ``lm.materialized``) go to the innermost object.
-    """
-    inner = stage
-    while True:
-        next_inner = getattr(inner, "inner", None)
-        if next_inner is None:
-            return inner
-        inner = next_inner
-
-
 class MultiprocessERPipeline:
     """Stream ER with each entity's ``cc → lm → co → cl`` tail on a process
     pool when the wiring is eligible, in the parent when it is not.
@@ -302,8 +290,9 @@ class MultiprocessERPipeline:
         A pre-built :class:`~repro.core.plan.PipelinePlan` to compile; by
         default one is derived from ``config``.
     registry:
-        An optional :class:`~repro.observability.MetricsRegistry`.  Stages
-        the parent runs are instrumented like everywhere else; worker-side,
+        An optional :class:`~repro.observability.MetricsRegistry`.  Stage
+        calls the parent runs record metrics through the compiled plan's
+        per-stage callables, as in every executor; worker-side,
         ``er_stage_items_total{stage}`` is folded in from the workers'
         counts (entities that finished the stage, as everywhere) and
         ``er_stage_service_seconds{stage="co"}`` observes per-partition
@@ -375,7 +364,8 @@ class MultiprocessERPipeline:
         self.backend = self.compiled.backend
         self.entities_processed = 0
         self._trace_seq = 0
-        # Optional nodes the plan dropped are simply absent.
+        # The stage objects (optional nodes the plan dropped are None);
+        # worker counters are folded straight into them.
         self.dr = self.compiled.get("dr")
         self.bb = self.compiled.get("bb+bp")
         self.bg = self.compiled.get("bg")
@@ -434,8 +424,8 @@ class MultiprocessERPipeline:
                 "threshold/oracle classifier; workers hold token ids only)"
             )
         if hasattr(self.backend, "commit_entity"):
-            # The commit rides the parent's cl wrapper; a worker-side cl
-            # would bypass it and the WAL would silently miss matches.
+            # The commit rides the parent's compiled cl call; a worker-side
+            # cl would bypass it and the WAL would silently miss matches.
             blockers.append("durable backends commit per-entity through cl")
         return tuple(blockers)
 
@@ -665,8 +655,7 @@ class MultiprocessERPipeline:
             registry.gauge(PARTITION_IMBALANCE).set(plan.imbalance)
             registry.gauge(PARTITION_LARGEST_SHARE).set(plan.largest_share)
         match_store = self.backend.matches
-        lm = _unwrap(self.lm)
-        cc = _unwrap(self.cc) if self.cc is not None else None
+        lm, cc = self.lm, self.cc
         last_yield = time.perf_counter()
         for found, dead_letters, retries, items, counters in pool.imap(
             _run_partition, descriptors

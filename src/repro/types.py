@@ -10,7 +10,7 @@ both the dataset of origin and the local key, exactly as the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
 EntityId = Hashable
@@ -153,22 +153,3 @@ class DeadLetter:
     error: str
     attempts: int = 1
 
-
-@dataclass(slots=True)
-class StageTimings:
-    """Accumulated wall-clock seconds spent in each pipeline stage."""
-
-    seconds: dict[str, float] = field(default_factory=dict)
-
-    def add(self, stage: str, elapsed: float) -> None:
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + elapsed
-
-    def total(self) -> float:
-        return sum(self.seconds.values())
-
-    def share(self) -> dict[str, float]:
-        """Fraction of total time per stage (empty dict if nothing timed)."""
-        total = self.total()
-        if total <= 0.0:
-            return {}
-        return {stage: t / total for stage, t in self.seconds.items()}

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.core.stages import STAGE_ORDER
+from repro.observability import NULL_REGISTRY, STAGE_SERVICE_SECONDS, stage_seconds
 from repro.types import EntityDescription, pair_key
 
 
@@ -29,12 +32,14 @@ class TestProcess:
     def test_timings_cover_all_stages(self, paper_entities, paper_config):
         pipeline = StreamERPipeline(paper_config, instrument=True)
         pipeline.process(paper_entities[0])
-        assert set(pipeline.timings.seconds) == set(STAGE_ORDER)
+        assert set(stage_seconds(pipeline.registry)) == set(STAGE_ORDER)
 
     def test_uninstrumented_pipeline_has_no_timings(self, paper_entities, paper_config):
         pipeline = StreamERPipeline(paper_config, instrument=False)
         pipeline.process(paper_entities[0])
-        assert pipeline.timings.seconds == {}
+        assert pipeline.registry is NULL_REGISTRY
+        assert stage_seconds(pipeline.registry) == {}
+        assert pipeline.summary().elapsed_seconds == 0
 
     def test_instrumentation_does_not_change_results(self, paper_entities, paper_config):
         timed = StreamERPipeline(paper_config, instrument=True)
@@ -60,6 +65,22 @@ class TestProcessMany:
         assert first.comparisons_generated + second.comparisons_generated == (
             total.comparisons_generated
         )
+
+    def test_increment_results_do_not_alias_cumulative_state(
+        self, paper_entities, paper_config
+    ):
+        pipeline = StreamERPipeline(paper_config, instrument=True)
+        first = pipeline.process_many(paper_entities[:3])
+        before = copy.deepcopy(first)
+        pipeline.process_many(paper_entities[3:])
+        assert first == before
+        # The registry, not the results, holds the cumulative stage clock.
+        for stage in STAGE_ORDER:
+            service = pipeline.registry.get(STAGE_SERVICE_SECONDS, stage=stage)
+            assert service.count == len(paper_entities)
+        total = sum(stage_seconds(pipeline.registry).values())
+        assert total > 0
+        assert pipeline.summary().elapsed_seconds == total
 
     def test_incremental_equals_single_pass(self, paper_entities, paper_config):
         together = StreamERPipeline(paper_config)

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.backends import InMemoryBackend
+from repro.core.backends import InMemoryBackend, SharedMemoryBackend
 from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan
-from repro.errors import ConfigurationError
+from repro.core.stages import (
+    BlockBuildingStage,
+    ClassificationStage,
+    ComparisonGenerationStage,
+    LoadManagementStage,
+)
+from repro.errors import ConfigurationError, InvariantViolation
+from repro.invariants import Invariant, InvariantChecker, checks
+from repro.observability import STAGE_ITEMS, STAGE_SERVICE_SECONDS, MetricsRegistry
 from repro.parallel import MultiprocessERPipeline, ParallelERPipeline, PipelineSimulator
 from repro.parallel.simulator import ServiceModel
+from repro.types import EntityDescription
 
 
 def full_config(**overrides) -> StreamERConfig:
@@ -25,6 +35,16 @@ def full_config(**overrides) -> StreamERConfig:
 
 def service_model() -> ServiceModel:
     return ServiceModel(mean_seconds={name: 1e-4 for name in STAGE_ORDER})
+
+
+def overlapping_entities(n: int) -> list[EntityDescription]:
+    words = ["glass", "panel", "wood", "fibre", "roof", "window"]
+    return [
+        EntityDescription.create(
+            i, {"title": " ".join(words[(i + j) % len(words)] for j in range(3))}
+        )
+        for i in range(n)
+    ]
 
 
 class TestPlanConstruction:
@@ -93,6 +113,92 @@ class TestPlanCompilation:
         assert compiled.stage("bb+bp").blocks is backend.blocks
         assert compiled.stage("lm").profiles is backend.profiles
         assert compiled.stage("cl").matches is backend.matches
+
+    @pytest.mark.parametrize("backend_type", [InMemoryBackend, SharedMemoryBackend])
+    def test_bare_wiring_compiles_to_the_stage_objects(self, backend_type):
+        backend = backend_type()
+        try:
+            compiled = PipelinePlan.from_config(full_config()).compile(backend)
+            assert all(fn is compiled.stage(name) for name, fn in compiled.ordered())
+            assert all(
+                fn is compiled.stage(name)
+                for name, fn in compiled.stage_functions().items()
+            )
+        finally:
+            if backend_type is SharedMemoryBackend:
+                backend.unlink()
+
+    @pytest.mark.parametrize(
+        "option", ["none", "instrument", "registry", "checker", "durable"]
+    )
+    def test_stage_attributes_are_the_stage_objects(self, option, tmp_path):
+        kwargs = {
+            "none": {},
+            "instrument": {"instrument": True},
+            "registry": {"registry": MetricsRegistry()},
+            "checker": {"checker": InvariantChecker(mode="record")},
+            "durable": {"wal_dir": str(tmp_path / "wal")},
+        }[option]
+        pipeline = StreamERPipeline(full_config(), **kwargs)
+        for attr, name, cls in (
+            ("cg", "cg", ComparisonGenerationStage),
+            ("bb", "bb+bp", BlockBuildingStage),
+            ("lm", "lm", LoadManagementStage),
+            ("cl", "cl", ClassificationStage),
+        ):
+            assert getattr(pipeline, attr) is pipeline.compiled.get(name)
+            assert type(pipeline.compiled.get(name)) is cls
+        pipeline.close()
+
+    def test_stage_duties_compose_into_one_call(self, tmp_path, monkeypatch):
+        def always_fails(view) -> None:
+            raise InvariantViolation("forced-cl-failure", "forced by the test")
+
+        monkeypatch.setitem(
+            checks._REGISTRY,
+            "forced-cl-failure",
+            Invariant("forced-cl-failure", "stage", always_fails, stage="cl"),
+        )
+        entities = overlapping_entities(12)
+        registry = MetricsRegistry()
+        checker = InvariantChecker(mode="record")
+        pipeline = StreamERPipeline(
+            full_config(), registry=registry, checker=checker, wal_dir=str(tmp_path / "wal")
+        )
+        pipeline.process_many(entities)
+        pipeline.close()
+        n = len(entities)
+        assert pipeline.backend.entities_committed == n  # one commit per entity
+        assert registry.value(STAGE_ITEMS, stage="cl") == n
+        forced = [v for v in checker.violations if v.invariant == "forced-cl-failure"]
+        assert len(forced) == n and {v.stage for v in forced} == {"cl"}
+        # The check runs after the timed region: every violating call was timed.
+        assert registry.get(STAGE_SERVICE_SECONDS, stage="cl").count == n
+        assert dict(pipeline.compiled.ordered())["cl"] is not pipeline.cl
+
+        # Pool workers' counters fold straight into the plan's stage objects.
+        backend = SharedMemoryBackend()
+        try:
+            mp = MultiprocessERPipeline(
+                StreamERConfig.interned(
+                    alpha=100, beta=0.5, classifier=ThresholdClassifier(0.4)
+                ),
+                workers=1,
+                backend=backend,
+                registry=MetricsRegistry(),
+                checker=InvariantChecker(mode="record"),
+                partitioned=True,
+            )
+            assert mp.lm is mp.compiled.get("lm")
+            assert mp.cc is mp.compiled.get("cc")
+            mp.run(entities)
+            mp.close()
+        finally:
+            backend.unlink()
+        assert mp.pairs_dispatched > 0
+        assert mp.cc.retained == mp.lm.materialized == (
+            mp.pairs_dispatched + mp.pairs_prefiltered + mp.co.compared
+        )
 
 
 class TestExecutorsShareThePlan:

@@ -12,7 +12,6 @@ from repro.core.stages import BlockedEntity, CandidateComparisons
 from repro.core.state import BlockPrefix
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants import (
-    CheckedStage,
     InvariantChecker,
     StateView,
     get_invariant,
@@ -226,24 +225,22 @@ class TestStageEnforcement:
 
 
 class TestCompilation:
-    def test_enabled_checker_wraps_stages(self):
-        checker = InvariantChecker(mode="record")
-        pipeline = StreamERPipeline(small_config(), checker=checker)
-        assert isinstance(pipeline.cg, CheckedStage)
-        pipeline.process_many(small_stream(4))
-        # Attribute delegation chains through the wrapper.
-        assert pipeline.cg.generated >= 0
+    @staticmethod
+    def bare(pipeline: StreamERPipeline) -> bool:
+        """Every compiled stage callable is the stage object itself."""
+        compiled = pipeline.compiled
+        return all(fn is compiled.stage(name) for name, fn in compiled.ordered())
 
     def test_disabled_checker_leaves_stages_unwrapped(self):
         checker = InvariantChecker(enabled=False)
         pipeline = StreamERPipeline(small_config(), checker=checker)
         assert pipeline.checker is None
-        assert not isinstance(pipeline.cg, CheckedStage)
+        assert self.bare(pipeline)
 
     def test_no_checker_by_default(self):
         pipeline = StreamERPipeline(small_config())
         assert pipeline.checker is None
-        assert not isinstance(pipeline.cg, CheckedStage)
+        assert self.bare(pipeline)
 
     def test_checked_run_produces_identical_matches(self):
         entities = small_stream(12)

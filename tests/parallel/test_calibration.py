@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.classification import ThresholdClassifier
-from repro.core import StreamERConfig
+from repro.core import StreamERConfig, StreamERPipeline
 from repro.core.stages import STAGE_ORDER
 from repro.errors import ConfigurationError
-from repro.parallel import calibrate_service_model, default_simulator_config
+from repro.observability import stage_seconds
+from repro.parallel import calibrate_service_model, calibration, default_simulator_config
 from repro.types import EntityDescription
 
 
@@ -28,6 +29,25 @@ class TestCalibrateServiceModel:
         service = calibrate_service_model(sample(), config())
         assert set(service.mean_seconds) == set(STAGE_ORDER)
         assert service.mean_total() > 0
+
+    def test_means_are_the_registry_sums_per_entity(self, monkeypatch):
+        pipelines: list[StreamERPipeline] = []
+
+        class Recording(StreamERPipeline):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pipelines.append(self)
+
+        monkeypatch.setattr(calibration, "StreamERPipeline", Recording)
+        entities = sample()
+        service = calibrate_service_model(entities, config())
+        (pipeline,) = pipelines
+        sums = stage_seconds(pipeline.registry)
+        assert set(sums) == set(STAGE_ORDER)
+        for stage in STAGE_ORDER:
+            assert service.mean_seconds[stage] * len(entities) == pytest.approx(
+                sums[stage]
+            )
 
     def test_requires_entities(self):
         with pytest.raises(ConfigurationError):

@@ -12,7 +12,6 @@ from repro.types import (
     Match,
     Profile,
     ScoredComparison,
-    StageTimings,
     pair_key,
 )
 
@@ -80,20 +79,3 @@ class TestComparisonAndMatch:
     def test_match_key_is_canonical(self):
         assert Match(left=9, right=2).key() == (2, 9)
 
-
-class TestStageTimings:
-    def test_add_accumulates(self):
-        t = StageTimings()
-        t.add("co", 1.0)
-        t.add("co", 0.5)
-        assert t.seconds["co"] == pytest.approx(1.5)
-
-    def test_total_and_share(self):
-        t = StageTimings()
-        t.add("a", 3.0)
-        t.add("b", 1.0)
-        assert t.total() == pytest.approx(4.0)
-        assert t.share() == {"a": pytest.approx(0.75), "b": pytest.approx(0.25)}
-
-    def test_share_of_empty_timings(self):
-        assert StageTimings().share() == {}
