@@ -1,11 +1,9 @@
 """Core of the reproduction: functional model, state, plan, pipeline."""
 
 from repro.core.backends import (
-    CooccurrenceCounter,
     DurabilityConfig,
     DurableBackend,
     InMemoryBackend,
-    ShardedBackend,
     StateBackend,
 )
 from repro.core.cleanclean import combine, combine_many, source_of, tag, tag_pairs
@@ -41,10 +39,8 @@ __all__ = [
     "STAGE_ORDER",
     "StateBackend",
     "InMemoryBackend",
-    "ShardedBackend",
     "DurableBackend",
     "DurabilityConfig",
-    "CooccurrenceCounter",
     "BlockCollection",
     "BlockPrefix",
     "Blacklist",

@@ -1,25 +1,12 @@
 """Pluggable state backends: where the ER state σ physically lives."""
 
-from repro.core.backends.base import (
-    CooccurrenceCounter,
-    StateBackend,
-    backend_capabilities,
-)
+from repro.core.backends.base import StateBackend
 from repro.core.backends.durable import (
     DurabilityConfig,
     DurableBackend,
     config_fingerprint,
 )
 from repro.core.backends.memory import InMemoryBackend
-from repro.core.backends.sharded import (
-    ShardedBackend,
-    ShardedBlacklist,
-    ShardedBlockCollection,
-    ShardedCooccurrenceCounter,
-    ShardedMatchStore,
-    ShardedProfileStore,
-    shard_index,
-)
 from repro.core.backends.shm import (
     SharedColumnReader,
     SharedColumnStore,
@@ -30,19 +17,10 @@ from repro.core.backends.shm import (
 
 __all__ = [
     "StateBackend",
-    "CooccurrenceCounter",
-    "backend_capabilities",
     "InMemoryBackend",
     "DurableBackend",
     "DurabilityConfig",
     "config_fingerprint",
-    "ShardedBackend",
-    "ShardedBlockCollection",
-    "ShardedBlacklist",
-    "ShardedProfileStore",
-    "ShardedMatchStore",
-    "ShardedCooccurrenceCounter",
-    "shard_index",
     "SharedColumnReader",
     "SharedColumnStore",
     "SharedMemoryBackend",

@@ -2,8 +2,9 @@
 
 Durability is layered *under* the :class:`StateBackend` seam rather than
 into any executor: ``DurableBackend`` wraps an
-:class:`~repro.core.backends.InMemoryBackend` (or a sharded backend —
-the store proxies are duck-typed) and replaces each mutable store with a
+:class:`~repro.core.backends.InMemoryBackend` (or a
+:class:`~repro.core.backends.SharedMemoryBackend` — the store proxies are
+duck-typed) and replaces each mutable store with a
 logging proxy that appends a WAL record before applying the mutation.
 Stages receive the proxies through plan compilation exactly as they
 would receive the bare stores, so no stage knows durability exists.
@@ -330,7 +331,6 @@ class DurableBackend:
         self.profiles = _LoggedProfiles(inner.profiles, journal)
         self.matches = _LoggedMatches(inner.matches, journal)
         self.dictionary = _LoggedDictionary(inner.dictionary, journal)
-        self.cooccurrence = inner.cooccurrence  # stats only; not replayed
 
     @classmethod
     def resume(

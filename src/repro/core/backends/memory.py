@@ -7,7 +7,6 @@ the same way they would receive any other backend.
 
 from __future__ import annotations
 
-from repro.core.backends.base import CooccurrenceCounter
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -19,30 +18,14 @@ from repro.reading.interning import TokenDictionary
 
 
 class InMemoryBackend:
-    """One in-memory instance of every state component.
+    """One fresh in-memory instance of every state component."""
 
-    Individual components can be injected (e.g. a pre-loaded profile store
-    when resuming from a persisted state); anything not given is created
-    fresh.
-    """
-
-    def __init__(
-        self,
-        blocks: BlockCollection | None = None,
-        blacklist: Blacklist | None = None,
-        profiles: ProfileStore | None = None,
-        matches: MatchStore | None = None,
-        cooccurrence: CooccurrenceCounter | None = None,
-        dictionary: TokenDictionary | None = None,
-    ) -> None:
-        self.blocks = blocks if blocks is not None else BlockCollection()
-        self.blacklist = blacklist if blacklist is not None else Blacklist()
-        self.profiles = profiles if profiles is not None else ProfileStore()
-        self.matches = matches if matches is not None else MatchStore()
-        self.cooccurrence = (
-            cooccurrence if cooccurrence is not None else CooccurrenceCounter()
-        )
-        self.dictionary = dictionary if dictionary is not None else TokenDictionary()
+    def __init__(self) -> None:
+        self.blocks = BlockCollection()
+        self.blacklist = Blacklist()
+        self.profiles = ProfileStore()
+        self.matches = MatchStore()
+        self.dictionary = TokenDictionary()
 
     def state(self) -> ERState:
         return ERState(

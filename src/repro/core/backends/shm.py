@@ -53,7 +53,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.backends.base import CooccurrenceCounter
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -528,11 +527,10 @@ class SharedMemoryBackend:
     arrays, the row → entity-id mirror and the per-entity candidate
     (membership) records — because those are exactly what a worker needs
     to run an entity's ``cc → lm → co → cl`` tail.  Everything else
-    (blocks, blacklist, profiles, matches, co-occurrence, and the token
-    dictionary, which only ``f_dr`` in the parent consults) is parent-only
-    state that never crosses the process boundary, so it stays as the
-    plain in-memory implementations (injectable, like
-    :class:`~repro.core.backends.memory.InMemoryBackend`).
+    (blocks, blacklist, profiles, matches, and the token dictionary, which
+    only ``f_dr`` in the parent consults) is parent-only state that never
+    crosses the process boundary, so it stays as the plain in-memory
+    implementations.
 
     Lifecycle: the creating process owns the segments.  ``close()``
     detaches, ``unlink()`` removes (both idempotent; ``unlink`` implies
@@ -543,15 +541,10 @@ class SharedMemoryBackend:
     ``DurableBackend(SharedMemoryBackend(), ...)`` — durability is the
     *outer* decorator.  Its logging proxies call straight through to the
     inner stores, so WAL journaling is unaffected by where the columns
-    live, and the shm-only surface (``capabilities``, ``token_store``,
-    ``layout``) remains reachable through its attribute delegation.
+    live, and the shm-only surface (``publish_membership``,
+    ``token_store``, ``layout``) remains reachable through its attribute
+    delegation.
     """
-
-    #: Advertised via :meth:`capabilities`: this backend maintains the
-    #: token, entity and membership columns that block-partitioned
-    #: multiprocess dispatch (worker-side cleaning, scoring and
-    #: classification) reads.
-    PARTITION_COLUMNS = "shm-partition-columns"
 
     def __init__(
         self,
@@ -559,11 +552,6 @@ class SharedMemoryBackend:
         *,
         data_bytes: int = 1 << 18,
         dir_rows: int = 1 << 12,
-        blocks=None,
-        blacklist=None,
-        profiles=None,
-        matches=None,
-        cooccurrence=None,
     ) -> None:
         self.name = name if name is not None else _fresh_prefix()
         self._creator_pid = os.getpid()
@@ -583,13 +571,10 @@ class SharedMemoryBackend:
             token_columns, entity_columns=entity_columns
         )
         self.dictionary = TokenDictionary()
-        self.blocks = blocks if blocks is not None else BlockCollection()
-        self.blacklist = blacklist if blacklist is not None else Blacklist()
-        self.profiles = profiles if profiles is not None else ProfileStore()
-        self.matches = matches if matches is not None else MatchStore()
-        self.cooccurrence = (
-            cooccurrence if cooccurrence is not None else CooccurrenceCounter()
-        )
+        self.blocks = BlockCollection()
+        self.blacklist = Blacklist()
+        self.profiles = ProfileStore()
+        self.matches = MatchStore()
         self._finalizer = weakref.finalize(
             self, _finalize_backend, self._creator_pid, list(self._stores)
         )
@@ -614,10 +599,6 @@ class SharedMemoryBackend:
         )
 
     # -- the shm surface -----------------------------------------------
-
-    def capabilities(self) -> frozenset[str]:
-        """What this backend can do beyond the protocol (negotiation)."""
-        return frozenset({self.PARTITION_COLUMNS})
 
     def layout(self) -> dict[str, str]:
         """Column prefixes a worker needs to attach (picklable, tiny)."""

@@ -30,9 +30,9 @@ from typing import IO
 from repro.core.pipeline import StreamERPipeline
 from repro.durability.codec import decode_id, decode_match
 from repro.durability.snapshot import (
-    SNAPSHOT_FORMAT,
     apply_state_document,
     state_document,
+    validate_state_document,
 )
 from repro.errors import DatasetError, RecoveryError
 from repro.types import Profile
@@ -70,23 +70,11 @@ def load_state(pipeline: StreamERPipeline, source: str | Path | IO[str]) -> None
             document = json.load(handle)
     else:
         document = json.load(source)
-    fmt = document.get("format")
-    if fmt == LEGACY_FORMAT:
+    if document.get("format") == LEGACY_FORMAT:
         _load_legacy(pipeline, document)
         return
-    if fmt != SNAPSHOT_FORMAT:
-        raise DatasetError("not a repro ER state document")
     try:
-        # Re-validate through the snapshot loader's rules (version + hash)
-        # by routing the already-parsed document through its appliers.
-        from repro.durability.snapshot import SNAPSHOT_VERSION, _document_sha
-
-        if document.get("version") != SNAPSHOT_VERSION:
-            raise DatasetError(
-                f"unsupported state version {document.get('version')!r}"
-            )
-        if document.get("sha256") != _document_sha(document):
-            raise DatasetError("state document fails its integrity hash")
+        validate_state_document(document, "state document")
         count = apply_state_document(document, pipeline.backend)
     except RecoveryError as exc:
         raise DatasetError(str(exc)) from exc

@@ -64,6 +64,19 @@ class ERResult:
         return {d.entity_id for d in self.dead_letters}
 
 
+def lifetime_counters(pipeline) -> dict[str, int]:
+    """The :class:`ERResult` counter fields, cumulative over ``pipeline``'s
+    lifetime; an executor reports an increment as the difference of two."""
+    return {
+        "comparisons_generated": pipeline.cg.generated,
+        "comparisons_after_cleaning": pipeline.lm.materialized,
+        "blocks_pruned": pipeline.bb.pruned_blocks,
+        "keys_ghosted": pipeline.bg.ghosted_keys if pipeline.bg is not None else 0,
+        "items_failed": pipeline.items_failed,
+        "retries": pipeline.retries_performed,
+    }
+
+
 class StreamERPipeline:
     """Sequential end-to-end ER over dynamic data.
 
@@ -278,11 +291,7 @@ class StreamERPipeline:
             raise ConfigurationError(
                 f'on_error must be "raise" or "dead_letter", got {on_error!r}'
             )
-        start_generated = self.cg.generated
-        start_materialized = self.lm.materialized
-        start_pruned = self.bb.pruned_blocks
-        start_ghosted = self.bg.ghosted_keys if self.bg is not None else 0
-        start_failed = self.items_failed
+        start = lifetime_counters(self)
         matches: list[Match] = []
         dead: list[DeadLetter] = []
         count = 0
@@ -304,17 +313,13 @@ class StreamERPipeline:
                 if self._metrics_on:
                     self.registry.counter(DEAD_LETTERS, stage="pipeline").inc()
         elapsed = time.perf_counter() - wall_start
-        end_ghosted = self.bg.ghosted_keys if self.bg is not None else 0
+        end = lifetime_counters(self)
         return ERResult(
             entities_processed=count,
             matches=matches,
-            comparisons_generated=self.cg.generated - start_generated,
-            comparisons_after_cleaning=self.lm.materialized - start_materialized,
-            blocks_pruned=self.bb.pruned_blocks - start_pruned,
-            keys_ghosted=end_ghosted - start_ghosted,
             elapsed_seconds=elapsed,
-            items_failed=self.items_failed - start_failed,
             dead_letters=dead,
+            **{name: end[name] - start[name] for name in end},
         )
 
     def stream(self, entities: Iterable[EntityDescription]) -> Iterator[tuple[EntityDescription, list[Match]]]:

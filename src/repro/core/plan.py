@@ -43,11 +43,7 @@ from time import perf_counter
 from typing import Callable
 
 from repro.comparison.kernel import InternedComparator
-from repro.core.backends import (
-    InMemoryBackend,
-    StateBackend,
-    backend_capabilities,
-)
+from repro.core.backends import InMemoryBackend, StateBackend
 from repro.core.config import StreamERConfig
 from repro.core.stages import (
     STAGE_ORDER,
@@ -123,7 +119,7 @@ def _make_cg(config: StreamERConfig, backend: StateBackend):
 
 
 def _make_cc(config: StreamERConfig, backend: StateBackend):
-    return ComparisonCleaningStage(backend=backend)
+    return ComparisonCleaningStage()
 
 
 def _make_lm(config: StreamERConfig, backend: StateBackend):
@@ -292,11 +288,6 @@ class CompiledPipeline:
     ) -> None:
         self.plan = plan
         self.backend = backend
-        #: Capability strings the backend advertises, resolved once at
-        #: compile time so executors decide on fast paths (e.g. partitioned
-        #: multiprocess dispatch) off the compiled plan rather than
-        #: re-probing the backend.
-        self.capabilities = backend_capabilities(backend)
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.checker = checker if (checker is not None and checker.enabled) else None
         declare_pipeline_metrics(self.registry, plan.stage_names())

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.classification.classifiers import Classifier, ThresholdClassifier
 from repro.comparison.comparator import TokenSetComparator
-from repro.core.backends.base import CooccurrenceCounter, StateBackend
+from repro.core.backends.base import StateBackend
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -257,22 +257,15 @@ class ComparisonCleaningStage:
 
     name = "cc"
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        cooccurrence: CooccurrenceCounter | None = None,
-        backend: StateBackend | None = None,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        if cooccurrence is None:
-            cooccurrence = (
-                backend.cooccurrence if backend is not None else CooccurrenceCounter()
-            )
-        self.cooccurrence = cooccurrence
         self.retained = 0
 
     def __call__(self, generated: CandidateComparisons) -> CleanedComparisons:
-        counts = self.cooccurrence.count(generated.candidates)
+        # Partner id -> number of shared blocks, in first-occurrence order.
+        counts: dict[EntityId, int] = {}
+        for j in generated.candidates:
+            counts[j] = counts.get(j, 0) + 1
         if not counts:
             return CleanedComparisons(profile=generated.profile, candidates=[])
         if self.enabled:

@@ -12,8 +12,8 @@ choice); profiles are re-attached later via the profile store.
 
 These classes are also the unit of pluggable storage: a
 :class:`~repro.core.backends.StateBackend` groups one instance of each (or
-a sharded/remote equivalent with the same interface) and hands them to the
-stages, so executors never hard-code where state lives.
+a proxy with the same interface) and hands them to the stages, so
+executors never hard-code where state lives.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ class MatchStore:
 class ERState:
     """The full state σ = ⟨M, B⟩ plus the auxiliary stores of §IV-A.
 
-    The fields are duck-typed: a sharded backend supplies sharded stores
+    The fields are duck-typed: a durable backend supplies logging proxies
     with the same interfaces (see :mod:`repro.core.backends`).
     """
 

@@ -10,8 +10,7 @@ similarities too, not just pair keys.
 
 :func:`state_digest` is the oracle primitive behind the
 ``durability-replay-digest`` invariant: a canonical SHA-256 over the
-complete mutable state, insensitive to backend layout (a sharded and an
-in-memory backend holding the same state digest identically) but
+complete mutable state, insensitive to store iteration order but
 sensitive to everything resolution semantics depend on, including block
 member order.
 """
@@ -120,8 +119,8 @@ def _sort_key(value: object) -> str:
 def state_digest(backend: Any) -> str:
     """A canonical SHA-256 over the backend's complete mutable state.
 
-    Layout-insensitive: stores are rendered in a sorted canonical order so
-    sharded and in-memory backends with equal contents digest equally.
+    Order-insensitive: stores are rendered in a sorted canonical order so
+    backends with equal contents digest equally however they were filled.
     Block *member* order is preserved (candidate generation reads it), and
     the token dictionary is rendered in id order (id stability is part of
     the state).

@@ -47,6 +47,7 @@ __all__ = [
     "load_snapshot",
     "snapshot_path",
     "state_document",
+    "validate_state_document",
     "write_snapshot",
 ]
 
@@ -128,6 +129,26 @@ def write_snapshot(path: str | Path, document: dict) -> Path:
     return path
 
 
+def validate_state_document(document: dict, name: object) -> None:
+    """Raise :class:`RecoveryError` unless ``document`` is a current-version
+    state document whose integrity hash holds; ``name`` labels it in the
+    message."""
+    if document.get("format") != SNAPSHOT_FORMAT:
+        raise RecoveryError(f"{name} is not a repro ER snapshot")
+    if document.get("version") != SNAPSHOT_VERSION:
+        raise RecoveryError(
+            f"{name} has unsupported snapshot version "
+            f"{document.get('version')} (supported: {SNAPSHOT_VERSION})"
+        )
+    expected = document.get("sha256")
+    actual = _document_sha(document)
+    if expected != actual:
+        raise RecoveryError(
+            f"{name} fails its integrity hash "
+            f"(stored {expected}, computed {actual})"
+        )
+
+
 def load_snapshot(path: str | Path) -> dict:
     """Read and integrity-check a snapshot document."""
     path = Path(path)
@@ -135,20 +156,7 @@ def load_snapshot(path: str | Path) -> dict:
         document = json.loads(path.read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise RecoveryError(f"snapshot {path} is unreadable: {exc}") from exc
-    if document.get("format") != SNAPSHOT_FORMAT:
-        raise RecoveryError(f"{path} is not a repro ER snapshot")
-    if document.get("version") != SNAPSHOT_VERSION:
-        raise RecoveryError(
-            f"{path} has unsupported snapshot version "
-            f"{document.get('version')} (supported: {SNAPSHOT_VERSION})"
-        )
-    expected = document.get("sha256")
-    actual = _document_sha(document)
-    if expected != actual:
-        raise RecoveryError(
-            f"snapshot {path} fails its integrity hash "
-            f"(stored {expected}, computed {actual})"
-        )
+    validate_state_document(document, f"snapshot {path}")
     return document
 
 

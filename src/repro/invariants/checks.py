@@ -179,48 +179,42 @@ def _invariant(name: str, scope: str, stage: str | None = None, description: str
 # State-scope invariants
 
 
-def _block_stores(blocks: Any) -> list:
-    """The physical per-shard stores (or the store itself when unsharded)."""
-    shard_fn = getattr(blocks, "shard_stores", None)
-    return shard_fn() if shard_fn is not None else [blocks]
-
-
 @_invariant(
     "block-counters-consistent",
     "state",
     description="O(1) size/assignment/comparison counters equal full recounts",
 )
 def check_block_counters(view: StateView) -> None:
-    for store in _block_stores(view.backend.blocks):
-        members = {key: list(block) for key, block in store.items()}
-        assignments = sum(len(block) for block in members.values())
-        comparisons = sum(
-            len(block) * (len(block) - 1) // 2 for block in members.values()
+    store = view.backend.blocks
+    members = {key: list(block) for key, block in store.items()}
+    assignments = sum(len(block) for block in members.values())
+    comparisons = sum(
+        len(block) * (len(block) - 1) // 2 for block in members.values()
+    )
+    if store.total_assignments() != assignments:
+        _fail(
+            "block-counters-consistent",
+            f"total_assignments()={store.total_assignments()} but recount "
+            f"over {len(members)} blocks gives {assignments}",
         )
-        if store.total_assignments() != assignments:
-            _fail(
-                "block-counters-consistent",
-                f"total_assignments()={store.total_assignments()} but recount "
-                f"over {len(members)} blocks gives {assignments}",
-            )
-        if store.total_comparisons() != comparisons:
-            _fail(
-                "block-counters-consistent",
-                f"total_comparisons()={store.total_comparisons()} but recount "
-                f"gives {comparisons}",
-            )
-        sizes = dict(store.sizes())
-        actual = {key: len(block) for key, block in members.items()}
-        if sizes != actual:
-            drift = {
-                key: (sizes.get(key), actual.get(key))
-                for key in sizes.keys() | actual.keys()
-                if sizes.get(key) != actual.get(key)
-            }
-            _fail(
-                "block-counters-consistent",
-                f"sizes() disagrees with block contents for {drift}",
-            )
+    if store.total_comparisons() != comparisons:
+        _fail(
+            "block-counters-consistent",
+            f"total_comparisons()={store.total_comparisons()} but recount "
+            f"gives {comparisons}",
+        )
+    sizes = dict(store.sizes())
+    actual = {key: len(block) for key, block in members.items()}
+    if sizes != actual:
+        drift = {
+            key: (sizes.get(key), actual.get(key))
+            for key in sizes.keys() | actual.keys()
+            if sizes.get(key) != actual.get(key)
+        }
+        _fail(
+            "block-counters-consistent",
+            f"sizes() disagrees with block contents for {drift}",
+        )
 
 
 @_invariant(

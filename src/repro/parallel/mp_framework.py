@@ -65,15 +65,13 @@ from typing import Callable, Iterable
 from repro.classification.classifiers import OracleClassifier, ThresholdClassifier
 from repro.comparison.kernel import InternedComparator
 from repro.core.backends import StateBackend
-from repro.core.backends.base import CooccurrenceCounter
 from repro.core.backends.shm import (
     SharedColumnReader,
-    SharedMemoryBackend,
     decode_membership,
     decode_packed,
 )
 from repro.core.config import StreamERConfig, SupervisionPolicy
-from repro.core.pipeline import ERResult
+from repro.core.pipeline import ERResult, lifetime_counters
 from repro.core.plan import PipelinePlan
 from repro.core.stages import CandidateComparisons
 from repro.core.state import MatchStore
@@ -176,11 +174,7 @@ class _Worker:
             for column in ("membership", "tokens", "entities")
         ]
         self.profiles = _RowProfiles(tokens, entities)
-        backend = SimpleNamespace(
-            cooccurrence=CooccurrenceCounter(),
-            profiles=self.profiles,
-            matches=MatchStore(),
-        )
+        backend = SimpleNamespace(profiles=self.profiles, matches=MatchStore())
         #: The plan's own stage objects (counters are read per partition)
         #: and the callables a partition runs: the same objects, behind the
         #: ordinary entity-keyed injector where ``faults`` names them —
@@ -416,7 +410,7 @@ class MultiprocessERPipeline:
             blockers.append(
                 "comparator is not the interned kernel (workers score id rows)"
             )
-        if SharedMemoryBackend.PARTITION_COLUMNS not in self.compiled.capabilities:
+        if not hasattr(self.backend, "publish_membership"):
             blockers.append("backend does not publish shared-memory columns")
         if type(self.config.classifier) not in _PARTITIONABLE_CLASSIFIERS:
             blockers.append(
@@ -501,6 +495,7 @@ class MultiprocessERPipeline:
         Published tails are planned, dispatched and merged once, at the end.
         """
         start = time.perf_counter()
+        counters_before = lifetime_counters(self)
         matches: list[Match] = []
         count_in = 0
         metrics_on = self.registry.enabled
@@ -543,21 +538,19 @@ class MultiprocessERPipeline:
             # next run, so discard the workers and respawn on next use.
             self._release_pool(graceful=False)
             raise
+        # This run's increment, like StreamERPipeline.process_many.
+        counters = lifetime_counters(self)
+        letters = self.supervisor.dead_letters[counters_before["items_failed"] :]
         result = ERResult(
             entities_processed=count_in,
             matches=matches,
-            comparisons_generated=self.cg.generated,
-            comparisons_after_cleaning=self.lm.materialized,
-            blocks_pruned=self.bb.pruned_blocks,
-            keys_ghosted=self.bg.ghosted_keys if self.bg is not None else 0,
             elapsed_seconds=time.perf_counter() - start,
-            items_failed=self.supervisor.items_failed,
-            retries=self.supervisor.retries_performed,
-            dead_letters=list(self.supervisor.dead_letters),
+            dead_letters=letters,
+            **{name: counters[name] - counters_before[name] for name in counters},
         )
         if self.checker is not None:
-            # ENTITIES counted admissions here, so expected == count_in.
-            self.checker.finalize(result, expected_entities=count_in)
+            # ENTITIES counts admissions over the pipeline's lifetime.
+            self.checker.finalize(result, expected_entities=self.entities_processed)
         return result
 
     def _step(self, name: str, message: object, trace) -> tuple[bool, object]:
@@ -613,9 +606,6 @@ class MultiprocessERPipeline:
                 # cc counts per entity, so the whole entity goes inline.
                 return False
             record.append(row_for(j, other.token_ids))
-        if self.cc is not None:
-            # The cc stage's tally, maintained on its behalf.
-            self.backend.cooccurrence.pairs_counted += len(candidates)
         # The partition anchor: the entity's smallest block (fewest
         # co-members, key as tiebreak).  Any deterministic choice works —
         # correctness needs only that the whole entity lands in exactly

@@ -1,72 +1,15 @@
-"""State backends: the in-memory default and the hash-sharded variant.
+"""State backends: the protocol, the state view, and the O(1) size
+accounting of :class:`BlockCollection`.
 
-The differential suite proves end-to-end equivalence; these tests pin the
-store-level contracts — routing stability, counter correctness, merged
-views, and the O(1) size accounting of :class:`BlockCollection`.
+The differential suite proves end-to-end equivalence across executors and
+backends; these tests pin the store-level contracts.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.backends import (
-    CooccurrenceCounter,
-    InMemoryBackend,
-    ShardedBackend,
-    ShardedBlacklist,
-    ShardedBlockCollection,
-    ShardedCooccurrenceCounter,
-    ShardedMatchStore,
-    ShardedProfileStore,
-    StateBackend,
-    shard_index,
-)
-from repro.core.state import BlockCollection, ERState, ProfileStore
-from repro.errors import ConfigurationError
-from repro.types import Match, Profile
-
-
-def profile(eid, *tokens) -> Profile:
-    return Profile(eid=eid, attributes=(), tokens=frozenset(tokens))
-
-
-class TestShardIndex:
-    def test_stable_and_in_range(self):
-        for key in ["alpha", "beta", 17, ("a", 3)]:
-            for shards in (1, 2, 7):
-                index = shard_index(key, shards)
-                assert 0 <= index < shards
-                assert index == shard_index(key, shards)
-
-    def test_single_shard_routes_everything_to_zero(self):
-        assert all(shard_index(k, 1) == 0 for k in ("x", "y", 99))
-
-    def test_spreads_keys_across_shards(self):
-        indices = {shard_index(f"key-{i}", 7) for i in range(200)}
-        assert indices == set(range(7))
-
-
-class TestCooccurrenceCounter:
-    @pytest.mark.parametrize(
-        "counter", [CooccurrenceCounter(), ShardedCooccurrenceCounter(3)]
-    )
-    def test_counts_with_multiplicity(self, counter):
-        counts = counter.count(["b", "a", "b", "c", "b"])
-        assert counts == {"b": 3, "a": 1, "c": 1}
-        assert counter.pairs_counted == 5
-
-    @pytest.mark.parametrize(
-        "counter", [CooccurrenceCounter(), ShardedCooccurrenceCounter(3)]
-    )
-    def test_first_occurrence_order(self, counter):
-        counts = counter.count(["z", "a", "z", "m"])
-        assert list(counts) == ["z", "a", "m"]
-
-    def test_pairs_counted_accumulates(self):
-        counter = ShardedCooccurrenceCounter(5)
-        counter.count(["a", "b"])
-        counter.count(["a"])
-        assert counter.pairs_counted == 3
+from repro.core.backends import InMemoryBackend, SharedMemoryBackend, StateBackend
+from repro.core.state import BlockCollection, ERState
+from repro.types import Match
 
 
 class TestBlockCollectionCounters:
@@ -121,108 +64,16 @@ class TestBlockCollectionCounters:
         assert dict(blocks.sizes()) == {k: len(b) for k, b in blocks.items()}
 
 
-class TestShardedStores:
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_blocks_route_but_view_is_global(self, shards):
-        sharded = ShardedBlockCollection(shards)
-        reference = BlockCollection()
-        for i in range(50):
-            key = f"key-{i % 11}"
-            sharded.add(key, i)
-            reference.add(key, i)
-        assert len(sharded) == len(reference)
-        assert dict(sharded.sizes()) == dict(reference.sizes())
-        assert sharded.total_assignments() == reference.total_assignments()
-        assert sharded.total_comparisons() == reference.total_comparisons()
-        assert sorted(sharded.keys()) == sorted(reference.keys())
-        for key, members in reference.items():
-            assert sharded.block(key) == members
-            assert key in sharded
-
-    def test_blocks_discard_and_remove(self):
-        sharded = ShardedBlockCollection(3)
-        sharded.add("k", 1)
-        sharded.add("k", 2)
-        assert sharded.discard("k", 1) is True
-        assert sharded.block("k") == [2]
-        sharded.remove_block("k")
-        assert "k" not in sharded
-        assert sharded.total_assignments() == 0
-
-    def test_blacklist_merged_keys_view(self):
-        sharded = ShardedBlacklist(4)
-        for key in ("a", "b", "c"):
-            sharded.add(key)
-        assert sharded.keys == {"a", "b", "c"}
-        assert "a" in sharded and "z" not in sharded
-        assert len(sharded) == 3
-
-    def test_profiles_route_by_entity_id(self):
-        sharded = ShardedProfileStore(5)
-        reference = ProfileStore()
-        for i in range(30):
-            p = profile(i, f"t{i}")
-            sharded.put(p)
-            reference.put(p)
-        assert len(sharded) == len(reference)
-        for i in range(30):
-            assert sharded.get(i) == reference.get(i)
-            assert i in sharded
-        assert {p.eid for p in sharded.values()} == set(range(30))
-        assert sharded.remove(3) is True
-        assert sharded.get(3) is None
-        assert sharded.remove(3) is False
-
-    def test_matches_dedupe_across_shards(self):
-        sharded = ShardedMatchStore(7)
-        assert sharded.add(Match(1, 2)) is True
-        assert sharded.add(Match(2, 1)) is False  # same canonical pair
-        assert sharded.add(Match(3, 4)) is True
-        assert sharded.pairs() == {(1, 2), (3, 4)}
-        assert len(sharded) == 2
-        assert (1, 2) in sharded and (2, 1) in sharded
-        assert {m.key() for m in sharded.matches()} == {(1, 2), (3, 4)}
-
-    def test_zero_shards_rejected(self):
-        for ctor in (
-            ShardedBlockCollection,
-            ShardedBlacklist,
-            ShardedProfileStore,
-            ShardedMatchStore,
-            ShardedCooccurrenceCounter,
-            ShardedBackend,
-        ):
-            with pytest.raises(ConfigurationError):
-                ctor(0)
-
-    def test_shard_stores_partition_the_data(self):
-        sharded = ShardedBlockCollection(4)
-        for i in range(40):
-            sharded.add(f"key-{i}", i)
-        stores = sharded.shard_stores()
-        assert len(stores) == 4
-        assert sum(s.total_assignments() for s in stores) == 40
-        assert sum(len(s) for s in stores) == len(sharded)
-
-
 class TestBackends:
     def test_both_satisfy_the_protocol(self):
         assert isinstance(InMemoryBackend(), StateBackend)
-        assert isinstance(ShardedBackend(3), StateBackend)
+        with SharedMemoryBackend() as backend:
+            assert isinstance(backend, StateBackend)
 
-    def test_in_memory_accepts_injected_components(self):
-        blocks = BlockCollection()
-        blocks.add("k", 1)
-        backend = InMemoryBackend(blocks=blocks)
-        assert backend.blocks is blocks
-        assert backend.state().blocks is blocks
-
-    def test_sharded_state_view(self):
-        backend = ShardedBackend(2)
+    def test_state_view_shares_the_stores(self):
+        backend = InMemoryBackend()
         backend.matches.add(Match(1, 2))
         state = backend.state()
         assert isinstance(state, ERState)
+        assert state.blocks is backend.blocks
         assert state.matches.pairs() == {(1, 2)}
-
-    def test_sharded_default_shard_count(self):
-        assert ShardedBackend().shards == 4

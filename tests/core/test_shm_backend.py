@@ -30,7 +30,6 @@ from repro.core.backends import (
     SharedMemoryBackend,
     SharedTokenArrayStore,
     active_shm_segments,
-    backend_capabilities,
 )
 from repro.parallel import FaultSpec, MultiprocessERPipeline
 from repro.types import EntityDescription
@@ -165,10 +164,8 @@ class TestSharedTokenStores:
 
 
 class TestBackendLifecycle:
-    def test_capabilities_and_layout(self):
+    def test_layout(self):
         with SharedMemoryBackend() as backend:
-            capabilities = backend_capabilities(backend)
-            assert capabilities == {SharedMemoryBackend.PARTITION_COLUMNS}
             layout = backend.layout()
             assert set(layout) == {"tokens", "entities", "membership"}
             assert all(name.startswith(backend.name) for name in layout.values())

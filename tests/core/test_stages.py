@@ -263,6 +263,22 @@ class TestComparisonCleaningStage:
         )
         assert sorted(stage(generated).candidates) == [1, 2]
 
+    def test_counts_with_multiplicity(self):
+        stage = ComparisonCleaningStage()
+        generated = CandidateComparisons(
+            profile=make_profile(4, set()), candidates=["b", "a", "b", "c", "b"]
+        )
+        # counts: b→3, a→1, c→1; avg = 5/3 → only b survives.
+        assert stage(generated).candidates == ["b"]
+        assert stage.retained == 1
+
+    def test_first_occurrence_order(self):
+        stage = ComparisonCleaningStage(enabled=False)
+        generated = CandidateComparisons(
+            profile=make_profile(4, set()), candidates=["z", "a", "z", "m"]
+        )
+        assert stage(generated).candidates == ["z", "a", "m"]
+
 
 class TestLoadManagementStage:
     def test_registers_then_resolves(self):

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.backends import (
-    DurabilityConfig,
-    DurableBackend,
-    InMemoryBackend,
-    ShardedBackend,
-)
+from repro.core.backends import DurabilityConfig, DurableBackend, InMemoryBackend
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -85,12 +80,10 @@ class TestBlockPrefix:
         assert list(prefix) == [1]
         assert prefix.members is blocks.block("k")  # a view, not a copy
 
-    @pytest.fixture(params=["memory", "sharded", "durable"])
+    @pytest.fixture(params=["memory", "durable"])
     def blocks(self, request, tmp_path):
         if request.param == "memory":
             yield BlockCollection()
-        elif request.param == "sharded":
-            yield ShardedBackend(3).blocks
         else:
             backend = DurableBackend(
                 InMemoryBackend(), DurabilityConfig(wal_dir=tmp_path / "wal")

@@ -3,7 +3,7 @@
 Durability is the *outer* decorator — its logging proxies journal every
 mutation and call straight through to the inner stores, so where the
 token columns physically live is invisible to the WAL.  These tests pin
-that composition: the shm capability surface stays reachable through the
+that composition: the shm-only surface stays reachable through the
 decorator, the multiprocess executor runs every tail in the parent (the
 per-entity commit hook is a partitioned-dispatch blocker) with the same
 match set as worker-side execution, journaling is unaffected, a crashed run resumes to the exact
@@ -22,9 +22,9 @@ import pytest
 from repro.classification import OracleClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.core.backends import (
+    InMemoryBackend,
     SharedMemoryBackend,
     active_shm_segments,
-    backend_capabilities,
 )
 from repro.core.backends.durable import DurabilityConfig, DurableBackend
 from repro.datasets import DatasetSpec, generate
@@ -58,14 +58,26 @@ def match_set(backend) -> set:
 
 
 class TestComposition:
-    def test_capabilities_reach_through_the_decorator(self, dataset, tmp_path):
+    def test_partition_blockers_per_backend(self, dataset, tmp_path):
+        config = interned_config(dataset)
+        with MultiprocessERPipeline(config, backend=InMemoryBackend()) as mp:
+            assert mp.partition_blockers == (
+                "backend does not publish shared-memory columns",
+            )
         with SharedMemoryBackend() as inner:
+            with MultiprocessERPipeline(config, backend=inner) as mp:
+                assert mp.partition_blockers == ()
             durable = DurableBackend(
                 inner, DurabilityConfig(wal_dir=str(tmp_path / "wal"))
             )
-            assert SharedMemoryBackend.PARTITION_COLUMNS in backend_capabilities(durable)
+            # The shm surface reaches through the decorator; only the
+            # per-entity commit keeps the tails in the parent.
             assert durable.layout() == inner.layout()
             assert durable.shm_bytes() == inner.shm_bytes()
+            with MultiprocessERPipeline(config, backend=durable) as mp:
+                assert mp.partition_blockers == (
+                    "durable backends commit per-entity through cl",
+                )
             durable.close()
 
     def test_sequential_journal_over_shm(self, dataset, tmp_path):

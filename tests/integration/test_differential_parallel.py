@@ -24,11 +24,7 @@ import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
-from repro.core.backends import (
-    ShardedBackend,
-    SharedMemoryBackend,
-    active_shm_segments,
-)
+from repro.core.backends import SharedMemoryBackend, active_shm_segments
 from repro.core.plan import STAGE_ORDER
 from repro.datasets import DatasetSpec, generate
 from repro.observability import (
@@ -329,109 +325,6 @@ class TestFaultsAtComparison:
         assert_pair_accounting(pipeline)  # lm never counted the victims
 
 
-class TestShardedBackendEquivalence:
-    """Hash-sharded state is a pure representation change: for any shard
-    count, every executor must produce exactly the match set of the
-    in-memory backend — on dirty and clean-clean data, and with faults."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_sequential_dirty(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        sharded = StreamERPipeline(
-            config_for(seeded_dirty),
-            instrument=False,
-            backend=ShardedBackend(shards),
-        )
-        sharded.process_many(seeded_dirty.stream())
-        assert sharded.cl.matches.pairs() == expected
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_sequential_clean_clean(self, seeded_clean, shards):
-        expected = sequential_pairs(seeded_clean)
-        sharded = StreamERPipeline(
-            config_for(seeded_clean),
-            instrument=False,
-            backend=ShardedBackend(shards),
-        )
-        sharded.process_many(seeded_clean.stream())
-        assert sharded.cl.matches.pairs() == expected
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_thread_framework_dirty(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        assert result.match_pairs == expected
-        assert result.items_failed == 0
-
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_thread_framework_clean_clean(self, seeded_clean, shards):
-        expected = sequential_pairs(seeded_clean)
-        parallel = ParallelERPipeline(
-            config_for(seeded_clean),
-            processes=12,
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_clean.stream(), timeout=RUN_TIMEOUT)
-        assert result.match_pairs == expected
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_multiprocess_framework(self, seeded_dirty, shards):
-        expected = sequential_pairs(seeded_dirty)
-        mp = MultiprocessERPipeline(
-            config_for(seeded_dirty),
-            workers=2,
-            backend=ShardedBackend(shards),
-        )
-        result = mp.run(seeded_dirty.stream())
-        # No shared columns on a sharded backend: every tail runs inline.
-        assert not mp.partitioned_dispatch and mp.pool_spawns == 0
-        assert result.match_pairs == expected
-        assert result.items_failed == 0
-        # ... and agrees with the worker-side run on shared memory.
-        _, on_workers = run_mp(seeded_dirty, shared=True)
-        assert on_workers.match_pairs == result.match_pairs
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_faults_at_ingest(self, seeded_dirty, shards):
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            supervision=SupervisionPolicy.none(),
-            faults={"dr": FaultSpec(probability=0.2, seed=99)},
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        dead = result.dead_letter_ids
-        assert dead
-        survivors = [e for e in seeded_dirty.stream() if e.eid not in dead]
-        assert result.match_pairs == sequential_pairs(seeded_dirty, survivors)
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_faults_at_comparison(self, seeded_dirty, shards):
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=12,
-            micro_batch_size=25,
-            supervision=SupervisionPolicy.none(),
-            faults={"co": FaultSpec(probability=0.3, seed=17)},
-            backend=ShardedBackend(shards),
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        dead = result.dead_letter_ids
-        assert dead
-        expected = TestFaultsAtComparison._expected(
-            TestFaultsAtComparison(), seeded_dirty, dead
-        )
-        assert result.match_pairs == expected
-
-
 class TestRetriesPreserveEquivalence:
     """Transient faults healed by retries must leave results untouched."""
 
@@ -535,20 +428,6 @@ class TestInvariantCheckedEquivalence:
         )
         result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
         assert result.items_failed > 0
-        assert not checker.violations
-
-    def test_sharded_backend_checked(self, seeded_dirty):
-        expected = sequential_pairs(seeded_dirty)
-        checker = InvariantChecker(mode="raise")
-        parallel = ParallelERPipeline(
-            config_for(seeded_dirty),
-            processes=8,
-            micro_batch_size=25,
-            backend=ShardedBackend(4),
-            checker=checker,
-        )
-        result = parallel.run(seeded_dirty.stream(), timeout=RUN_TIMEOUT)
-        assert result.match_pairs == expected
         assert not checker.violations
 
 
@@ -789,3 +668,38 @@ class TestSharedMemoryBackendEquivalence:
             assert mp.pool_spawns == 1
             assert mp.pool_reuses == len(increments) - 1
             mp.close()
+
+    def test_increment_results_equal_sequential(self, seeded_dirty):
+        """Each run() reports its own increment, as process_many does —
+        not the pipeline's lifetime counters — and the run invariants hold
+        on every increment, not just the first."""
+        config = interned_config_for(seeded_dirty)
+        entities = list(seeded_dirty.stream())
+        increments = [entities[:100], entities[100:]]
+        seq = StreamERPipeline(config, instrument=False)
+        checker = InvariantChecker(mode="raise")
+        with SharedMemoryBackend() as backend, MultiprocessERPipeline(
+            config,
+            workers=2,
+            backend=backend,
+            partitioned=True,
+            registry=MetricsRegistry(),
+            checker=checker,
+        ) as mp:
+            for increment in increments:
+                expected = seq.process_many(increment)
+                result = mp.run(increment)
+                for field in (
+                    "entities_processed",
+                    "comparisons_generated",
+                    "comparisons_after_cleaning",
+                    "blocks_pruned",
+                    "keys_ghosted",
+                    "items_failed",
+                    "retries",
+                ):
+                    assert getattr(result, field) == getattr(expected, field), field
+                assert result.dead_letters == expected.dead_letters == []
+                assert result.match_pairs == expected.match_pairs
+        assert expected.comparisons_generated > 0
+        assert not checker.violations
