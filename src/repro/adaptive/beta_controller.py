@@ -91,7 +91,8 @@ class SelfTuningERPipeline:
 
     The controller observes ``f_cg``'s output size per entity (the workload
     β exists to bound) and rewrites the ghosting stage's β between
-    entities, which is safe: β is read once per entity.
+    entities, which is safe: β is read once per entity.  A config without
+    block cleaning has no ghosting stage to tune and is rejected.
     """
 
     def __init__(
@@ -101,6 +102,11 @@ class SelfTuningERPipeline:
         instrument: bool = False,
     ) -> None:
         self.pipeline = StreamERPipeline(config, instrument=instrument)
+        if self.pipeline.bg is None:
+            raise ConfigurationError(
+                "self-tuning beta needs the ghosting stage: "
+                "enable_block_cleaning must be True"
+            )
         self.controller = controller or BetaController(target_comparisons=50.0)
         self.beta_history: list[float] = []
 

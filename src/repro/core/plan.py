@@ -8,21 +8,13 @@ the discrete-event simulator.  A :class:`PipelinePlan` is the one place
 that knows *what* the graph is — which stages exist for a given
 :class:`~repro.core.config.StreamERConfig`, in what order, how each is
 constructed against a :class:`~repro.core.backends.StateBackend`, and
-which execution constraints apply:
-
-``replicable``
-    whether an executor may run several workers of the stage concurrently
-    (``f_bb+bp`` is the serial stage: it owns the block index and its
-    verdicts depend on arrival order);
-``serialization_point``
-    whether the stage is the pipeline's ordering barrier, where an
-    executor that replicates downstream stages must make the entity's
-    profile resolvable before emitting it (the thread framework registers
-    the profile here, so ``f_lm`` lookups can never miss);
-``optional``
-    whether the node is gated by a config flag and disappears from the
-    graph entirely when disabled (``f_bg`` with block cleaning off,
-    ``f_cc`` with comparison cleaning off).
+which nodes are ``optional`` — gated by a config flag and absent from the
+graph entirely when disabled (``f_bg`` with block cleaning off, ``f_cc``
+with comparison cleaning off).  Which stage runs serially is the
+allocation's business, not the graph's: ``FIXED_STAGES`` in
+:mod:`repro.parallel.allocation` pins ``f_bb+bp`` — the writer of the
+profile map and the block index, whose verdicts depend on arrival order —
+to one worker.
 
 Executors *compile* the plan — :meth:`PipelinePlan.compile` instantiates
 every active stage against one backend and returns a
@@ -82,12 +74,10 @@ StageFactory = Callable[[StreamERConfig, StateBackend], Callable]
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One node of the stage graph: identity, factory, execution constraints."""
+    """One node of the stage graph: identity, factory, config gate."""
 
     name: str
     factory: StageFactory
-    replicable: bool = True
-    serialization_point: bool = False
     optional: bool = False
 
 
@@ -138,7 +128,7 @@ def _make_cl(config: StreamERConfig, backend: StateBackend):
 #: nodes; everything else consumes the *filtered* view.
 _ALL_SPECS: tuple[StageSpec, ...] = (
     StageSpec("dr", _make_dr),
-    StageSpec("bb+bp", _make_bb, replicable=False, serialization_point=True),
+    StageSpec("bb+bp", _make_bb),
     StageSpec("bg", _make_bg, optional=True),
     StageSpec("cg", _make_cg),
     StageSpec("cc", _make_cc, optional=True),
@@ -188,12 +178,6 @@ class PipelinePlan:
         raise ConfigurationError(
             f"stage {name!r} is not in this plan (active: {self.stage_names()})"
         )
-
-    def serialization_points(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.specs if spec.serialization_point)
-
-    def non_replicable_stages(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.specs if not spec.replicable)
 
     # -- compilation ---------------------------------------------------
 

@@ -4,7 +4,8 @@ Stage classes correspond one-to-one to the boxes in Figure 3 of the paper:
 
 * :class:`DataReadingStage` — ``f_dr``
 * :class:`BlockBuildingStage` — ``f_bb+bp`` (Algorithm 1: block building +
-  block pruning + singleton removal); sole owner of the block collection.
+  block pruning + singleton removal); sole writer of the profile map and
+  the block collection.
 * :class:`BlockGhostingStage` — ``f_bg`` (Algorithm 2).
 * :class:`ComparisonGenerationStage` — ``f_cg``.
 * :class:`ComparisonCleaningStage` — ``f_cc`` (Algorithm 3, I-WNP).
@@ -16,12 +17,14 @@ Each stage is a callable taking the previous stage's message and returning
 the next one, so the sequential pipeline is literally their composition and
 the parallel framework can put each behind its own worker pool.
 
-Stateful stages resolve their stores in a fixed order: an explicitly passed
-store wins (tests and ablations inject doubles that way), otherwise the
-``backend`` (a :class:`~repro.core.backends.StateBackend`) supplies it, and
-with neither a fresh in-memory store is created.  Executors never pass
-stores directly — they compile a :class:`~repro.core.plan.PipelinePlan`,
-which threads one backend through every factory.
+Stateful stages take their stores from a ``backend`` (a
+:class:`~repro.core.backends.StateBackend`; a fresh
+:class:`~repro.core.backends.InMemoryBackend` without one).  Every store
+has exactly one writing stage: ``f_bb+bp`` writes the profile map, the
+block collection and the blacklist; ``f_cl`` writes the match store;
+``f_lm`` only reads.  Executors compile a
+:class:`~repro.core.plan.PipelinePlan`, which threads one backend through
+every factory.
 """
 
 from __future__ import annotations
@@ -31,13 +34,8 @@ from dataclasses import dataclass
 from repro.classification.classifiers import Classifier, ThresholdClassifier
 from repro.comparison.comparator import TokenSetComparator
 from repro.core.backends.base import StateBackend
-from repro.core.state import (
-    Blacklist,
-    BlockCollection,
-    BlockPrefix,
-    MatchStore,
-    ProfileStore,
-)
+from repro.core.backends.memory import InMemoryBackend
+from repro.core.state import BlockPrefix
 from repro.errors import UnknownProfileError
 from repro.reading.profiles import ProfileBuilder
 from repro.types import (
@@ -136,13 +134,18 @@ class DataReadingStage:
 class BlockBuildingStage:
     """``f_bb+bp`` (Algorithm 1): incremental token blocking + block pruning.
 
-    The stage is the sole owner of the global block collection and the
-    blacklist of pruned keys.  For every incoming profile it
+    The stage is the sole writer of the profile map, the global block
+    collection and the blacklist of pruned keys.  For every incoming
+    profile it
 
-    1. skips blacklisted keys,
-    2. appends the entity to each remaining block,
-    3. prunes (and blacklists) blocks reaching size ``alpha``,
-    4. snapshots the surviving, non-singleton blocks into ``B_ei``.
+    1. registers the profile, before any block can reference the entity,
+    2. skips blacklisted keys,
+    3. appends the entity to each remaining block,
+    4. prunes (and blacklists) blocks reaching size ``alpha``,
+    5. snapshots the surviving, non-singleton blocks into ``B_ei``.
+
+    It is the serial stage under every executor, so whatever happens to an
+    entity downstream, every id in a block resolves in the profile map.
 
     When ``enabled`` is False, pruning is skipped entirely (the "No BC"
     degraded variant); singleton removal still applies because singleton
@@ -155,21 +158,18 @@ class BlockBuildingStage:
         self,
         alpha: int,
         enabled: bool = True,
-        blocks: BlockCollection | None = None,
-        blacklist: Blacklist | None = None,
         backend: StateBackend | None = None,
     ) -> None:
         self.alpha = alpha
         self.enabled = enabled
-        if blocks is None:
-            blocks = backend.blocks if backend is not None else BlockCollection()
-        if blacklist is None:
-            blacklist = backend.blacklist if backend is not None else Blacklist()
-        self.blocks = blocks
-        self.blacklist = blacklist
+        backend = backend if backend is not None else InMemoryBackend()
+        self.profiles = backend.profiles
+        self.blocks = backend.blocks
+        self.blacklist = backend.blacklist
         self.pruned_blocks = 0
 
     def __call__(self, profile: Profile) -> BlockedEntity:
+        self.profiles.put(profile)
         others: dict[str, BlockPrefix] = {}
         for key in profile.tokens:
             if self.enabled and key in self.blacklist:
@@ -195,13 +195,12 @@ class BlockGhostingStage:
 
     name = "bg"
 
-    def __init__(self, beta: float, enabled: bool = True) -> None:
+    def __init__(self, beta: float) -> None:
         self.beta = beta
-        self.enabled = enabled
         self.ghosted_keys = 0
 
     def __call__(self, blocked: BlockedEntity) -> BlockedEntity:
-        if not self.enabled or not blocked.others:
+        if not blocked.others:
             return blocked
         threshold = (min(map(len, blocked.others.values())) + 1) / self.beta
         survivors = {
@@ -251,14 +250,11 @@ class ComparisonCleaningStage:
     CBS weight), computes the average count, and keeps only partners whose
     count is at least the average.  Grouping alone removes redundant
     comparisons; the threshold removes superfluous ones.
-
-    When ``enabled`` is False the stage only deduplicates.
     """
 
     name = "cc"
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self.retained = 0
 
     def __call__(self, generated: CandidateComparisons) -> CleanedComparisons:
@@ -268,23 +264,19 @@ class ComparisonCleaningStage:
             counts[j] = counts.get(j, 0) + 1
         if not counts:
             return CleanedComparisons(profile=generated.profile, candidates=[])
-        if self.enabled:
-            avg = sum(counts.values()) / len(counts)
-            survivors = [j for j, count in counts.items() if count >= avg]
-        else:
-            survivors = list(counts)
+        avg = sum(counts.values()) / len(counts)
+        survivors = [j for j, count in counts.items() if count >= avg]
         self.retained += len(survivors)
         return CleanedComparisons(profile=generated.profile, candidates=survivors)
 
 
 class LoadManagementStage:
-    """``f_lm``: maintain the profile map and re-attach full profiles.
+    """``f_lm``: profile-map lookups that re-attach full profiles.
 
-    The incoming profile is registered first, then each surviving partner id
-    is resolved to its stored profile.  In the sequential pipeline every
-    partner id necessarily belongs to an earlier, fully processed entity, so
-    lookups cannot fail; a missing profile indicates a wiring bug and raises
-    :class:`UnknownProfileError`.
+    Each surviving partner id is resolved to its stored profile.  The map
+    is read-only here: ``f_bb+bp`` registered every partner before the
+    partner could sit in a block, so lookups cannot fail; a missing profile
+    indicates a wiring bug and raises :class:`UnknownProfileError`.
 
     Candidates are deduplicated before materialization (first-occurrence
     order).  With ``f_cc`` upstream this is a no-op — its survivors are
@@ -298,19 +290,13 @@ class LoadManagementStage:
 
     name = "lm"
 
-    def __init__(
-        self,
-        profiles: ProfileStore | None = None,
-        backend: StateBackend | None = None,
-    ) -> None:
-        if profiles is None:
-            profiles = backend.profiles if backend is not None else ProfileStore()
-        self.profiles = profiles
+    def __init__(self, backend: StateBackend | None = None) -> None:
+        backend = backend if backend is not None else InMemoryBackend()
+        self.profiles = backend.profiles
         self.materialized = 0
 
     def __call__(self, cleaned: CleanedComparisons) -> MaterializedComparisons:
         profile = cleaned.profile
-        self.profiles.put(profile)
         comparisons: list[Comparison] = []
         for j in dict.fromkeys(cleaned.candidates):
             other = self.profiles.get(j)
@@ -363,13 +349,11 @@ class ClassificationStage:
     def __init__(
         self,
         classifier: Classifier | None = None,
-        matches: MatchStore | None = None,
         backend: StateBackend | None = None,
     ) -> None:
         self.classifier = classifier or ThresholdClassifier()
-        if matches is None:
-            matches = backend.matches if backend is not None else MatchStore()
-        self.matches = matches
+        backend = backend if backend is not None else InMemoryBackend()
+        self.matches = backend.matches
 
     def __call__(self, scored: ScoredComparisons) -> list[Match]:
         found: list[Match] = []

@@ -61,6 +61,9 @@ class StateView:
     ``exempt`` holds entity identifiers whose state is *allowed* to be
     partial — dead-lettered entities may have mutated some stores before
     failing (dead-lettering is a survival guarantee, not a rollback).
+    Invariants that hold for them too ignore it: ``f_bb+bp`` registers the
+    profile before any block add, so even a dead-lettered entity in a
+    block resolves in the profile map.
     """
 
     config: Any
@@ -285,7 +288,7 @@ def check_blocked_profiles(view: StateView) -> None:
     profiles = view.backend.profiles
     for key, members in view.backend.blocks.items():
         for eid in members:
-            if eid not in profiles and eid not in view.exempt:
+            if eid not in profiles:
                 _fail(
                     "blocked-entities-have-profiles",
                     f"entity {eid!r} is in block {key!r} but has no stored "

@@ -24,18 +24,23 @@ from typing import Hashable, Mapping, Sequence
 from repro.core.plan import STAGE_ORDER
 from repro.errors import ConfigurationError
 
-#: The stateful serializer always runs on exactly one process (data
-#: parallelism over the block-collection state would be needed to replicate
-#: it, which the paper leaves aside).
+#: The serial stage: ``f_bb+bp`` writes the profile map, the block
+#: collection and the blacklist, and its verdicts depend on arrival order,
+#: so it always runs on exactly one process (data parallelism over the
+#: block-collection state would be needed to replicate it, which the paper
+#: leaves aside).  The thread framework re-sequences arrivals in front of it.
 FIXED_STAGES: frozenset[str] = frozenset({"bb+bp"})
 
-#: Stages eligible for replication.  The paper's formula additionally pins
-#: ``dr`` and ``bg`` to one process because they are the cheapest stages on
-#: its Scala substrate; the water-filling solver below reduces to exactly
-#: that allocation under the paper's measured times (they never receive a
-#: second process before the bottlenecks are saturated), while also
-#: handling substrates where, e.g., data reading is relatively expensive.
-SCALABLE_STAGES: tuple[str, ...] = ("dr", "bg", "cg", "cc", "lm", "co", "cl")
+#: Stages eligible for replication: every other stage, in pipeline order.
+#: The paper's formula additionally pins ``dr`` and ``bg`` to one process
+#: because they are the cheapest stages on its Scala substrate; the
+#: water-filling solver below reduces to exactly that allocation under the
+#: paper's measured times (they never receive a second process before the
+#: bottlenecks are saturated), while also handling substrates where, e.g.,
+#: data reading is relatively expensive.
+SCALABLE_STAGES: tuple[str, ...] = tuple(
+    stage for stage in STAGE_ORDER if stage not in FIXED_STAGES
+)
 
 
 def allocate_processes(

@@ -8,18 +8,16 @@ allocation of workers to stages solved by
 delay bound before each stage.
 
 Correctness under reordering: the block-building stage is the pipeline's
-serialization point (declared by the :class:`~repro.core.plan.PipelinePlan`),
-and it registers each profile in the shared profile store *before* emitting
-the entity downstream — therefore every partner id a comparison references
-is resolvable by the time load management looks it up, no matter how
-replicated stages interleave.  (The paper keeps the profile map strictly
-inside ``f_lm``; we hoist the *write* to the serializer for exactly this
-reason and let ``f_lm`` do lookups only.)  Additionally the serializer
-consumes entities through a :class:`_ReorderBuffer`: replicated ``f_dr``
-workers may overtake each other, and block-pruning verdicts depend on
-arrival history, so without re-sequencing the final match set would depend
-on thread scheduling.  Items dead-lettered upstream are declared as
-sequence holes so the serializer never waits for them.
+serial stage (``FIXED_STAGES`` in :mod:`repro.parallel.allocation`), and
+it registers each profile in the shared profile store before the entity
+joins any block — therefore every partner id a comparison references is
+resolvable by the time load management looks it up, no matter how
+replicated stages interleave.  The serializer consumes entities through a
+:class:`_ReorderBuffer`: replicated ``f_dr`` workers may overtake each
+other, and block-pruning verdicts depend on arrival history, so without
+re-sequencing the final match set would depend on thread scheduling.
+Items dead-lettered upstream are declared as sequence holes so the
+serializer never waits for them.
 
 On CPython the GIL serializes pure-Python compute, so this executor
 demonstrates architecture and correctness rather than wall-clock speedup;
@@ -59,7 +57,11 @@ from repro.observability.instrument import (
 )
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.observability.trace import Tracer
-from repro.parallel.allocation import allocate_processes, paper_example_times
+from repro.parallel.allocation import (
+    FIXED_STAGES,
+    allocate_processes,
+    paper_example_times,
+)
 from repro.parallel.faults import FaultInjector, FaultPlan, wrap_stages
 from repro.parallel.supervision import Supervisor, format_liveness
 from repro.types import DeadLetter, EntityDescription, Match
@@ -91,7 +93,7 @@ class _MeteredQueue(queue.Queue):
 
 
 class _ReorderBuffer:
-    """Restores submission order in front of the serialization point.
+    """Restores submission order in front of the serial stage.
 
     Replicated upstream stages (``dr`` may run on several workers) can
     deliver entities to the serializer out of submission order, and the
@@ -245,7 +247,7 @@ class _StageRunner:
         ok, result = self.supervisor.execute(self.name, self.fn, payload)
         if not ok:
             # Dead-lettered; surviving items flow on.  A death upstream of
-            # the serialization point is a permanent gap in the sequence —
+            # the serial stage is a permanent gap in the sequence —
             # tell the serializer's reorder buffer not to wait for it.
             if trace is not None:
                 trace.dead_letter(self.name)
@@ -396,20 +398,8 @@ class ParallelERPipeline:
         )
         self.backend = self.compiled.backend
         self._cl_lock = threading.Lock()
-        profiles = self.backend.profiles
 
         stage_fns = self.compiled.stage_functions()
-        for point in self.plan.serialization_points():
-            inner = stage_fns[point]
-
-            def serialized(profile, _inner=inner):
-                # Serialization point: make the profile resolvable *before*
-                # any comparison referencing it can exist downstream.
-                profiles.put(profile)
-                return _inner(profile)
-
-            stage_fns[point] = serialized
-
         cl_stage = stage_fns["cl"]
 
         def classify_locked(scored):
@@ -440,16 +430,13 @@ class ParallelERPipeline:
                 entities_metric.inc()
                 latency_metric.observe(latency)
 
-        # Deterministic ordering at the serialization point: replicated
-        # upstream workers may overtake each other, so the serializer pulls
-        # arrivals through a reorder buffer keyed by submission sequence,
-        # and upstream dead letters are declared as holes.
-        ser_points = self.plan.serialization_points()
-        first_ser = ser_points[0] if ser_points else None
-        self._sequencer = _ReorderBuffer() if first_ser is not None else None
-        pre_serial = (
-            set(names[: names.index(first_ser)]) if first_ser is not None else set()
-        )
+        # Deterministic ordering at the serial stage: replicated upstream
+        # workers may overtake each other, so the serializer pulls arrivals
+        # through a reorder buffer keyed by submission sequence, and
+        # upstream dead letters are declared as holes.
+        serial = next(name for name in names if name in FIXED_STAGES)
+        self._sequencer = _ReorderBuffer()
+        pre_serial = set(names[: names.index(serial)])
 
         if metrics_on:
             # Queue i feeds stage names[i]; its depth is that stage's gauge.
@@ -481,7 +468,7 @@ class ParallelERPipeline:
                     downstream_workers=downstream,
                     supervisor=self.supervisor,
                     on_result=on_final if out_queue is None else None,
-                    reorder=self._sequencer if name == first_ser else None,
+                    reorder=self._sequencer if name == serial else None,
                     hole_sink=self._sequencer if name in pre_serial else None,
                     tracer=tracer,
                     downstream_name=names[index + 1] if index + 1 < len(names) else None,

@@ -132,9 +132,6 @@ class _RowProfiles:
         self._entities = entities
         self._cache: dict[int, Profile] = {}
 
-    def put(self, profile: Profile) -> None:
-        """No-op: the parent published the row before dispatching it."""
-
     def get(self, row: int) -> Profile:
         profile = self._cache.get(row)
         if profile is None:
@@ -593,9 +590,6 @@ class MultiprocessERPipeline:
         profiles = self.backend.profiles
         row_for = self._token_store.row_for
         profile = generated.profile
-        # lm's state duty (register the profile before lookups) stays in
-        # the parent; token rows are published on first reference.
-        profiles.put(profile)
         candidates = generated.candidates
         if not candidates or profile.token_ids is None:
             return False

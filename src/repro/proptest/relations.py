@@ -12,8 +12,8 @@ must hold for every input — metamorphic oracles:
     with both cleaning mechanisms disabled the blocking graph is
     arrival-order independent, so the final match set is invariant under
     stream permutation (with cleaning *enabled* pruning verdicts depend on
-    arrival history, which is exactly why the parallel framework needs its
-    serialization point);
+    arrival history, which is exactly why ``f_bb+bp`` runs serially and
+    the thread framework re-sequences arrivals in front of it);
 ``alpha-monotone`` / ``beta-monotone``
     a more permissive block purge (larger α) can only generate more
     comparisons; a more aggressive ghost threshold (larger β) can only

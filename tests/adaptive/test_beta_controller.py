@@ -75,6 +75,11 @@ class TestSelfTuningERPipeline:
             for i in range(n)
         ]
 
+    def test_rejects_config_without_ghosting_stage(self):
+        config = StreamERConfig(enable_block_cleaning=False)
+        with pytest.raises(ConfigurationError, match="enable_block_cleaning"):
+            SelfTuningERPipeline(config)
+
     def test_beta_rises_under_comparison_overload(self):
         config = StreamERConfig(
             alpha=10_000, beta=0.01, classifier=ThresholdClassifier(0.99)

@@ -3,6 +3,8 @@ of Figure 4 (block pruning with α=5 and block ghosting with β=0.6)."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.stages import (
@@ -20,7 +22,7 @@ from repro.core.stages import (
     MaterializedComparisons,
 )
 from repro.classification import ThresholdClassifier
-from repro.core.state import BlockPrefix
+from repro.core.state import Blacklist, BlockCollection, BlockPrefix, ProfileStore
 from repro.errors import UnknownProfileError
 from repro.types import Comparison, Profile, ScoredComparison
 
@@ -53,6 +55,28 @@ class TestDataReadingStage:
 
 
 class TestBlockBuildingStage:
+    def test_registers_profile_before_joining_blocks(self):
+        log = []
+
+        class Profiles(ProfileStore):
+            def put(self, profile):
+                log.append(("put", profile.eid))
+                super().put(profile)
+
+        class Blocks(BlockCollection):
+            def add(self, key, eid):
+                log.append(("add", eid))
+                return super().add(key, eid)
+
+        backend = SimpleNamespace(
+            profiles=Profiles(), blocks=Blocks(), blacklist=Blacklist()
+        )
+        stage = BlockBuildingStage(alpha=10, backend=backend)
+        p1 = make_profile(1, {"a", "b"})
+        stage(p1)
+        assert log == [("put", 1), ("add", 1), ("add", 1)]
+        assert backend.profiles.get(1) is p1
+
     def test_adds_entity_to_all_key_blocks(self):
         stage = BlockBuildingStage(alpha=10)
         stage(make_profile(1, {"a", "b"}))
@@ -175,14 +199,6 @@ class TestBlockGhostingStage:
         out = stage(blocked)
         assert set(out.others) == {"only"}
 
-    def test_disabled_passes_through(self):
-        stage = BlockGhostingStage(beta=0.6, enabled=False)
-        blocked = BlockedEntity(
-            profile=make_profile(9, set()),
-            others={"small": view(1), "big": view(1, 2, 3, 4, 5, 6)},
-        )
-        assert set(stage(blocked).others) == {"small", "big"}
-
     def test_empty_snapshot_is_noop(self):
         stage = BlockGhostingStage(beta=0.5)
         blocked = BlockedEntity(profile=make_profile(9, set()), others={})
@@ -256,13 +272,6 @@ class TestComparisonCleaningStage:
         generated = CandidateComparisons(profile=make_profile(4, set()), candidates=[])
         assert stage(generated).candidates == []
 
-    def test_disabled_only_deduplicates(self):
-        stage = ComparisonCleaningStage(enabled=False)
-        generated = CandidateComparisons(
-            profile=make_profile(4, set()), candidates=[1, 2, 2]
-        )
-        assert sorted(stage(generated).candidates) == [1, 2]
-
     def test_counts_with_multiplicity(self):
         stage = ComparisonCleaningStage()
         generated = CandidateComparisons(
@@ -273,22 +282,24 @@ class TestComparisonCleaningStage:
         assert stage.retained == 1
 
     def test_first_occurrence_order(self):
-        stage = ComparisonCleaningStage(enabled=False)
+        stage = ComparisonCleaningStage()
         generated = CandidateComparisons(
-            profile=make_profile(4, set()), candidates=["z", "a", "z", "m"]
+            profile=make_profile(4, set()), candidates=["z", "a", "m", "z", "a", "m"]
         )
         assert stage(generated).candidates == ["z", "a", "m"]
 
 
 class TestLoadManagementStage:
-    def test_registers_then_resolves(self):
-        stage = LoadManagementStage()
+    def test_resolves_without_writing(self):
+        profiles = ProfileStore()
         p1 = make_profile(1, {"a"})
-        stage(CleanedComparisons(profile=p1, candidates=[]))
+        profiles.put(p1)
+        stage = LoadManagementStage(backend=SimpleNamespace(profiles=profiles))
         p2 = make_profile(2, {"a"})
         out = stage(CleanedComparisons(profile=p2, candidates=[1]))
         assert len(out.comparisons) == 1
-        assert out.comparisons[0].right.eid == 1
+        assert out.comparisons[0].right is p1
+        assert 2 not in profiles and len(profiles) == 1
 
     def test_unknown_partner_raises(self):
         stage = LoadManagementStage()

@@ -120,14 +120,17 @@ class TestSequentialEnforcement:
         assert excinfo.value.invariant == "blocked-entities-have-profiles"
         assert "999" in excinfo.value.detail
 
-    def test_dead_lettered_entities_are_exempt(self):
+    def test_exempt_stale_membership_still_raises(self):
+        """``f_bb+bp`` registers the profile before any block add, so a
+        dead-lettered entity is no excuse for a blocked id without one."""
         checker = InvariantChecker(mode="raise")
         pipeline = StreamERPipeline(small_config(), checker=checker)
         pipeline.process_many(small_stream())
         pipeline.backend.blocks.add("glass", 999)
         checker.exempt_provider = lambda: {999}
-        checker.check_state()
-        assert not checker.violations
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check_state()
+        assert excinfo.value.invariant == "blocked-entities-have-profiles"
 
     def test_record_mode_accumulates_without_raising(self):
         checker = InvariantChecker(mode="record")
