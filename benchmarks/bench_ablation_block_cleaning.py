@@ -23,10 +23,13 @@ VARIANTS = ("none", "pruning-only", "ghosting-only", "both")
 
 def run_variant(name: str, variant: str) -> dict[str, object]:
     ds = bench_dataset(name)
-    pipeline = StreamERPipeline(oracle_config(ds), instrument=False)
-    # The config enables both; the ablation toggles the stages directly.
+    # Without block cleaning the plan drops the bg node (no ghosting) and
+    # turns bb+bp's pruning off; pruning is then toggled on the stage.
+    config = oracle_config(
+        ds, enable_block_cleaning=variant in ("ghosting-only", "both")
+    )
+    pipeline = StreamERPipeline(config, instrument=False)
     pipeline.bb.enabled = variant in ("pruning-only", "both")
-    pipeline.bg.enabled = variant in ("ghosting-only", "both")
     result = pipeline.process_many(ds.stream())
     pc = pair_completeness(result.match_pairs, ds.ground_truth)
     return {
