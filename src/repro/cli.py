@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 from repro.classification import ThresholdClassifier
 from repro.clustering import IncrementalClusterer
-from repro.core import StreamERConfig, StreamERPipeline, combine
+from repro.core import DurableBackend, StreamERConfig, StreamERPipeline, combine
 from repro.datasets import DATASET_NAMES, load, save_ground_truth
 from repro.errors import ReproError
 from repro.reading.sources import read_csv, read_jsonl
@@ -93,13 +93,16 @@ def cmd_dedupe(args: argparse.Namespace, out) -> int:
     if not entities:
         print("no entities found", file=sys.stderr)
         return 1
-    pipeline = StreamERPipeline(
-        _config(args, len(entities), False),
-        instrument=False,
-        wal_dir=args.wal_dir,
-        checkpoint_every=args.checkpoint_every,
-        fsync=args.fsync,
-    )
+    config = _config(args, len(entities), False)
+    backend = None
+    if args.wal_dir is not None:
+        backend = DurableBackend.open(
+            args.wal_dir,
+            config,
+            checkpoint_every=args.checkpoint_every,
+            fsync=args.fsync,
+        )
+    pipeline = StreamERPipeline(config, instrument=False, backend=backend)
     clusterer = IncrementalClusterer()
     for entity, matches in pipeline.stream(entities):
         if args.throttle:
@@ -288,8 +291,6 @@ def cmd_check(args: argparse.Namespace, out) -> int:
 
 
 def cmd_resume(args: argparse.Namespace, out) -> int:
-    from repro.core.backends import DurableBackend
-
     # The run's parameters are pinned in its meta.json fingerprint —
     # rebuilding the config from it (rather than trusting flags) is what
     # guarantees the resumed fold has the same semantics.
@@ -304,14 +305,14 @@ def cmd_resume(args: argparse.Namespace, out) -> int:
         ),
         classifier=ThresholdClassifier(float(stored.get("threshold", 0.5))),
     )
-    pipeline = StreamERPipeline(
+    backend = DurableBackend.open(
+        args.wal_dir,
         config,
-        instrument=False,
-        wal_dir=args.wal_dir,
         resume=True,
         checkpoint_every=args.checkpoint_every,
         fsync=args.fsync,
     )
+    pipeline = StreamERPipeline(config, instrument=False, backend=backend)
     skip = pipeline.entities_processed
     entities = list(_read_file(args.file))
     remaining = entities[skip:]

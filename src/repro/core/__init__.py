@@ -1,13 +1,7 @@
 """Core of the reproduction: functional model, state, plan, pipeline."""
 
-from repro.core.backends import (
-    DurabilityConfig,
-    DurableBackend,
-    InMemoryBackend,
-    StateBackend,
-)
+from repro.core.backends import DurableBackend, InMemoryBackend, StateBackend
 from repro.core.cleanclean import combine, combine_many, source_of, tag, tag_pairs
-from repro.core.persistence import dump_state, load_state
 from repro.core.config import StreamERConfig, SupervisionPolicy
 from repro.core.model import (
     FunctionalState,
@@ -26,6 +20,7 @@ from repro.core.state import (
     MatchStore,
     ProfileStore,
 )
+from repro.durability.snapshot import dump_state, load_state
 
 __all__ = [
     "StreamERConfig",
@@ -40,7 +35,6 @@ __all__ = [
     "StateBackend",
     "InMemoryBackend",
     "DurableBackend",
-    "DurabilityConfig",
     "BlockCollection",
     "BlockPrefix",
     "Blacklist",

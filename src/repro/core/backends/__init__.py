@@ -1,11 +1,7 @@
 """Pluggable state backends: where the ER state σ physically lives."""
 
 from repro.core.backends.base import StateBackend
-from repro.core.backends.durable import (
-    DurabilityConfig,
-    DurableBackend,
-    config_fingerprint,
-)
+from repro.core.backends.durable import DurableBackend
 from repro.core.backends.memory import InMemoryBackend
 from repro.core.backends.shm import (
     SharedColumnReader,
@@ -19,8 +15,6 @@ __all__ = [
     "StateBackend",
     "InMemoryBackend",
     "DurableBackend",
-    "DurabilityConfig",
-    "config_fingerprint",
     "SharedColumnReader",
     "SharedColumnStore",
     "SharedMemoryBackend",

@@ -37,9 +37,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.backends.memory import InMemoryBackend
 from repro.core.state import ERState
 from repro.durability.codec import encode_id, encode_match, encode_profile
-from repro.durability.recovery import RecoveredState
+from repro.durability.recovery import RecoveredState, recover
 from repro.durability.snapshot import (
     list_snapshots,
     snapshot_path,
@@ -262,10 +263,10 @@ class _LoggedDictionary:
 class DurableBackend:
     """A :class:`StateBackend` decorator that makes every mutation durable.
 
-    Build fresh with ``DurableBackend(inner, config)`` (the run directory
-    must not already hold a durable run) or from a crash with
-    :meth:`resume`.  ``fingerprint`` pins the resolution configuration in
-    ``meta.json``; on resume a mismatching fingerprint refuses to run.
+    Build one with :meth:`open` — fresh (the run directory must not
+    already hold a durable run) or resumed from a crash.  The resolution
+    configuration's fingerprint is pinned in ``meta.json`` by a fresh
+    run and verified on resume; a mismatch refuses to run.
     ``crash_point`` arms the crash-injection hook on the WAL writer —
     test harness only.
     """
@@ -274,8 +275,8 @@ class DurableBackend:
         self,
         inner: Any,
         config: DurabilityConfig,
+        fingerprint: dict,
         registry: MetricsRegistry | None = None,
-        fingerprint: dict | None = None,
         crash_point: CrashPoint | None = None,
         _recovered: RecoveredState | None = None,
     ) -> None:
@@ -304,7 +305,7 @@ class DurableBackend:
             self.epoch = 0
             self.next_seq = 0
             self.entities_committed = 0
-            self._write_meta(fingerprint or {})
+            self._write_meta(fingerprint)
             self._writer = WalWriter(
                 segment_path(self.wal_dir, 0),
                 epoch=0,
@@ -333,25 +334,53 @@ class DurableBackend:
         self.dictionary = _LoggedDictionary(inner.dictionary, journal)
 
     @classmethod
-    def resume(
+    def open(
         cls,
-        config: DurabilityConfig,
-        recovered: RecoveredState,
+        wal_dir: str | Path,
+        config: Any,
+        *,
+        inner: Any = None,
+        resume: bool = False,
+        checkpoint_every: int = 0,
+        fsync: str = "commit",
         registry: MetricsRegistry | None = None,
-        fingerprint: dict | None = None,
         crash_point: CrashPoint | None = None,
     ) -> "DurableBackend":
-        """Wrap a :func:`~repro.durability.recovery.recover` result.
+        """Durable state for a run of ``config`` under ``wal_dir``.
 
-        The recovered segment is truncated at the replay clamp point and
-        appending continues from there, so the torn/uncommitted tail is
-        physically gone after the first new record.
+        Fresh (``resume=False``): wraps ``inner`` (default a new
+        :class:`~repro.core.backends.InMemoryBackend`) and pins
+        ``config``'s fingerprint in ``meta.json``.  ``resume=True`` runs
+        :func:`~repro.durability.recovery.recover`, verifies the
+        fingerprint, truncates the recovered segment at the replay clamp
+        point and appends from there, so the torn/uncommitted tail is
+        physically gone after the first new record; ``entities_committed``
+        is the recovered count, and entities past it must be re-fed.
+        Recovery always rebuilds in memory, so ``inner`` is refused on
+        resume.  ``checkpoint_every`` counts committed entities between
+        snapshots (0 = never); ``fsync`` is ``"always"``, ``"commit"`` or
+        ``"never"``.
         """
+        durability = DurabilityConfig(
+            wal_dir=wal_dir, checkpoint_every=checkpoint_every, fsync=fsync
+        )
+        fingerprint = config_fingerprint(config)
+        recovered = None
+        if resume:
+            if inner is not None:
+                raise ConfigurationError(
+                    "resume rebuilds the state in memory from the WAL; "
+                    "it cannot resume into a caller's backend (inner=...)"
+                )
+            recovered = recover(wal_dir)
+            inner = recovered.backend
+        elif inner is None:
+            inner = InMemoryBackend()
         return cls(
-            recovered.backend,
-            config,
+            inner,
+            durability,
+            fingerprint,
             registry=registry,
-            fingerprint=fingerprint,
             crash_point=crash_point,
             _recovered=recovered,
         )
@@ -374,7 +403,7 @@ class DurableBackend:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _verify_meta(self, fingerprint: dict | None) -> None:
+    def _verify_meta(self, fingerprint: dict) -> None:
         path = self.wal_dir / META_FILE
         try:
             meta = json.loads(path.read_text("utf-8"))
@@ -383,7 +412,7 @@ class DurableBackend:
         if meta.get("format") != META_FORMAT:
             raise RecoveryError(f"{path} is not a repro durable-run descriptor")
         stored = meta.get("fingerprint") or {}
-        if fingerprint is not None and stored != fingerprint:
+        if stored != fingerprint:
             diff = {
                 key: (stored.get(key), fingerprint.get(key))
                 for key in sorted(set(stored) | set(fingerprint))

@@ -538,12 +538,12 @@ class SharedMemoryBackend:
     every path is pid-guarded so forked children can never unlink.
 
     Compose with :class:`~repro.core.backends.durable.DurableBackend` as
-    ``DurableBackend(SharedMemoryBackend(), ...)`` — durability is the
-    *outer* decorator.  Its logging proxies call straight through to the
-    inner stores, so WAL journaling is unaffected by where the columns
-    live, and the shm-only surface (``publish_membership``,
-    ``token_store``, ``layout``) remains reachable through its attribute
-    delegation.
+    ``DurableBackend.open(wal_dir, config, inner=SharedMemoryBackend())``
+    — durability is the *outer* decorator.  Its logging proxies call
+    straight through to the inner stores, so WAL journaling is unaffected
+    by where the columns live, and the shm-only surface
+    (``publish_membership``, ``token_store``, ``layout``) remains
+    reachable through its attribute delegation.
     """
 
     def __init__(

@@ -97,11 +97,10 @@ class StreamERPipeline:
         False: the bare stage chain, no timer reads.
     backend:
         Where the ER state lives; defaults to a fresh
-        :class:`~repro.core.backends.InMemoryBackend`.
-    plan:
-        A pre-built :class:`~repro.core.plan.PipelinePlan` to compile; by
-        default one is derived from ``config``.  When given, its embedded
-        config wins.
+        :class:`~repro.core.backends.InMemoryBackend`.  A durable run
+        passes :meth:`~repro.core.backends.DurableBackend.open` (see
+        ``docs/durability.md``); on a resumed backend
+        ``entities_processed`` continues from the recovered count.
     registry:
         An optional :class:`~repro.observability.MetricsRegistry`; when
         enabled, the pipeline emits the shared metric vocabulary (see
@@ -116,24 +115,6 @@ class StreamERPipeline:
         enabled, stage outputs are verified per message and the
         state-scope invariants run every ``checker.state_every`` entities.
         Defaults to ``None`` — no check, zero overhead.
-    wal_dir:
-        When given, state is wrapped in a
-        :class:`~repro.core.backends.DurableBackend`: every mutation is
-        write-ahead logged under this directory, and the run can be
-        resumed crash-consistently (see ``docs/durability.md``).
-    checkpoint_every:
-        Committed entities between snapshot checkpoints of the durable
-        run (0 = never checkpoint).  Ignored without ``wal_dir``.
-    fsync:
-        Durable-run fsync policy: ``"always"``, ``"commit"`` (default)
-        or ``"never"``.  Ignored without ``wal_dir``.
-    resume:
-        Recover state from an existing durable run directory instead of
-        starting fresh.  Requires ``wal_dir``; ``entities_processed``
-        continues from the recovered count.
-    crash_point:
-        Arms the WAL crash-injection hook
-        (:class:`~repro.parallel.faults.CrashPoint`) — test harness only.
 
     The optional-stage attributes (``bg``, ``cc``) are ``None`` when the
     plan dropped those nodes (block/comparison cleaning disabled).
@@ -144,17 +125,11 @@ class StreamERPipeline:
         config: StreamERConfig | None = None,
         instrument: bool = False,
         backend: StateBackend | None = None,
-        plan: PipelinePlan | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         checker: InvariantChecker | None = None,
-        wal_dir: str | None = None,
-        checkpoint_every: int = 0,
-        fsync: str = "commit",
-        resume: bool = False,
-        crash_point: object | None = None,
     ) -> None:
-        self.plan = plan if plan is not None else PipelinePlan.from_config(config)
+        self.plan = PipelinePlan.from_config(config)
         self.config = self.plan.config
         if registry is None:
             registry = MetricsRegistry() if instrument else NULL_REGISTRY
@@ -165,44 +140,6 @@ class StreamERPipeline:
             self.checker.exempt_provider = lambda: {
                 d.entity_id for d in self.dead_letters
             }
-        recovered_count = 0
-        if resume and wal_dir is None:
-            raise ConfigurationError("resume=True requires wal_dir")
-        if wal_dir is not None:
-            from repro.core.backends.durable import (
-                DurabilityConfig,
-                DurableBackend,
-                config_fingerprint,
-            )
-
-            durability = DurabilityConfig(
-                wal_dir=wal_dir, checkpoint_every=checkpoint_every, fsync=fsync
-            )
-            fingerprint = config_fingerprint(self.config)
-            if resume:
-                from repro.durability.recovery import recover
-
-                recovered = recover(wal_dir)
-                backend = DurableBackend.resume(
-                    durability,
-                    recovered,
-                    registry=self.registry,
-                    fingerprint=fingerprint,
-                    crash_point=crash_point,  # type: ignore[arg-type]
-                )
-                recovered_count = recovered.entities_processed
-            else:
-                if backend is None:
-                    from repro.core.backends import InMemoryBackend
-
-                    backend = InMemoryBackend()
-                backend = DurableBackend(
-                    backend,
-                    durability,
-                    registry=self.registry,
-                    fingerprint=fingerprint,
-                    crash_point=crash_point,  # type: ignore[arg-type]
-                )
         self.compiled = self.plan.compile(
             backend, registry=self.registry, checker=self.checker
         )
@@ -220,7 +157,7 @@ class StreamERPipeline:
         self.cl = self.compiled.get("cl")
         self._named_stages = tuple(self.compiled.ordered())
         self._stages = tuple(stage for _, stage in self._named_stages)
-        self._entities_processed = recovered_count
+        self._entities_processed = getattr(backend, "entities_committed", 0)
         self.items_failed = 0
         self.retries_performed = 0
         self.dead_letters: list[DeadLetter] = []

@@ -3,8 +3,9 @@
 The paper's §III-A allows the initial state σ₁ to be seeded from a prior
 resolution run; this package makes that survivable: every state mutation
 is appended to a length-prefixed, checksummed write-ahead log, periodic
-snapshot checkpoints bound replay time, and :func:`recover` /
-:func:`resume_pipeline` rebuild the exact pre-crash state from disk.
+snapshot checkpoints bound replay time, and :func:`recover` (behind
+``DurableBackend.open(..., resume=True)``) rebuilds the exact pre-crash
+state from disk.
 
 Layout of a durable run directory (``wal_dir``)::
 
@@ -24,7 +25,7 @@ procedure and fsync guarantees.
 """
 
 from repro.durability.codec import state_digest
-from repro.durability.recovery import RecoveredState, recover, resume_pipeline
+from repro.durability.recovery import RecoveredState, recover
 from repro.durability.snapshot import (
     load_snapshot,
     snapshot_path,
@@ -46,7 +47,6 @@ __all__ = [
     "WalWriter",
     "load_snapshot",
     "recover",
-    "resume_pipeline",
     "scan_wal",
     "segment_path",
     "snapshot_path",

@@ -40,7 +40,7 @@ from repro.durability.snapshot import (
 from repro.durability.wal import header_size, scan_wal, segment_path
 from repro.errors import RecoveryError
 
-__all__ = ["RecoveredState", "apply_record", "recover", "resume_pipeline"]
+__all__ = ["RecoveredState", "apply_record", "recover"]
 
 
 def apply_record(record: dict, backend: Any) -> None:
@@ -217,17 +217,3 @@ def recover(wal_dir: str | Path, strict: bool = True) -> RecoveredState:
         next_seq=next_seq,
     )
 
-
-def resume_pipeline(config: Any, wal_dir: str | Path, **kwargs: Any):
-    """A :class:`~repro.core.pipeline.StreamERPipeline` resumed from disk.
-
-    Convenience wrapper over ``StreamERPipeline(config, wal_dir=...,
-    resume=True)``: recovery replays the snapshot + WAL tail, the torn or
-    uncommitted tail is truncated, and the returned pipeline continues
-    appending to the recovered segment.  Entities that were mid-flight at
-    the crash must be re-fed by the caller (their partial mutations were
-    discarded with the tail).
-    """
-    from repro.core.pipeline import StreamERPipeline
-
-    return StreamERPipeline(config, wal_dir=wal_dir, resume=True, **kwargs)

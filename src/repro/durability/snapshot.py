@@ -13,11 +13,11 @@ and the directory entry is fsynced.  A crash at any point leaves either
 the previous snapshot or the new one — never a half-written file under
 the final name.
 
-The same schema is the v2 on-disk format of
-:mod:`repro.core.persistence` (cooperative suspend is a checkpoint at
-epoch 0 with no WAL), which is what closes the legacy round-trip gap:
-the token dictionary is part of the document, so resuming never
-re-interns and token ids keep their original assignment order.
+The same schema is the suspend/resume format of :func:`dump_state` /
+:func:`load_state` — §III-A's initial state σ₁ "resulting from applying
+ER on another dataset": a cooperative suspend is a checkpoint at epoch 0
+with no WAL.  The token dictionary is part of the document, so resuming
+never re-interns and token ids keep their original assignment order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import IO, Any
 
 from repro.durability.codec import (
     decode_id,
@@ -37,14 +37,16 @@ from repro.durability.codec import (
     encode_match,
     encode_profile,
 )
-from repro.errors import RecoveryError
+from repro.errors import DatasetError, RecoveryError
 
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "apply_state_document",
+    "dump_state",
     "list_snapshots",
     "load_snapshot",
+    "load_state",
     "snapshot_path",
     "state_document",
     "validate_state_document",
@@ -134,7 +136,10 @@ def validate_state_document(document: dict, name: object) -> None:
     state document whose integrity hash holds; ``name`` labels it in the
     message."""
     if document.get("format") != SNAPSHOT_FORMAT:
-        raise RecoveryError(f"{name} is not a repro ER snapshot")
+        raise RecoveryError(
+            f"{name} is not a repro ER snapshot (format "
+            f"{document.get('format')!r}, version {document.get('version')!r})"
+        )
     if document.get("version") != SNAPSHOT_VERSION:
         raise RecoveryError(
             f"{name} has unsupported snapshot version "
@@ -181,3 +186,46 @@ def apply_state_document(document: dict, backend: Any) -> int:
     for data in document["matches"]:
         backend.matches.add(decode_match(data))
     return int(document.get("entities_processed", 0))
+
+
+def dump_state(pipeline: Any, target: str | Path | IO[str]) -> None:
+    """Suspend: write ``pipeline``'s complete state as a state document.
+
+    A path target is published through :func:`write_snapshot`, so a
+    failure mid-dump leaves the previous file (if any), never a
+    truncated one.
+    """
+    document = state_document(
+        pipeline.backend,
+        entities_processed=pipeline.entities_processed,
+        epoch=0,
+        next_seq=pipeline.entities_processed,
+    )
+    if isinstance(target, (str, Path)):
+        write_snapshot(target, document)
+    else:
+        json.dump(document, target)
+
+
+def load_state(pipeline: Any, source: str | Path | IO[str]) -> None:
+    """Resume: restore a :func:`dump_state` document into a *fresh* pipeline.
+
+    The pipeline must not have processed anything yet — loading merges,
+    rather than replaces, and a half-filled state would silently corrupt
+    the resolution.  Any document that is not a current-version state
+    document whose integrity hash holds raises
+    :class:`~repro.errors.DatasetError`.
+    """
+    if pipeline.entities_processed:
+        raise DatasetError("state can only be loaded into a fresh pipeline")
+    if isinstance(source, (str, Path)):
+        with Path(source).open(encoding="utf-8") as handle:
+            document = json.load(handle)
+    else:
+        document = json.load(source)
+    try:
+        validate_state_document(document, "state document")
+        count = apply_state_document(document, pipeline.backend)
+    except RecoveryError as exc:
+        raise DatasetError(str(exc)) from exc
+    pipeline._entities_processed = count  # noqa: SLF001

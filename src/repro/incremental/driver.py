@@ -21,7 +21,6 @@ from repro.batch.pipeline import BatchERConfig, IncrementalBatchER
 from repro.classification.classifiers import Classifier
 from repro.core.config import StreamERConfig
 from repro.core.pipeline import StreamERPipeline
-from repro.core.plan import PipelinePlan
 from repro.datasets.generators import GeneratedDataset
 from repro.evaluation.metrics import pair_completeness
 from repro.piblock.piblock import PIBlockConfig, PIBlockER
@@ -61,8 +60,7 @@ def _run_stream(
         classifier=classifier,
     )
     # The plan drops the ``bg`` node entirely for the No-BC variant.
-    plan = PipelinePlan.from_config(config)
-    pipeline = StreamERPipeline(plan=plan, instrument=False)
+    pipeline = StreamERPipeline(config, instrument=False)
     per_increment: list[float] = []
     for increment in increments:
         start = time.perf_counter()

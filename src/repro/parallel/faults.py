@@ -47,7 +47,7 @@ __all__ = [
 # record index (optionally mid-record) instead of at a seeded item.  They
 # live in repro.durability.wal because the writer consults them, and are
 # re-exported here as the one-stop fault-injection namespace; arm one via
-# StreamERPipeline(..., wal_dir=..., crash_point=CrashPoint(at_record=7)).
+# DurableBackend.open(wal_dir, config, crash_point=CrashPoint(at_record=7)).
 
 _MODES = ("raise", "delay", "corrupt")
 

@@ -339,9 +339,6 @@ class ParallelERPipeline:
         are exposed as ``fault_injectors`` for inspection.
     backend:
         Where the ER state lives (default: a fresh in-memory backend).
-    plan:
-        A pre-built :class:`~repro.core.plan.PipelinePlan` to compile; by
-        default one is derived from ``config``.
     registry:
         Optional :class:`~repro.observability.MetricsRegistry`; when
         enabled, the framework emits the shared metric vocabulary —
@@ -371,12 +368,11 @@ class ParallelERPipeline:
         supervision: SupervisionPolicy | None = None,
         faults: FaultPlan | None = None,
         backend: StateBackend | None = None,
-        plan: PipelinePlan | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         checker: InvariantChecker | None = None,
     ) -> None:
-        self.plan = plan if plan is not None else PipelinePlan.from_config(config)
+        self.plan = PipelinePlan.from_config(config)
         self.config = self.plan.config
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.tracer = tracer

@@ -277,9 +277,6 @@ class MultiprocessERPipeline:
         Where the parent-side ER state lives (default: a fresh in-memory
         backend, which is not eligible for partitioned dispatch; pass a
         :class:`~repro.core.backends.shm.SharedMemoryBackend`).
-    plan:
-        A pre-built :class:`~repro.core.plan.PipelinePlan` to compile; by
-        default one is derived from ``config``.
     registry:
         An optional :class:`~repro.observability.MetricsRegistry`.  Stage
         calls the parent runs record metrics through the compiled plan's
@@ -325,7 +322,6 @@ class MultiprocessERPipeline:
         supervision: SupervisionPolicy | None = None,
         faults: FaultPlan | None = None,
         backend: StateBackend | None = None,
-        plan: PipelinePlan | None = None,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         checker: InvariantChecker | None = None,
@@ -337,7 +333,7 @@ class MultiprocessERPipeline:
             raise ConfigurationError(
                 f"partitioned must be True or 'auto', got {partitioned!r}"
             )
-        self.plan = plan if plan is not None else PipelinePlan.from_config(config)
+        self.plan = PipelinePlan.from_config(config)
         self.config = self.plan.config
         self.workers = workers
         self.registry = registry if registry is not None else NULL_REGISTRY

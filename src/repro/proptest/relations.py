@@ -301,9 +301,11 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
     import tempfile
     from pathlib import Path
 
+    from repro.core.backends import DurableBackend
     from repro.durability.wal import CrashPoint
     from repro.errors import SimulatedCrash
 
+    config = case.config()
     entities = list(case.entities)
     reference = _run_batch(case)
     baseline = {
@@ -311,10 +313,11 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
     }
     with tempfile.TemporaryDirectory(prefix="repro-resume-") as root:
         probe = StreamERPipeline(
-            case.config(),
+            config,
             instrument=False,
-            wal_dir=str(Path(root) / "probe"),
-            checkpoint_every=5,
+            backend=DurableBackend.open(
+                Path(root) / "probe", config, checkpoint_every=5
+            ),
         )
         probe.process_many(entities)
         probe.close()
@@ -328,24 +331,27 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
             (rng.randint(1, total), rng.randint(1, 7)),  # a torn write
         ]
         for index, (at_record, torn_bytes) in enumerate(scenarios):
-            wal_dir = str(Path(root) / f"crash-{index}")
+            wal_dir = Path(root) / f"crash-{index}"
             crashed = StreamERPipeline(
-                case.config(),
+                config,
                 instrument=False,
-                wal_dir=wal_dir,
-                checkpoint_every=5,
-                crash_point=CrashPoint(at_record=at_record, torn_bytes=torn_bytes),
+                backend=DurableBackend.open(
+                    wal_dir,
+                    config,
+                    checkpoint_every=5,
+                    crash_point=CrashPoint(at_record=at_record, torn_bytes=torn_bytes),
+                ),
             )
             try:
                 crashed.process_many(entities)
             except SimulatedCrash:
                 pass
             resumed = StreamERPipeline(
-                case.config(),
+                config,
                 instrument=False,
-                wal_dir=wal_dir,
-                resume=True,
-                checkpoint_every=5,
+                backend=DurableBackend.open(
+                    wal_dir, config, resume=True, checkpoint_every=5
+                ),
             )
             resumed.process_many(entities[resumed.entities_processed :])
             resumed.close()

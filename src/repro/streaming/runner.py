@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.config import StreamERConfig
-from repro.core.plan import PipelinePlan
 from repro.evaluation.metrics import LatencySummary, throughput_series
 from repro.observability.export import write_json_snapshot
 from repro.observability.registry import MetricsRegistry
@@ -87,14 +86,6 @@ class LiveStreamRunner:
     vocabulary; ``metrics_path`` additionally writes a JSON snapshot of
     the registry when the run finishes (see
     :func:`repro.observability.export.write_json_snapshot`).
-
-    With ``wal_dir``, the run's state lives in a
-    :class:`~repro.core.backends.DurableBackend`: every mutation is
-    write-ahead logged and checkpointed every ``checkpoint_every``
-    committed entities.  The thread framework interleaves entity
-    mutations before their commit records, so replay-to-last-commit is
-    best-effort here (exact for the sequential executor); see
-    ``docs/durability.md``.
     """
 
     def __init__(
@@ -105,60 +96,23 @@ class LiveStreamRunner:
         stage_seconds: dict[str, float] | None = None,
         registry: MetricsRegistry | None = None,
         metrics_path: str | None = None,
-        wal_dir: str | None = None,
-        checkpoint_every: int = 0,
-        fsync: str = "commit",
     ) -> None:
         self.config = config
-        self.plan = PipelinePlan.from_config(config)
         self.processes = processes
         self.micro_batch_size = micro_batch_size
         self.stage_seconds = stage_seconds
         self.registry = registry
         self.metrics_path = metrics_path
-        self.wal_dir = wal_dir
-        self.checkpoint_every = checkpoint_every
-        self.fsync = fsync
 
-    def _backend(self):
-        if self.wal_dir is None:
-            return None
-        from repro.core.backends import (
-            DurabilityConfig,
-            DurableBackend,
-            InMemoryBackend,
-            config_fingerprint,
-        )
-
-        return DurableBackend(
-            InMemoryBackend(),
-            DurabilityConfig(
-                wal_dir=self.wal_dir,
-                checkpoint_every=self.checkpoint_every,
-                fsync=self.fsync,
-            ),
-            registry=self.registry,
-            fingerprint=config_fingerprint(self.config),
-        )
-
-    def run(
-        self,
-        entities: Iterable[EntityDescription],
-        rate: float,
-        window: float = 1.0,
-    ) -> StreamRunReport:
-        backend = self._backend()
+    def run(self, entities: Iterable[EntityDescription], rate: float) -> StreamRunReport:
         pipeline = ParallelERPipeline(
-            plan=self.plan,
+            self.config,
             processes=self.processes,
             stage_seconds=self.stage_seconds,
             micro_batch_size=self.micro_batch_size,
             registry=self.registry,
-            backend=backend,
         )
         result = pipeline.run(RateLimitedSource(entities, rate))
-        if backend is not None:
-            backend.close()
         if self.registry is not None and self.metrics_path is not None:
             write_json_snapshot(self.registry, self.metrics_path)
         # Completion timestamps are recoverable from elapsed + latencies
@@ -202,8 +156,9 @@ class MultiprocessStreamRunner:
 
     With ``backend=None`` a fresh shared-memory backend is created and
     owned (closed + unlinked) by the runner; pass an explicit backend —
-    e.g. ``DurableBackend(SharedMemoryBackend(), ...)`` for a durable
-    incremental run — to manage its lifecycle yourself.
+    e.g. ``DurableBackend.open(wal_dir, config,
+    inner=SharedMemoryBackend())`` for a durable incremental run — to
+    manage its lifecycle yourself.
 
     ``partitioned="auto"`` (default) uses block-partitioned dispatch when
     the wiring is eligible and otherwise resolves every entity in the

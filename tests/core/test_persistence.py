@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
-from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.persistence import dump_state, load_state
+from repro.core import StreamERConfig, StreamERPipeline, dump_state, load_state
 from repro.errors import DatasetError
 
 
@@ -147,7 +147,9 @@ class TestTokenIdStability:
 
 
 class TestLegacyV1:
-    def test_v1_document_loads_through_the_shim(self, tiny_dirty_dataset, tmp_path):
+    def test_v1_document_is_rejected_naming_its_version(
+        self, tiny_dirty_dataset, tmp_path
+    ):
         document = {
             "format": "repro-er-state",
             "version": 1,
@@ -173,11 +175,10 @@ class TestLegacyV1:
         path = tmp_path / "v1.json"
         path.write_text(json.dumps(document))
         pipeline = make_pipeline(tiny_dirty_dataset, threshold=0.9)
-        load_state(pipeline, path)
-        assert pipeline.entities_processed == 2
-        assert pipeline.backend.blocks.block("lamp") == [1, 2]
-        assert "common" in pipeline.backend.blacklist
-        assert pipeline.backend.matches.pairs() == {(1, 2)}
+        with pytest.raises(DatasetError, match="version 1"):
+            load_state(pipeline, path)
+        assert pipeline.entities_processed == 0
+        assert len(pipeline.backend.profiles) == 0
 
 
 class TestIntegrity:
@@ -192,3 +193,25 @@ class TestIntegrity:
         fresh = make_pipeline(tiny_dirty_dataset, threshold=0.9)
         with pytest.raises(DatasetError, match="integrity"):
             load_state(fresh, path)
+
+    def test_failed_dump_leaves_the_previous_dump_loadable(
+        self, tiny_dirty_dataset, tmp_path, monkeypatch
+    ):
+        entities = list(tiny_dirty_dataset.stream())
+        pipeline = make_pipeline(tiny_dirty_dataset, threshold=0.9)
+        pipeline.process_many(entities[:10])
+        path = tmp_path / "state.json"
+        dump_state(pipeline, path)
+        pipeline.process_many(entities[10:20])
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            dump_state(pipeline, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        restored = make_pipeline(tiny_dirty_dataset, threshold=0.9)
+        load_state(restored, path)
+        assert restored.entities_processed == 10

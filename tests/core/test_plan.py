@@ -1,7 +1,8 @@
 """PipelinePlan: the one stage graph every executor compiles.
 
-The plan is built once from a ``StreamERConfig`` and handed to all four
-executors; these tests pin down (a) the paper's eight-stage order in every
+Every executor derives the plan from its ``StreamERConfig`` (the
+simulator, which has no config, also takes one directly); these tests
+pin down (a) the paper's eight-stage order in every
 executor, (b) that disabling ``f_bg`` / ``f_cc`` via config drops exactly
 those nodes — again in every executor — and (c) the plan/compiled-pipeline
 API surface the executors rely on.
@@ -13,7 +14,7 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.backends import InMemoryBackend, SharedMemoryBackend
+from repro.core.backends import DurableBackend, InMemoryBackend, SharedMemoryBackend
 from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan
 from repro.core.stages import (
     BlockBuildingStage,
@@ -156,14 +157,15 @@ class TestPlanCompilation:
         "option", ["none", "instrument", "registry", "checker", "durable"]
     )
     def test_stage_attributes_are_the_stage_objects(self, option, tmp_path):
+        config = full_config()
         kwargs = {
             "none": {},
             "instrument": {"instrument": True},
             "registry": {"registry": MetricsRegistry()},
             "checker": {"checker": InvariantChecker(mode="record")},
-            "durable": {"wal_dir": str(tmp_path / "wal")},
+            "durable": {"backend": DurableBackend.open(tmp_path / "wal", config)},
         }[option]
-        pipeline = StreamERPipeline(full_config(), **kwargs)
+        pipeline = StreamERPipeline(config, **kwargs)
         for attr, name, cls in (
             ("cg", "cg", ComparisonGenerationStage),
             ("bb", "bb+bp", BlockBuildingStage),
@@ -186,8 +188,12 @@ class TestPlanCompilation:
         entities = overlapping_entities(12)
         registry = MetricsRegistry()
         checker = InvariantChecker(mode="record")
+        config = full_config()
         pipeline = StreamERPipeline(
-            full_config(), registry=registry, checker=checker, wal_dir=str(tmp_path / "wal")
+            config,
+            registry=registry,
+            checker=checker,
+            backend=DurableBackend.open(tmp_path / "wal", config),
         )
         pipeline.process_many(entities)
         pipeline.close()
@@ -308,11 +314,3 @@ class TestExecutorsShareThePlan:
         allocation = {name: 1 for name in STAGE_ORDER}
         simulator = PipelineSimulator(allocation, service_model())
         assert simulator.stage_names == STAGE_ORDER
-
-    def test_shared_plan_instance_is_reused(self):
-        plan = PipelinePlan.from_config(full_config())
-        seq = StreamERPipeline(plan=plan, instrument=False)
-        par = ParallelERPipeline(plan=plan, processes=8)
-        assert seq.plan is plan
-        assert par.plan is plan
-        assert seq.config is plan.config

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.backends import DurabilityConfig, DurableBackend, InMemoryBackend
+from repro.core import StreamERConfig
+from repro.core.backends import DurableBackend
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -85,9 +86,7 @@ class TestBlockPrefix:
         if request.param == "memory":
             yield BlockCollection()
         else:
-            backend = DurableBackend(
-                InMemoryBackend(), DurabilityConfig(wal_dir=tmp_path / "wal")
-            )
+            backend = DurableBackend.open(tmp_path / "wal", StreamERConfig())
             yield backend.blocks
             backend.close()
 

@@ -16,10 +16,15 @@ from dataclasses import dataclass
 import pytest
 
 from repro.classification import OracleClassifier
-from repro.core import StreamERConfig, StreamERPipeline
+from repro.core import (
+    DurableBackend,
+    InMemoryBackend,
+    StreamERConfig,
+    StreamERPipeline,
+)
 from repro.datasets import DatasetSpec, generate
 from repro.durability.codec import state_digest
-from repro.durability.recovery import recover, resume_pipeline
+from repro.durability.recovery import recover
 from repro.durability.snapshot import list_snapshots
 from repro.durability.wal import segment_path
 from repro.errors import (
@@ -30,6 +35,7 @@ from repro.errors import (
 )
 from repro.invariants import InvariantChecker
 from repro.invariants.checks import StateView, check_durability_layout
+from repro.parallel import ParallelERPipeline
 from repro.parallel.faults import CrashPoint
 from repro.proptest import run_suite
 
@@ -39,6 +45,16 @@ SEED = 2021
 
 def match_set(pipeline) -> set:
     return {(m.key(), m.similarity) for m in pipeline.backend.matches.matches()}
+
+
+def durable_pipeline(config, wal_dir, checker=None, **open_kwargs):
+    """A sequential pipeline on ``DurableBackend.open(wal_dir, config, ...)``."""
+    return StreamERPipeline(
+        config,
+        instrument=False,
+        checker=checker,
+        backend=DurableBackend.open(wal_dir, config, **open_kwargs),
+    )
 
 
 @dataclass
@@ -68,12 +84,7 @@ def baseline(tmp_path_factory) -> Baseline:
     plain.process_many(entities)
 
     wal_dir = tmp_path_factory.mktemp("uninterrupted")
-    durable = StreamERPipeline(
-        config,
-        instrument=False,
-        wal_dir=str(wal_dir),
-        checkpoint_every=CHECKPOINT_EVERY,
-    )
+    durable = durable_pipeline(config, wal_dir, checkpoint_every=CHECKPOINT_EVERY)
     durable.process_many(entities)
     durable.close()
     assert match_set(durable) == match_set(plain)
@@ -87,10 +98,9 @@ def baseline(tmp_path_factory) -> Baseline:
 
 
 def crash_run(baseline: Baseline, wal_dir, at_record, torn_bytes=None):
-    pipeline = StreamERPipeline(
+    pipeline = durable_pipeline(
         baseline.config,
-        instrument=False,
-        wal_dir=str(wal_dir),
+        wal_dir,
         checkpoint_every=CHECKPOINT_EVERY,
         crash_point=CrashPoint(at_record=at_record, torn_bytes=torn_bytes),
     )
@@ -100,7 +110,7 @@ def crash_run(baseline: Baseline, wal_dir, at_record, torn_bytes=None):
 
 
 def resume_and_finish(baseline: Baseline, wal_dir):
-    resumed = resume_pipeline(baseline.config, str(wal_dir), instrument=False)
+    resumed = durable_pipeline(baseline.config, wal_dir, resume=True)
     skip = resumed.entities_processed
     resumed.process_many(baseline.entities[skip:])
     resumed.close()
@@ -128,10 +138,10 @@ class TestCrashSweep:
         wal_dir = tmp_path / "double-crash"
         crash_run(baseline, wal_dir, baseline.total_records // 2, torn_bytes=2)
         # The resumed run dies as well, mid-write, before finishing.
-        resumed = resume_pipeline(
+        resumed = durable_pipeline(
             baseline.config,
-            str(wal_dir),
-            instrument=False,
+            wal_dir,
+            resume=True,
             crash_point=CrashPoint(at_record=40, torn_bytes=4),
         )
         skip = resumed.entities_processed
@@ -148,19 +158,33 @@ class TestCrashSweep:
 
     def test_resume_after_clean_shutdown_is_a_no_op_replay(self, baseline, tmp_path):
         wal_dir = tmp_path / "clean"
-        durable = StreamERPipeline(
-            baseline.config,
-            instrument=False,
-            wal_dir=str(wal_dir),
-            checkpoint_every=CHECKPOINT_EVERY,
+        durable = durable_pipeline(
+            baseline.config, wal_dir, checkpoint_every=CHECKPOINT_EVERY
         )
         durable.process_many(baseline.entities)
         durable.close()
-        resumed = resume_pipeline(baseline.config, str(wal_dir), instrument=False)
+        resumed = durable_pipeline(baseline.config, wal_dir, resume=True)
         assert resumed.entities_processed == len(baseline.entities)
         assert match_set(resumed) == baseline.matches
         assert state_digest(resumed.backend.inner) == baseline.digest
         resumed.close()
+
+
+class TestThreadFramework:
+    def test_fault_free_run_recovers_the_live_state(self, baseline, tmp_path):
+        # No checkpoints: a snapshot taken on the cl thread while bb+bp
+        # keeps mutating is only best-effort (docs/durability.md).  The
+        # WAL alone is exact here: processes=8 gives every stage one
+        # worker, so each store's journal order is its apply order.
+        wal_dir = tmp_path / "threads"
+        backend = DurableBackend.open(wal_dir, baseline.config)
+        pipeline = ParallelERPipeline(baseline.config, processes=8, backend=backend)
+        result = pipeline.run(baseline.entities, timeout=60)
+        backend.close()
+        assert result.items_failed == 0
+        assert result.match_pairs == {pair for pair, _ in baseline.matches}
+        assert backend.entities_committed == len(baseline.entities)
+        assert state_digest(recover(wal_dir).backend) == state_digest(backend.inner)
 
 
 class TestProptestSweep:
@@ -176,13 +200,17 @@ class TestRunDirectoryDiscipline:
         wal_dir = tmp_path / "occupied"
         crash_run(baseline, wal_dir, at_record=10)
         with pytest.raises(ConfigurationError, match="already holds"):
-            StreamERPipeline(
-                baseline.config, instrument=False, wal_dir=str(wal_dir)
-            )
+            DurableBackend.open(wal_dir, baseline.config)
 
-    def test_resume_requires_wal_dir(self, baseline):
-        with pytest.raises(ConfigurationError, match="wal_dir"):
-            StreamERPipeline(baseline.config, instrument=False, resume=True)
+    def test_resume_refuses_a_callers_backend(self, baseline, tmp_path):
+        # Recovery always rebuilds in memory; silently dropping the
+        # caller's backend would leave it empty while the run goes on.
+        wal_dir = tmp_path / "inner"
+        crash_run(baseline, wal_dir, at_record=30)
+        with pytest.raises(ConfigurationError, match="inner"):
+            DurableBackend.open(
+                wal_dir, baseline.config, inner=InMemoryBackend(), resume=True
+            )
 
     def test_fingerprint_mismatch_refuses_to_resume(self, baseline, tmp_path):
         wal_dir = tmp_path / "pinned"
@@ -193,16 +221,11 @@ class TestRunDirectoryDiscipline:
             classifier=baseline.config.classifier,
         )
         with pytest.raises(RecoveryError, match="fingerprint"):
-            resume_pipeline(other, str(wal_dir), instrument=False)
+            DurableBackend.open(wal_dir, other, resume=True)
 
     def test_checkpoint_retention_bounds_the_directory(self, baseline, tmp_path):
         wal_dir = tmp_path / "retention"
-        durable = StreamERPipeline(
-            baseline.config,
-            instrument=False,
-            wal_dir=str(wal_dir),
-            checkpoint_every=10,
-        )
+        durable = durable_pipeline(baseline.config, wal_dir, checkpoint_every=10)
         durable.process_many(baseline.entities)
         durable.close()
         epochs = [epoch for epoch, _ in list_snapshots(wal_dir)]
@@ -219,11 +242,10 @@ class TestRunDirectoryDiscipline:
 class TestDurabilityInvariants:
     def test_checked_durable_run_is_violation_free(self, baseline, tmp_path):
         checker = InvariantChecker(mode="raise", state_every=20)
-        durable = StreamERPipeline(
+        durable = durable_pipeline(
             baseline.config,
-            instrument=False,
+            tmp_path / "checked",
             checker=checker,
-            wal_dir=str(tmp_path / "checked"),
             checkpoint_every=CHECKPOINT_EVERY,
         )
         durable.process_many(baseline.entities)  # raises on any violation
@@ -231,12 +253,7 @@ class TestDurabilityInvariants:
 
     def test_layout_invariant_catches_a_missing_segment(self, baseline, tmp_path):
         wal_dir = tmp_path / "holey"
-        durable = StreamERPipeline(
-            baseline.config,
-            instrument=False,
-            wal_dir=str(wal_dir),
-            checkpoint_every=10,
-        )
+        durable = durable_pipeline(baseline.config, wal_dir, checkpoint_every=10)
         durable.process_many(baseline.entities)
         segment_path(wal_dir, durable.backend.epoch).unlink()
         view = StateView(config=baseline.config, backend=durable.backend)

@@ -1,4 +1,5 @@
-"""Durability over shared memory: ``DurableBackend(SharedMemoryBackend())``.
+"""Durability over shared memory:
+``DurableBackend.open(wal_dir, config, inner=SharedMemoryBackend())``.
 
 Durability is the *outer* decorator — its logging proxies journal every
 mutation and call straight through to the inner stores, so where the
@@ -26,9 +27,8 @@ from repro.core.backends import (
     SharedMemoryBackend,
     active_shm_segments,
 )
-from repro.core.backends.durable import DurabilityConfig, DurableBackend
+from repro.core.backends.durable import DurableBackend
 from repro.datasets import DatasetSpec, generate
-from repro.durability.recovery import resume_pipeline
 from repro.errors import SimulatedCrash
 from repro.parallel import MultiprocessERPipeline
 from repro.parallel.faults import CrashPoint
@@ -67,9 +67,7 @@ class TestComposition:
         with SharedMemoryBackend() as inner:
             with MultiprocessERPipeline(config, backend=inner) as mp:
                 assert mp.partition_blockers == ()
-            durable = DurableBackend(
-                inner, DurabilityConfig(wal_dir=str(tmp_path / "wal"))
-            )
+            durable = DurableBackend.open(tmp_path / "wal", config, inner=inner)
             # The shm surface reaches through the decorator; only the
             # per-entity commit keeps the tails in the parent.
             assert durable.layout() == inner.layout()
@@ -86,12 +84,13 @@ class TestComposition:
 
         inner = SharedMemoryBackend()
         prefix = inner.name
+        config = interned_config(dataset)
         durable = StreamERPipeline(
-            interned_config(dataset),
+            config,
             instrument=False,
-            backend=inner,
-            wal_dir=str(tmp_path / "wal"),
-            checkpoint_every=13,
+            backend=DurableBackend.open(
+                tmp_path / "wal", config, inner=inner, checkpoint_every=13
+            ),
         )
         durable.process_many(dataset.stream())
         durable.close()
@@ -118,12 +117,9 @@ class TestComposition:
             reference.close()
 
         with SharedMemoryBackend() as inner:
-            durable = DurableBackend(
-                inner, DurabilityConfig(wal_dir=str(tmp_path / "wal"))
-            )
-            mp = MultiprocessERPipeline(
-                interned_config(dataset), workers=2, backend=durable
-            )
+            config = interned_config(dataset)
+            durable = DurableBackend.open(tmp_path / "wal", config, inner=inner)
+            mp = MultiprocessERPipeline(config, workers=2, backend=durable)
             result = mp.run(dataset.stream())
             assert not mp.partitioned_dispatch
             assert len(mp.partition_blockers) == 1
@@ -146,13 +142,17 @@ class TestCrashResume:
         inner = SharedMemoryBackend()
         prefix = inner.name
         wal_dir = tmp_path / "crash"
+        config = interned_config(dataset)
         crashing = StreamERPipeline(
-            interned_config(dataset),
+            config,
             instrument=False,
-            backend=inner,
-            wal_dir=str(wal_dir),
-            checkpoint_every=13,
-            crash_point=CrashPoint(at_record=120),
+            backend=DurableBackend.open(
+                wal_dir,
+                config,
+                inner=inner,
+                checkpoint_every=13,
+                crash_point=CrashPoint(at_record=120),
+            ),
         )
         with pytest.raises(SimulatedCrash):
             crashing.process_many(entities)
@@ -161,8 +161,10 @@ class TestCrashResume:
         inner.unlink()
         assert active_shm_segments(prefix) == []
 
-        resumed = resume_pipeline(
-            interned_config(dataset), str(wal_dir), instrument=False
+        resumed = StreamERPipeline(
+            config,
+            instrument=False,
+            backend=DurableBackend.open(wal_dir, config, resume=True),
         )
         skip = resumed.entities_processed
         assert 0 < skip < len(entities)

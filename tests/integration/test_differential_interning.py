@@ -24,9 +24,8 @@ import io
 import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
-from repro.core import StreamERConfig, StreamERPipeline
+from repro.core import StreamERConfig, StreamERPipeline, dump_state, load_state
 from repro.core.backends import SharedMemoryBackend
-from repro.core.persistence import dump_state, load_state
 from repro.datasets import DatasetSpec, generate
 from repro.parallel import MultiprocessERPipeline
 
