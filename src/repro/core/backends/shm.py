@@ -62,7 +62,7 @@ from repro.core.state import (
 )
 from repro.errors import ConfigurationError
 from repro.reading.interning import TokenDictionary, pack_ids
-from repro.types import EntityId
+from repro.types import EntityId, Profile
 
 __all__ = [
     "SHM_NAME_PREFIX",
@@ -455,12 +455,16 @@ def decode_membership(record: "np.ndarray | memoryview") -> np.ndarray:
 class SharedTokenArrayStore:
     """Per-entity packed token-id arrays as rows of a shared column.
 
-    The parent appends each entity's :func:`pack_ids` payload *once* —
-    on the first comparison that mentions the entity — and afterwards
-    ships only the row number.  A re-arriving entity whose token set
-    changed (dynamic data) gets a fresh row; the old row stays valid for
-    any membership record that already names it (append-only means no
-    ABA hazard).
+    The parent appends each entity's :func:`pack_ids` payload *once* per
+    distinct token set and afterwards ships only the row number.  A
+    re-arriving entity whose token set changed (dynamic data) gets a fresh
+    row; the old row stays valid for any membership record that already
+    names it (append-only means no ABA hazard).
+
+    :attr:`rows` maps each entity to its *current* row.  Under a
+    :class:`SharedMemoryBackend` the profile map keeps it current (every
+    ``put`` calls :meth:`row_for`, every ``remove`` calls :meth:`forget`),
+    so a candidate list maps to rows with one dict probe per partner.
 
     With an ``entity_columns`` store attached, every token-row append is
     mirrored by a pickled entity-id record at the *same* row number —
@@ -469,7 +473,7 @@ class SharedTokenArrayStore:
     partitioned dispatch mode resolve matches entirely worker-side.
     """
 
-    __slots__ = ("columns", "entity_columns", "_rows")
+    __slots__ = ("columns", "entity_columns", "rows", "_token_ids")
 
     def __init__(
         self,
@@ -478,7 +482,10 @@ class SharedTokenArrayStore:
     ) -> None:
         self.columns = columns
         self.entity_columns = entity_columns
-        self._rows: dict[EntityId, tuple[object, int]] = {}
+        #: eid → the row holding its current token ids.
+        self.rows: dict[EntityId, int] = {}
+        #: eid → the token-id set that row was packed from.
+        self._token_ids: dict[EntityId, object] = {}
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -490,20 +497,55 @@ class SharedTokenArrayStore:
         equality slow path), so an updated entity is re-published rather
         than served stale ids.
         """
-        cached = self._rows.get(eid)
-        if cached is not None and (cached[0] is token_ids or cached[0] == token_ids):
-            return cached[1]
+        cached = self._token_ids.get(eid)
+        if cached is not None and (cached is token_ids or cached == token_ids):
+            return self.rows[eid]
         packed = pack_ids(token_ids)
         record = packed.typecode.encode("ascii") + packed.tobytes()
         row = self.columns.append(record)
         if self.entity_columns is not None:
             self.entity_columns.append(pickle.dumps(eid, protocol=5))
-        self._rows[eid] = (token_ids, row)
+        self._token_ids[eid] = token_ids
+        self.rows[eid] = row
         return row
+
+    def forget(self, eid: EntityId) -> None:
+        """Drop ``eid`` from the row map (its rows stay in the column)."""
+        self._token_ids.pop(eid, None)
+        self.rows.pop(eid, None)
 
     def ids_at(self, row: int) -> array:
         """Decode a row back to its packed array (writer-side check path)."""
         return decode_packed(self.columns.record(row))
+
+
+class _RowMappedProfiles(ProfileStore):
+    """The profile map of a :class:`SharedMemoryBackend`: every write also
+    keeps the token store's row map current.
+
+    ``f_bb+bp`` is the profile map's only writer under every executor, so
+    it is also the token column's only writer, and ``token_store.rows``
+    always names the row of the profile the map holds.  A profile without
+    interned ids (``token_ids is None``) has no row to name: ``put`` drops
+    the eid from the map, as ``remove`` does.
+    """
+
+    __slots__ = ("_tokens",)
+
+    def __init__(self, tokens: SharedTokenArrayStore) -> None:
+        super().__init__()
+        self._tokens = tokens
+
+    def put(self, profile: Profile) -> None:
+        self._profiles[profile.eid] = profile
+        if profile.token_ids is None:
+            self._tokens.forget(profile.eid)
+        else:
+            self._tokens.row_for(profile.eid, profile.token_ids)
+
+    def remove(self, eid: EntityId) -> bool:
+        self._tokens.forget(eid)
+        return super().remove(eid)
 
 
 def _finalize_backend(creator_pid: int, stores) -> None:
@@ -530,7 +572,9 @@ class SharedMemoryBackend:
     (blocks, blacklist, profiles, matches, and the token dictionary, which
     only ``f_dr`` in the parent consults) is parent-only state that never
     crosses the process boundary, so it stays as the plain in-memory
-    implementations.
+    implementations — except that the profile map also appends each
+    profile's token ids to the shared column as it is written, keeping
+    ``token_store.rows`` (eid → current row) in step with it.
 
     Lifecycle: the creating process owns the segments.  ``close()``
     detaches, ``unlink()`` removes (both idempotent; ``unlink`` implies
@@ -573,7 +617,7 @@ class SharedMemoryBackend:
         self.dictionary = TokenDictionary()
         self.blocks = BlockCollection()
         self.blacklist = Blacklist()
-        self.profiles = ProfileStore()
+        self.profiles = _RowMappedProfiles(self.token_store)
         self.matches = MatchStore()
         self._finalizer = weakref.finalize(
             self, _finalize_backend, self._creator_pid, list(self._stores)

@@ -65,9 +65,6 @@ __all__ = [
     "POOL_REUSES",
     "PARTITIONS_DISPATCHED",
     "PARTITION_PAIRS",
-    "PARTITION_GROUPS",
-    "PARTITION_IMBALANCE",
-    "PARTITION_LARGEST_SHARE",
     "PARTITION_METRIC_NAMES",
     "declare_pipeline_metrics",
     "declare_durability_metrics",
@@ -126,18 +123,13 @@ POOL_SPAWNS = "er_pool_spawns_total"
 POOL_REUSES = "er_pool_reuses_total"
 PARTITIONS_DISPATCHED = "er_partitions_dispatched_total"
 PARTITION_PAIRS = "er_partition_pairs_total"
-PARTITION_GROUPS = "er_partition_groups"
-PARTITION_IMBALANCE = "er_partition_imbalance"
-PARTITION_LARGEST_SHARE = "er_partition_largest_share"
 
-#: The shared-memory / worker-pool / partition-balance families, declared
-#: only when the multiprocess executor uses partitioned dispatch (the one
-#: condition under which it spawns a pool and touches shared columns) —
-#: like :data:`DURABILITY_METRIC_NAMES`, kept out of
-#: :data:`PIPELINE_METRIC_NAMES` so plain runs' cross-executor name-set
-#: comparisons stay exact.  The partition gauges describe the most recent
-#: run's :class:`~repro.parallel.allocation.PartitionPlan`; the counters
-#: accumulate across increments.
+#: The shared-memory / worker-pool / dispatch families, declared only when
+#: the multiprocess executor uses partitioned dispatch (the one condition
+#: under which it spawns a pool and touches shared columns) — like
+#: :data:`DURABILITY_METRIC_NAMES`, kept out of :data:`PIPELINE_METRIC_NAMES`
+#: so plain runs' cross-executor name-set comparisons stay exact.  The
+#: counters accumulate across increments.
 PARTITION_METRIC_NAMES: tuple[str, ...] = (
     SHM_BYTES,
     SHM_SEGMENTS,
@@ -146,9 +138,6 @@ PARTITION_METRIC_NAMES: tuple[str, ...] = (
     POOL_REUSES,
     PARTITIONS_DISPATCHED,
     PARTITION_PAIRS,
-    PARTITION_GROUPS,
-    PARTITION_IMBALANCE,
-    PARTITION_LARGEST_SHARE,
 )
 
 
@@ -193,7 +182,7 @@ def declare_durability_metrics(registry: MetricsRegistry) -> None:
 
 
 def declare_partition_metrics(registry: MetricsRegistry) -> None:
-    """Pre-register the shm/pool/partition families (partitioned runs only).
+    """Pre-register the shm/pool/dispatch families (partitioned runs only).
 
     Idempotent; a no-op on a disabled registry.  Called by
     :class:`~repro.parallel.mp_framework.MultiprocessERPipeline` when the
@@ -208,9 +197,6 @@ def declare_partition_metrics(registry: MetricsRegistry) -> None:
     registry.counter(POOL_REUSES)
     registry.counter(PARTITIONS_DISPATCHED)
     registry.counter(PARTITION_PAIRS)
-    registry.gauge(PARTITION_GROUPS)
-    registry.gauge(PARTITION_IMBALANCE)
-    registry.gauge(PARTITION_LARGEST_SHARE)
 
 
 def stage_seconds(registry: MetricsRegistry) -> dict[str, float]:

@@ -88,7 +88,7 @@ class PartitionPlan:
 
     ``bins[i]`` holds the group keys bin ``i`` owns; ``bin_costs[i]`` their
     summed cost.  Bins may be empty (fewer groups than bins, or heavily
-    skewed costs); the executor simply dispatches nothing for them.
+    skewed costs); an empty bin simply holds no work.
     """
 
     bins: tuple[tuple[Hashable, ...], ...]
@@ -133,6 +133,12 @@ def plan_partitions(
     packed because a group must stay with one worker to keep the cleaning
     count filter local).  Deterministic: ties in cost break on the key's
     repr, ties in load on bin index.
+
+    No executor calls it any more — the multiprocess executor streams
+    small descriptors to the pool's shared task queue instead of packing
+    an increment at its end.  Only the end-to-end benchmark still does
+    (``parallel.allocation.*`` in ``benchmarks/e2e/measure.py``), which is
+    why it stays.
     """
     if bins < 1:
         raise ConfigurationError("bins must be >= 1")

@@ -9,20 +9,23 @@ The state-bearing front (``f_dr → f_bb+bp → f_bg → f_cg``) always runs in
 the parent — block building is inherently serial.  An entity's tail
 (``f_cc → f_lm → f_co → f_cl``) then runs in one of two places:
 
-**In a worker, via block-partitioned dispatch.**  The entity's candidate
-list is published once to the backend's shared *membership* column (in
-token-column rows, resolved at arrival time), entities are grouped by
-their smallest blocking key, and at the end of the increment the groups
-are bin-packed onto the workers by comparison count
-(:func:`~repro.parallel.allocation.plan_partitions` — the load-balancing
-move of Kolb/Thor/Rahm's MapReduce sorted-neighborhood blocking).  Each
-worker receives one descriptor per increment — a flat ``uint64`` array of
-membership rows — and runs the plan's own ``cc → lm → co → cl`` stages
-over it: the same classes, built by the same
-:class:`~repro.core.plan.StageSpec` factories, against a worker backend
-whose profile store is a read view over the shared columns.  The parent
-only merges matches (its match store stays the sole owner of *M*).  Keys
-never span workers, so per-entity cleaning semantics hold exactly.
+**In a worker, via streamed dispatch.**  The entity's candidate list is
+published once to the backend's shared *membership* column, in
+token-column rows resolved at arrival time: the shm profile map keeps an
+eid → current-row map as ``f_bb+bp`` writes it, so that is one dict probe
+per partner.  The membership row joins a pending descriptor — a flat
+``uint64`` array of membership rows — and every :data:`_DISPATCH_ENTITIES`
+rows the descriptor goes to the pool's task queue while the parent keeps
+running the front for later entities.  An idle worker takes the next
+descriptor: many small tasks on one shared queue balance the load (the
+move of Kolb/Thor/Rahm's MapReduce blocking) without a planner.  A worker
+runs the plan's own ``cc → lm → co → cl`` stages over its descriptor: the
+same classes, built by the same :class:`~repro.core.plan.StageSpec`
+factories, against a worker backend whose profile store is a read view
+over the shared columns.  An entity's tail reads nothing but its own
+membership record, so per-entity cleaning semantics hold however
+entities are dealt.  At the end of the increment the parent merges the
+results in dispatch order (its match store stays the sole owner of *M*).
 
 **In the parent, via the compiled plan's own per-stage callables** under
 the supervisor — sequential semantics, no pool.  ``self.lm`` / ``self.cc``
@@ -48,7 +51,7 @@ the thread framework's: every stage call, parent- or worker-side, runs
 under a :class:`~repro.parallel.supervision.Supervisor` with the
 pipeline's policy, fault specs are entity-keyed everywhere, and workers
 report dead letters and retries back as data — one poison entity cannot
-tear down ``pool.imap``.
+fail a descriptor's task.
 """
 
 from __future__ import annotations
@@ -81,9 +84,6 @@ from repro.observability.instrument import (
     COMPARISONS_EXECUTED,
     ENTITIES,
     MATCHES,
-    PARTITION_GROUPS,
-    PARTITION_IMBALANCE,
-    PARTITION_LARGEST_SHARE,
     PARTITION_PAIRS,
     PARTITIONS_DISPATCHED,
     POOL_REUSES,
@@ -95,7 +95,6 @@ from repro.observability.instrument import (
     STAGE_SERVICE_SECONDS,
     declare_partition_metrics,
 )
-from repro.parallel.allocation import plan_partitions
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.observability.trace import Tracer
 from repro.parallel.faults import FaultInjector, FaultPlan, wrap_stages
@@ -111,6 +110,13 @@ _PARTITIONABLE_CLASSIFIERS = (ThresholdClassifier, OracleClassifier)
 #: increments (that is the point of shared columns), so the hit rate is
 #: high; the bound only guards pathological vocabularies.
 _ROW_CACHE_LIMIT = 1 << 16
+
+#: Membership rows per descriptor.  Small enough that the first descriptor
+#: leaves while the parent is still running the front and the workers
+#: share the tail evenly; large enough that per-task IPC stays negligible.
+#: A sweep of 128/256/512 on ``mp_bulk_updates_20k`` (docs/performance.md)
+#: picked this value.
+_DISPATCH_ENTITIES = 256
 
 
 class _RowProfiles:
@@ -152,6 +158,26 @@ class _RowProfiles:
         return replace(stored, token_ids=frozenset(stored.token_ids))  # type: ignore[arg-type]
 
 
+class _Timed:
+    """A worker-side stage call that records its service time on success —
+    the twin of the parent's ``er_stage_service_seconds{stage}`` observation.
+    It sits inside the fault injector, as the parent's compiled callable
+    does, so an injected fault or a raising stage records nothing and a
+    retried call records only its finishing attempt."""
+
+    __slots__ = ("stage", "seconds")
+
+    def __init__(self, stage: Callable) -> None:
+        self.stage = stage
+        self.seconds = array("d")
+
+    def __call__(self, message):
+        start = time.perf_counter()
+        out = self.stage(message)
+        self.seconds.append(time.perf_counter() - start)
+        return out
+
+
 class _Worker:
     """One pool worker's state: the shared-column readers, the plan's tail
     built against them, and the supervision policy."""
@@ -163,6 +189,7 @@ class _Worker:
         faults: FaultPlan,
         policy: SupervisionPolicy,
         layout: dict[str, str],
+        timed: bool,
     ) -> None:
         # Attach to the parent's shared columns exactly once, here; every
         # descriptor afterwards carries row numbers, not data.
@@ -173,15 +200,27 @@ class _Worker:
         self.profiles = _RowProfiles(tokens, entities)
         backend = SimpleNamespace(profiles=self.profiles, matches=MatchStore())
         #: The plan's own stage objects (counters are read per partition)
-        #: and the callables a partition runs: the same objects, behind the
-        #: ordinary entity-keyed injector where ``faults`` names them —
-        #: hash-keyed verdicts agree however partitions are dealt.
+        #: and the callables a partition runs: the same objects — timed when
+        #: the parent's registry is enabled — behind the ordinary
+        #: entity-keyed injector where ``faults`` names them: hash-keyed
+        #: verdicts agree however partitions are dealt.
         self.stages = {
             name: plan.spec(name).factory(plan.config, backend) for name in tail
         }
-        self.fns: dict[str, Callable] = dict(self.stages)
+        self.timers = (
+            {name: _Timed(stage) for name, stage in self.stages.items()} if timed else {}
+        )
+        self.fns: dict[str, Callable] = {**self.stages, **self.timers}
         wrap_stages(self.fns, faults)
         self.policy = policy
+
+    def take_seconds(self) -> dict[str, array]:
+        """Per-entity service seconds recorded since the last call, by stage
+        (empty when untimed)."""
+        seconds = {}
+        for name, timer in self.timers.items():
+            seconds[name], timer.seconds = timer.seconds, array("d")
+        return seconds
 
     def counters(self) -> dict[str, int]:
         cc, lm, co = (self.stages.get(name) for name in ("cc", "lm", "co"))
@@ -208,7 +247,9 @@ def _init_worker(*args) -> None:
     _worker = _Worker(*args)
 
 
-def _run_partition(rows: array) -> tuple[list[Match], list[DeadLetter], dict, dict, dict]:
+def _run_partition(
+    rows: array,
+) -> tuple[list[Match], list[DeadLetter], dict, dict, dict, dict]:
     """Run the plan's tail over one partition descriptor, inside a worker.
 
     Each membership row of the descriptor decodes to ``[own_row,
@@ -216,10 +257,12 @@ def _run_partition(rows: array) -> tuple[list[Match], list[DeadLetter], dict, di
     ``f_cg``'s output message with rows for ids.  It flows through the tail
     callables, each call under a :class:`Supervisor` with the pipeline's
     policy, so failures travel back as data.  Returns ``(matches,
-    dead_letters, retries, items, counters)``: what ``f_cl`` emitted
-    (against a per-partition scratch store; the parent's store has the last
-    word), the supervisor's dead letters and per-stage retry counts, the
-    entities that finished each stage, and the stage counters' deltas.
+    dead_letters, retries, items, counters, seconds)``: what ``f_cl``
+    emitted (against a per-partition scratch store; the parent's store has
+    the last word), the supervisor's dead letters and per-stage retry
+    counts, the entities that finished each stage, the stage counters'
+    deltas, and each stage's per-entity service seconds (``{}`` unless the
+    parent's registry is enabled).
     """
     worker = _worker
     assert worker is not None, "worker not initialized"
@@ -242,7 +285,14 @@ def _run_partition(rows: array) -> tuple[list[Match], list[DeadLetter], dict, di
             matches.extend(message)  # type: ignore[arg-type]
     after = worker.counters()
     counters = {name: after[name] - before[name] for name in after}
-    return matches, supervisor.dead_letters, supervisor.retries_by_stage, items, counters
+    return (
+        matches,
+        supervisor.dead_letters,
+        supervisor.retries_by_stage,
+        items,
+        counters,
+        worker.take_seconds(),
+    )
 
 
 def _terminate_pool(pool) -> None:
@@ -283,8 +333,8 @@ class MultiprocessERPipeline:
         per-stage callables, as in every executor; worker-side,
         ``er_stage_items_total{stage}`` is folded in from the workers'
         counts (entities that finished the stage, as everywhere) and
-        ``er_stage_service_seconds{stage="co"}`` observes per-partition
-        turnaround from the parent.
+        ``er_stage_service_seconds{stage}`` from the per-entity service
+        times the workers measure (only while the registry is enabled).
     tracer:
         An optional :class:`~repro.observability.Tracer`; sampled entities
         get spans for every stage the parent runs (worker-side stages
@@ -310,9 +360,7 @@ class MultiprocessERPipeline:
     otherwise exact after subtracting the materialized pairs of entities
     dead-lettered at ``co`` (``lm`` counted them, ``co`` never finished
     them).  ``pool_spawns`` / ``pool_reuses`` count pool creations vs. runs
-    that reused a live pool (both 0 on an ineligible wiring);
-    ``last_partition_plan`` is the latest
-    :class:`~repro.parallel.allocation.PartitionPlan`.
+    that reused a live pool (both 0 on an ineligible wiring).
     """
 
     def __init__(
@@ -369,7 +417,6 @@ class MultiprocessERPipeline:
         self.pairs_dispatched = 0
         self.pool_spawns = 0
         self.pool_reuses = 0
-        self.last_partition_plan = None
         self._pool = None
         self._pool_finalizer: weakref.finalize | None = None
 
@@ -391,6 +438,7 @@ class MultiprocessERPipeline:
                 {name: faults[name] for name in self._tail if name in faults},
                 self.supervisor.policy,
                 self.backend.layout(),
+                self.registry.enabled,
             )
             declare_partition_metrics(self.registry)
         #: Parent-side injectors only; workers build their own.
@@ -485,7 +533,8 @@ class MultiprocessERPipeline:
         supervisor (a poison entity is dead-lettered at the stage that
         rejected it and the stream keeps flowing), then takes the one
         decision: publish its tail to the workers, or run it inline.
-        Published tails are planned, dispatched and merged once, at the end.
+        Published tails leave in descriptors of :data:`_DISPATCH_ENTITIES`
+        while the front keeps running; their results are merged at the end.
         """
         start = time.perf_counter()
         counters_before = lifetime_counters(self)
@@ -495,9 +544,8 @@ class MultiprocessERPipeline:
         if metrics_on:
             entities_metric = self.registry.counter(ENTITIES)
         tracer = self.tracer
-        #: blocking key → membership rows / summed comparison count.
-        groups: dict[str, array] = {}
-        group_costs: dict[str, int] = {}
+        pending = array("Q")  # membership rows not yet dispatched
+        dispatched: list = []  # the pool's AsyncResults, in dispatch order
         pool = self._acquire_pool() if self.partitioned_dispatch else None
         try:
             for entity in entities:
@@ -511,20 +559,22 @@ class MultiprocessERPipeline:
                     self._trace_seq += 1
                 message: object = entity
                 for name in self._front:
-                    blocked = message  # after the loop: cg's input
                     ok, message = self._step(name, message, trace)
                     if not ok:
                         break
                 else:
-                    if pool is not None and self._publish(
-                        blocked, message, groups, group_costs
-                    ):
+                    if pool is not None and self._publish(message, pending):
+                        if len(pending) >= _DISPATCH_ENTITIES:
+                            dispatched.append(pool.apply_async(_run_partition, (pending,)))
+                            pending = array("Q")
                         if trace is not None:
                             trace.complete()
                     else:
                         matches.extend(self._run_inline_tail(message, trace))
             if pool is not None:
-                self._score_partitions(pool, groups, group_costs, matches)
+                if pending:
+                    dispatched.append(pool.apply_async(_run_partition, (pending,)))
+                self._merge(dispatched, matches)
         except BaseException:
             # A mid-run failure can leave tasks queued on the pool; a
             # reused pool would interleave their late results into the
@@ -573,81 +623,52 @@ class MultiprocessERPipeline:
 
     # -- partitioned dispatch ------------------------------------------
 
-    def _publish(self, blocked, generated, groups: dict, group_costs: dict) -> bool:
-        """Hand one entity's tail to the workers; False when it has no
-        candidates or cannot ride the shared columns (the caller then runs
-        the tail inline).
+    def _publish(self, generated, pending: array) -> bool:
+        """Publish one entity's tail for the workers and queue its membership
+        row on ``pending``; False when it has no candidates or cannot ride
+        the shared columns (the caller then runs the tail inline).
 
         The candidate list is resolved to token-column rows *at arrival
         time*, exactly when the sequential pipeline would materialize the
         partners — so a partner that re-arrives later in the increment with
-        changed tokens is compared as it was when this entity arrived.
+        changed tokens is compared as it was when this entity arrived.  An
+        eid missing from the row map has no interned ids, and ``cc`` counts
+        per entity, so the whole entity goes inline.
         """
-        profiles = self.backend.profiles
-        row_for = self._token_store.row_for
-        profile = generated.profile
         candidates = generated.candidates
-        if not candidates or profile.token_ids is None:
+        if not candidates:
             return False
-        record = array("Q", (row_for(profile.eid, profile.token_ids),))
-        for j in candidates:
-            other = profiles.get(j)
-            if other is None or other.token_ids is None:
-                # cc counts per entity, so the whole entity goes inline.
-                return False
-            record.append(row_for(j, other.token_ids))
-        # The partition anchor: the entity's smallest block (fewest
-        # co-members, key as tiebreak).  Any deterministic choice works —
-        # correctness needs only that the whole entity lands in exactly
-        # one group.
-        others = blocked.others
-        anchor = min(others, key=lambda key: (len(others[key]), key))
-        rows_of = groups.get(anchor)
-        if rows_of is None:
-            rows_of = groups[anchor] = array("Q")
-        rows_of.append(self.backend.publish_membership(record))
-        group_costs[anchor] = group_costs.get(anchor, 0) + len(candidates)
+        rows = self._token_store.rows
+        try:
+            record = array("Q", (rows[generated.profile.eid],))
+            record.extend(map(rows.__getitem__, candidates))
+        except KeyError:
+            return False
+        pending.append(self.backend.publish_membership(record))
+        if self.registry.enabled:
+            self.registry.counter(PARTITION_PAIRS).inc(len(candidates))
         return True
 
-    def _score_partitions(
-        self, pool, groups: dict, group_costs: dict, matches: list[Match]
-    ) -> None:
-        """Bin-pack the increment's groups onto the workers, dispatch one
-        descriptor each, and merge what comes back into ``matches``."""
+    def _merge(self, dispatched: list, matches: list[Match]) -> None:
+        """Fold the workers' results into this pipeline, in dispatch order,
+        and their new matches into ``matches``."""
         metrics_on = self.registry.enabled
         registry = self.registry
-        plan = plan_partitions(group_costs, self.workers)
-        self.last_partition_plan = plan
-        descriptors: list[array] = []
-        for bin_keys in plan.bins:
-            descriptor = array("Q")
-            for key in bin_keys:
-                descriptor.extend(groups[key])
-            if descriptor:
-                descriptors.append(descriptor)
         if metrics_on:
             matches_metric = registry.counter(MATCHES)
-            co_service = registry.histogram(STAGE_SERVICE_SECONDS, stage="co")
             executed_metric = registry.counter(COMPARISONS_EXECUTED)
-            registry.counter(PARTITIONS_DISPATCHED).inc(len(descriptors))
-            registry.counter(PARTITION_PAIRS).inc(plan.total_cost)
-            registry.gauge(PARTITION_GROUPS).set(plan.group_count)
-            registry.gauge(PARTITION_IMBALANCE).set(plan.imbalance)
-            registry.gauge(PARTITION_LARGEST_SHARE).set(plan.largest_share)
+            registry.counter(PARTITIONS_DISPATCHED).inc(len(dispatched))
         match_store = self.backend.matches
         lm, cc = self.lm, self.cc
-        last_yield = time.perf_counter()
-        for found, dead_letters, retries, items, counters in pool.imap(
-            _run_partition, descriptors
-        ):
+        for result in dispatched:
+            found, dead_letters, retries, items, counters, seconds = result.get()
             if metrics_on:
-                # Turnaround between successive result arrivals is the
-                # closest analogue of per-partition service time here.
-                now = time.perf_counter()
-                co_service.observe(now - last_yield)
-                last_yield = now
                 for name, count in items.items():
                     registry.counter(STAGE_ITEMS, stage=name).inc(count)
+                for name, values in seconds.items():
+                    service = registry.histogram(STAGE_SERVICE_SECONDS, stage=name)
+                    for value in values:
+                        service.observe(value)
                 executed_metric.inc(counters["compared"])
             self.supervisor.absorb(dead_letters, retries)
             # Fold the workers' stage counters into the canonical ones —

@@ -160,7 +160,7 @@ class MultiprocessStreamRunner:
     inner=SharedMemoryBackend())`` for a durable incremental run — to
     manage its lifecycle yourself.
 
-    ``partitioned="auto"`` (default) uses block-partitioned dispatch when
+    ``partitioned="auto"`` (default) uses partitioned dispatch when
     the wiring is eligible and otherwise resolves every entity in the
     parent (see :mod:`repro.parallel.mp_framework`); pass ``True`` to fail
     loudly when ineligible.

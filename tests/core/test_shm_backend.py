@@ -32,7 +32,7 @@ from repro.core.backends import (
     active_shm_segments,
 )
 from repro.parallel import FaultSpec, MultiprocessERPipeline
-from repro.types import EntityDescription
+from repro.types import EntityDescription, Profile
 
 RUN_TIMEOUT = 60.0
 
@@ -161,6 +161,47 @@ class TestSharedTokenStores:
             assert len(columns) == 1
         finally:
             columns.unlink()
+
+
+class TestProfileMapKeepsRowMap:
+    """The shm backend's profile map is the token column's one writer:
+    ``token_store.rows`` always names the row of the profile it holds."""
+
+    @staticmethod
+    def profile(eid, token_ids):
+        return Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=token_ids)
+
+    def test_same_token_set_keeps_its_row(self):
+        with SharedMemoryBackend() as backend:
+            backend.profiles.put(self.profile(7, frozenset({1, 2})))
+            row = backend.token_store.rows[7]
+            backend.profiles.put(self.profile(7, frozenset({2, 1})))
+            assert backend.token_store.rows[7] == row
+            assert len(backend.token_store) == 1
+
+    def test_changed_token_set_gets_new_row_and_old_row_survives(self):
+        with SharedMemoryBackend() as backend:
+            backend.profiles.put(self.profile(7, frozenset({1, 2})))
+            old = backend.token_store.rows[7]
+            backend.profiles.put(self.profile(7, frozenset({3})))
+            new = backend.token_store.rows[7]
+            assert new != old
+            assert backend.token_store.ids_at(old).tolist() == [1, 2]
+            assert backend.token_store.ids_at(new).tolist() == [3]
+
+    def test_put_without_token_ids_drops_the_eid(self):
+        with SharedMemoryBackend() as backend:
+            backend.profiles.put(self.profile(7, frozenset({1, 2})))
+            backend.profiles.put(self.profile(7, None))
+            assert 7 not in backend.token_store.rows
+            assert backend.profiles.get(7).token_ids is None
+
+    def test_remove_drops_the_eid(self):
+        with SharedMemoryBackend() as backend:
+            backend.profiles.put(self.profile(7, frozenset({1, 2})))
+            assert backend.profiles.remove(7)
+            assert 7 not in backend.token_store.rows
+            assert 7 not in backend.profiles
 
 
 class TestBackendLifecycle:

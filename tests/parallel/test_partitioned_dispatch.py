@@ -1,16 +1,18 @@
 """The multiprocess executor's one decision: worker-side or inline.
 
-An entity's ``cc → lm → co → cl`` tail runs in a worker (block-partitioned
-dispatch on shared columns) when the wiring is eligible, in the parent
-when it is not.  Either way the choice must be *invisible* in every
-output: match sets bit-identical to the sequential pipeline, the same
-(entity-level) dead letters under seeded faults, and the pair accounting
+An entity's ``cc → lm → co → cl`` tail runs in a worker (partitioned
+dispatch on shared columns, descriptors streamed to the pool while the
+front runs) when the wiring is eligible, in the parent when it is not.
+Either way the choice must be *invisible* in every output: match sets
+bit-identical to the sequential pipeline, the same (entity-level) dead
+letters under seeded faults, and the pair accounting
 identity ``lm.materialized == pairs_dispatched + pairs_prefiltered +
 co.compared`` (exact on fault-free runs; the differential suite checks its
 form under ``co`` faults).
-The planner is pinned as a deterministic LPT bin-packer, and eligibility
-must refuse loudly (``partitioned=True``) or fall back with the reason
-recorded (``"auto"`` → ``partition_blockers``) on ineligible wirings.
+The planner (only the end-to-end benchmark still calls it) is pinned as a
+deterministic LPT bin-packer, and eligibility must refuse loudly
+(``partitioned=True``) or fall back with the reason recorded (``"auto"`` →
+``partition_blockers``) on ineligible wirings.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from repro.core.backends import (
     active_shm_segments,
 )
 from repro.errors import ConfigurationError
+from repro.observability import STAGE_ITEMS, STAGE_SERVICE_SECONDS, MetricsRegistry
 from repro.parallel import (
     FaultSpec,
     MultiprocessERPipeline,
     ParallelERPipeline,
-    PartitionPlan,
+    mp_framework,
     plan_partitions,
 )
 from repro.streaming import MultiprocessStreamRunner
@@ -310,8 +313,7 @@ class TestPartitionedDispatchEquivalence:
         partitioned, result, pairs = mp_run(config, entities, partitioned=True)
         assert partitioned.partitioned_dispatch
         assert pairs == reference
-        assert isinstance(partitioned.last_partition_plan, PartitionPlan)
-        assert partitioned.last_partition_plan.used_bins >= 1
+        assert partitioned.pairs_dispatched > 0
         assert (
             partitioned.pairs_dispatched + partitioned.pairs_prefiltered
             == result.comparisons_after_cleaning
@@ -348,7 +350,13 @@ class TestPartitionedDispatchEquivalence:
         assert result.dead_letter_ids == injector.faulted_keys
         assert all(letter.stage == "co" for letter in result.dead_letters)
 
-    def test_pool_survives_increments_and_equals_one_shot(self):
+    @pytest.mark.parametrize(
+        "dispatch_entities", [1, mp_framework._DISPATCH_ENTITIES, 10_000]
+    )
+    def test_pool_survives_increments_and_equals_one_shot(
+        self, monkeypatch, dispatch_entities
+    ):
+        monkeypatch.setattr(mp_framework, "_DISPATCH_ENTITIES", dispatch_entities)
         entities = make_entities(90)
         one_shot, _, reference = mp_run(
             threshold_config(), entities, partitioned=True
@@ -364,6 +372,73 @@ class TestPartitionedDispatchEquivalence:
             assert runner.increments[-1].pool_reused
             assert runner.pipeline.pool_spawns == 1
             assert runner.pipeline.pool_reuses == 2
+
+
+class TestStreamedDispatch:
+    """Descriptors leave while the parent is still running the front."""
+
+    def test_rearrival_while_descriptors_in_flight(self, monkeypatch):
+        """Ids 5 and 9 re-arrive with changed tokens after every earlier
+        descriptor naming them has gone to the pool: those descriptors must
+        still score the old token sets (rows are resolved at arrival time
+        and never overwritten), later ones the new."""
+        monkeypatch.setattr(mp_framework, "_DISPATCH_ENTITIES", 1)
+        entities = make_entities(60)
+        changed = [
+            EntityDescription.create(eid, {"title": "roof steel panel glass"})
+            for eid in (5, 9)
+        ]
+        stream = entities[:40] + changed + entities[40:]
+        reference = sequential_pairs(threshold_config(), stream)
+        assert reference
+
+        pipeline, result, pairs = mp_run(threshold_config(), stream, partitioned=True)
+        assert result.items_failed == 0
+        assert pipeline.co.compared == 0  # every tail went to a worker
+        assert pairs == reference
+
+    def test_workers_read_while_columns_grow(self, monkeypatch):
+        """More workers than cores, one entity per descriptor, and columns
+        seeded tiny so new generations appear while workers are reading:
+        every descriptor must still see its rows (a torn or missed read
+        would change the match set or the pair accounting)."""
+        monkeypatch.setattr(mp_framework, "_DISPATCH_ENTITIES", 1)
+        entities = make_entities(120)
+        reference = sequential_pairs(threshold_config(), entities)
+        backend = SharedMemoryBackend(data_bytes=64, dir_rows=4)
+        prefix = backend.name
+        try:
+            pipeline = MultiprocessERPipeline(
+                threshold_config(), workers=4, backend=backend, partitioned=True
+            )
+            result = pipeline.run(entities)
+            pairs = backend.matches.pairs()
+            generations = len(backend.segment_names())
+            pipeline.close()
+        finally:
+            backend.unlink()
+        assert active_shm_segments(prefix) == []
+        assert generations > 3 * 3  # every column grew past its first generations
+        assert result.items_failed == 0
+        assert pipeline.co.compared == 0
+        assert_pair_accounting(pipeline)
+        assert pairs == reference
+
+    def test_worker_stage_seconds_count_entities(self):
+        """Worker-side tail stages are timed per entity, so each histogram's
+        count is the stage's item count, as under every other executor."""
+        entities = make_entities(90)
+        registry = MetricsRegistry()
+        pipeline, _, _ = mp_run(
+            threshold_config(), entities, partitioned=True, registry=registry
+        )
+        assert pipeline.pairs_dispatched > 0
+        for stage in ("cc", "lm", "co", "cl"):
+            items = registry.value(STAGE_ITEMS, stage=stage)
+            histogram = registry.get(STAGE_SERVICE_SECONDS, stage=stage)
+            assert items > 0
+            assert histogram.count == items
+            assert histogram.sum > 0
 
 
 class TestWorkerFunctionInProcess:
@@ -397,7 +472,7 @@ class TestWorkerFunctionInProcess:
             ]
             worker._init_worker(*pipeline._pool_initargs)
             try:
-                matches, dead_letters, retries, items, counters = (
+                matches, dead_letters, retries, items, counters, seconds = (
                     worker._run_partition(array("Q", rows))
                 )
             finally:
@@ -405,6 +480,7 @@ class TestWorkerFunctionInProcess:
                 worker._worker.close()
                 worker._worker = None
         assert dead_letters == [] and retries == {}
+        assert seconds == {}  # untimed: the pipeline's registry is disabled
         assert items == {"cc": 2, "lm": 2, "co": 2, "cl": 2}  # entities per stage
         assert counters == {
             "retained": 3,
