@@ -16,7 +16,7 @@ Subcommands
               replay command printed.
 ``resume``    Continue a crashed (or suspended) durable ``dedupe`` run
               from its WAL directory: recover state, re-feed the
-              uncommitted suffix of the input, print the full final
+              unlogged suffix of the input, print the full final
               match set.
 
 Examples

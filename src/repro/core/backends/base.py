@@ -12,8 +12,8 @@ representation: :class:`~repro.core.backends.memory.InMemoryBackend` keeps
 the zero-overhead dict-based stores,
 :class:`~repro.core.backends.shm.SharedMemoryBackend` adds the shared
 columns partitioned multiprocess dispatch reads, and
-:class:`~repro.core.backends.durable.DurableBackend` journals the stores of
-either.
+:class:`~repro.core.backends.durable.DurableBackend` logs the input the
+executors admit over either.
 """
 
 from __future__ import annotations

@@ -1,28 +1,21 @@
-"""`DurableBackend`: WAL + checkpoint durability as a backend decorator.
+"""`DurableBackend`: command log + checkpoint durability as a backend decorator.
 
 Durability is layered *under* the :class:`StateBackend` seam rather than
-into any executor: ``DurableBackend`` wraps an
+into any stage: ``DurableBackend`` wraps an
 :class:`~repro.core.backends.InMemoryBackend` (or a
-:class:`~repro.core.backends.SharedMemoryBackend` — the store proxies are
-duck-typed) and replaces each mutable store with a
-logging proxy that appends a WAL record before applying the mutation.
-Stages receive the proxies through plan compilation exactly as they
-would receive the bare stores, so no stage knows durability exists.
+:class:`~repro.core.backends.SharedMemoryBackend`) and hands the stages
+its stores unchanged.  What it logs is the *input* (command logging):
+every executor appends the entity descriptions of one admission —
+:meth:`DurableBackend.log_input` — before any of them runs, and each
+entity a supervisor gives up on — :meth:`DurableBackend.log_dead_letter`.
+The pipeline is a deterministic fold over that input, so recovery re-runs
+the logged entities through the same plan instead of re-applying state
+mutations, and the guarantee is the same under every executor.
 
-The unit of crash consistency is the *entity*: the compiled plan's
-per-stage callable for the classification stage calls
-:meth:`DurableBackend.commit_entity` after each entity leaves the
-pipeline (inside the stage's timed region, before its invariant check),
-appending a sequenced ``commit`` record (and, under the
-default ``fsync="commit"`` policy, fsyncing the log).  Recovery replays
-up to the last commit; an entity whose commit never hit the log is
-re-fed by the caller.  This guarantee is exact for the sequential
-executor; concurrent executors interleave entity mutations before their
-commits, so for them replay-to-last-commit is best-effort (see
-``docs/durability.md``).
-
-Checkpoints bound replay: every ``checkpoint_every`` committed entities
-the backend snapshots the full state (atomic rename, monotonic epoch),
+Checkpoints bound replay: once ``checkpoint_every`` entities have been
+admitted since the last snapshot, :meth:`DurableBackend.checkpoint_if_due`
+— called by the executors between admissions, where the state is
+quiescent — snapshots the full state (atomic rename, monotonic epoch),
 rolls the WAL to a fresh segment, and prunes segments older than the
 retained snapshots.
 """
@@ -31,15 +24,12 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Iterable
 
 from repro.core.backends.memory import InMemoryBackend
-from repro.core.state import ERState
-from repro.durability.codec import encode_id, encode_match, encode_profile
+from repro.durability.codec import encode_entity, encode_id
 from repro.durability.recovery import RecoveredState, recover
 from repro.durability.snapshot import (
     list_snapshots,
@@ -59,9 +49,9 @@ from repro.observability.instrument import (
     declare_durability_metrics,
 )
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
+from repro.types import EntityDescription, EntityId
 
 __all__ = [
-    "DurabilityConfig",
     "DurableBackend",
     "config_fingerprint",
 ]
@@ -69,6 +59,9 @@ __all__ = [
 META_FILE = "meta.json"
 META_FORMAT = "repro-er-durable"
 META_VERSION = 1
+#: Snapshots retained after a checkpoint; older ones and the WAL segments
+#: only they need are deleted.
+KEEP_SNAPSHOTS = 2
 
 
 def config_fingerprint(config: Any) -> dict:
@@ -96,172 +89,8 @@ def config_fingerprint(config: Any) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class DurabilityConfig:
-    """Knobs of a durable run directory.
-
-    ``checkpoint_every`` counts committed entities between snapshots
-    (0 disables checkpointing — the epoch-0 WAL grows unbounded);
-    ``fsync`` is the :class:`~repro.durability.wal.WalWriter` policy;
-    ``keep_snapshots`` bounds retention — older snapshots and the WAL
-    segments only they need are deleted after each checkpoint.
-    """
-
-    wal_dir: str | Path
-    checkpoint_every: int = 0
-    fsync: str = "commit"
-    keep_snapshots: int = 2
-
-    def __post_init__(self) -> None:
-        if self.checkpoint_every < 0:
-            raise ConfigurationError("checkpoint_every cannot be negative")
-        if self.keep_snapshots < 1:
-            raise ConfigurationError("keep_snapshots must be at least 1")
-
-
-class _LoggedBlocks:
-    """Block-collection proxy: journals every mutation, delegates reads."""
-
-    __slots__ = ("inner", "_journal")
-
-    def __init__(self, inner: Any, journal: Callable[[dict], None]) -> None:
-        self.inner = inner
-        self._journal = journal
-
-    def add(self, key: str, eid: Any) -> int:
-        self._journal({"op": "block_add", "k": key, "eid": encode_id(eid)})
-        return self.inner.add(key, eid)
-
-    def remove_block(self, key: str) -> None:
-        self._journal({"op": "block_remove", "k": key})
-        self.inner.remove_block(key)
-
-    def discard(self, key: str, eid: Any) -> bool:
-        self._journal({"op": "block_discard", "k": key, "eid": encode_id(eid)})
-        return self.inner.discard(key, eid)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-
-class _LoggedBlacklist:
-    __slots__ = ("inner", "_journal")
-
-    def __init__(self, inner: Any, journal: Callable[[dict], None]) -> None:
-        self.inner = inner
-        self._journal = journal
-
-    def add(self, key: str) -> None:
-        self._journal({"op": "blacklist_add", "k": key})
-        self.inner.add(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-
-class _LoggedProfiles:
-    __slots__ = ("inner", "_journal")
-
-    def __init__(self, inner: Any, journal: Callable[[dict], None]) -> None:
-        self.inner = inner
-        self._journal = journal
-
-    def put(self, profile: Any) -> None:
-        self._journal({"op": "profile_put", "p": encode_profile(profile)})
-        self.inner.put(profile)
-
-    def remove(self, eid: Any) -> bool:
-        self._journal({"op": "profile_remove", "eid": encode_id(eid)})
-        return self.inner.remove(eid)
-
-    def __contains__(self, eid: Any) -> bool:
-        return eid in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-
-class _LoggedMatches:
-    __slots__ = ("inner", "_journal")
-
-    def __init__(self, inner: Any, journal: Callable[[dict], None]) -> None:
-        self.inner = inner
-        self._journal = journal
-
-    def add(self, match: Any) -> bool:
-        self._journal({"op": "match_add", "m": encode_match(match)})
-        return self.inner.add(match)
-
-    def __contains__(self, pair: Any) -> bool:
-        return pair in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-
-class _LoggedDictionary:
-    """Token-dictionary proxy: journals each *first* assignment, in order.
-
-    The lock spans (lookup, intern, journal) so under concurrent ``f_dr``
-    workers exactly one ``token`` record is written per distinct token,
-    in the order ids were actually assigned — replaying the records in
-    log order reproduces the id space bit for bit.
-    """
-
-    __slots__ = ("inner", "_journal", "_lock")
-
-    def __init__(self, inner: Any, journal: Callable[[dict], None]) -> None:
-        self.inner = inner
-        self._journal = journal
-        self._lock = threading.Lock()
-
-    def intern(self, token: str) -> int:
-        tid = self.inner.lookup(token)
-        if tid is not None:
-            return tid
-        with self._lock:
-            tid = self.inner.lookup(token)
-            if tid is not None:
-                return tid
-            self._journal({"op": "token", "t": token})
-            return self.inner.intern(token)
-
-    def intern_set(self, tokens: Any) -> frozenset[int]:
-        return frozenset(self.intern(token) for token in tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.inner
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def __iter__(self):
-        return iter(self.inner)
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
-
-
 class DurableBackend:
-    """A :class:`StateBackend` decorator that makes every mutation durable.
+    """A :class:`StateBackend` decorator that logs what the executors admit.
 
     Build one with :meth:`open` — fresh (the run directory must not
     already hold a durable run) or resumed from a crash.  The resolution
@@ -274,18 +103,26 @@ class DurableBackend:
     def __init__(
         self,
         inner: Any,
-        config: DurabilityConfig,
-        fingerprint: dict,
+        wal_dir: str | Path,
+        checkpoint_every: int = 0,
+        fsync: str = "commit",
         registry: MetricsRegistry | None = None,
         crash_point: CrashPoint | None = None,
         _recovered: RecoveredState | None = None,
     ) -> None:
+        if checkpoint_every < 0:
+            raise ConfigurationError("checkpoint_every cannot be negative")
         self.inner = inner
-        self.config = config
+        self.blocks = inner.blocks
+        self.blacklist = inner.blacklist
+        self.profiles = inner.profiles
+        self.matches = inner.matches
+        self.dictionary = inner.dictionary
+        self.wal_dir = Path(wal_dir)
+        self.checkpoint_every = checkpoint_every
+        self.fsync = fsync
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.crash_point = crash_point
-        self.wal_dir = Path(config.wal_dir)
-        self._commit_lock = threading.Lock()
         self._metrics_on = self.registry.enabled
         if self._metrics_on:
             declare_durability_metrics(self.registry)
@@ -296,42 +133,26 @@ class DurableBackend:
             self._checkpoint_seconds = self.registry.histogram(CHECKPOINT_SECONDS)
             self._epoch_metric = self.registry.gauge(CHECKPOINT_EPOCH)
         if _recovered is None:
-            self.wal_dir.mkdir(parents=True, exist_ok=True)
-            if (self.wal_dir / META_FILE).exists():
-                raise ConfigurationError(
-                    f"{self.wal_dir} already holds a durable run; resume it "
-                    f"(repro-er resume) or point wal_dir at a fresh directory"
-                )
             self.epoch = 0
-            self.next_seq = 0
-            self.entities_committed = 0
-            self._write_meta(fingerprint)
-            self._writer = WalWriter(
-                segment_path(self.wal_dir, 0),
-                epoch=0,
-                fsync=config.fsync,
-                crash_point=crash_point,
-            )
+            #: Entities in complete ``input`` records: the log position the
+            #: next admitted entity takes.
+            self.entities_logged = 0
+            self._since_checkpoint = 0
+            resume_offset = None
         else:
-            self._verify_meta(fingerprint)
             self.epoch = _recovered.epoch
-            self.next_seq = _recovered.next_seq
-            self.entities_committed = _recovered.entities_processed
-            self._writer = WalWriter(
-                _recovered.resume_segment,
-                epoch=_recovered.epoch,
-                fsync=config.fsync,
-                crash_point=crash_point,
-                resume_offset=_recovered.resume_offset,
-            )
+            self.entities_logged = _recovered.entities_processed
+            self._since_checkpoint = _recovered.entities_replayed
+            resume_offset = _recovered.resume_offset
+        self._writer = WalWriter(
+            segment_path(self.wal_dir, self.epoch),
+            epoch=self.epoch,
+            fsync=fsync,
+            crash_point=crash_point,
+            resume_offset=resume_offset,
+        )
         if self._metrics_on:
             self._epoch_metric.set(self.epoch)
-        journal = self._append
-        self.blocks = _LoggedBlocks(inner.blocks, journal)
-        self.blacklist = _LoggedBlacklist(inner.blacklist, journal)
-        self.profiles = _LoggedProfiles(inner.profiles, journal)
-        self.matches = _LoggedMatches(inner.matches, journal)
-        self.dictionary = _LoggedDictionary(inner.dictionary, journal)
 
     @classmethod
     def open(
@@ -350,20 +171,17 @@ class DurableBackend:
 
         Fresh (``resume=False``): wraps ``inner`` (default a new
         :class:`~repro.core.backends.InMemoryBackend`) and pins
-        ``config``'s fingerprint in ``meta.json``.  ``resume=True`` runs
-        :func:`~repro.durability.recovery.recover`, verifies the
-        fingerprint, truncates the recovered segment at the replay clamp
-        point and appends from there, so the torn/uncommitted tail is
-        physically gone after the first new record; ``entities_committed``
-        is the recovered count, and entities past it must be re-fed.
-        Recovery always rebuilds in memory, so ``inner`` is refused on
-        resume.  ``checkpoint_every`` counts committed entities between
-        snapshots (0 = never); ``fsync`` is ``"always"``, ``"commit"`` or
-        ``"never"``.
+        ``config``'s fingerprint in ``meta.json``.  ``resume=True``
+        verifies the fingerprint, runs
+        :func:`~repro.durability.recovery.recover` under ``config``,
+        truncates the final segment at its torn tail (if any) and appends
+        from there; ``entities_logged`` is the recovered count, and inputs
+        past it must be re-fed.  Recovery always rebuilds in memory, so
+        ``inner`` is refused on resume.  ``checkpoint_every`` counts
+        admitted entities between snapshots (0 = never); ``fsync`` is
+        ``"always"``, ``"commit"`` or ``"never"``.
         """
-        durability = DurabilityConfig(
-            wal_dir=wal_dir, checkpoint_every=checkpoint_every, fsync=fsync
-        )
+        wal_dir = Path(wal_dir)
         fingerprint = config_fingerprint(config)
         recovered = None
         if resume:
@@ -372,14 +190,24 @@ class DurableBackend:
                     "resume rebuilds the state in memory from the WAL; "
                     "it cannot resume into a caller's backend (inner=...)"
                 )
-            recovered = recover(wal_dir)
+            cls._verify_meta(wal_dir, fingerprint)
+            recovered = recover(wal_dir, config)
             inner = recovered.backend
-        elif inner is None:
-            inner = InMemoryBackend()
+        else:
+            wal_dir.mkdir(parents=True, exist_ok=True)
+            if (wal_dir / META_FILE).exists():
+                raise ConfigurationError(
+                    f"{wal_dir} already holds a durable run; resume it "
+                    f"(repro-er resume) or point wal_dir at a fresh directory"
+                )
+            cls._write_meta(wal_dir, fingerprint)
+            if inner is None:
+                inner = InMemoryBackend()
         return cls(
             inner,
-            durability,
-            fingerprint,
+            wal_dir,
+            checkpoint_every=checkpoint_every,
+            fsync=fsync,
             registry=registry,
             crash_point=crash_point,
             _recovered=recovered,
@@ -387,7 +215,8 @@ class DurableBackend:
 
     # -- metadata ------------------------------------------------------
 
-    def _write_meta(self, fingerprint: dict) -> None:
+    @staticmethod
+    def _write_meta(wal_dir: Path, fingerprint: dict) -> None:
         payload = json.dumps(
             {
                 "format": META_FORMAT,
@@ -397,21 +226,14 @@ class DurableBackend:
             indent=2,
             sort_keys=True,
         )
-        path = self.wal_dir / META_FILE
-        with path.open("w", encoding="utf-8") as handle:
+        with (wal_dir / META_FILE).open("w", encoding="utf-8") as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _verify_meta(self, fingerprint: dict) -> None:
-        path = self.wal_dir / META_FILE
-        try:
-            meta = json.loads(path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise RecoveryError(f"cannot read {path}: {exc}") from exc
-        if meta.get("format") != META_FORMAT:
-            raise RecoveryError(f"{path} is not a repro durable-run descriptor")
-        stored = meta.get("fingerprint") or {}
+    @classmethod
+    def _verify_meta(cls, wal_dir: Path, fingerprint: dict) -> None:
+        stored = cls.stored_fingerprint(wal_dir)
         if stored != fingerprint:
             diff = {
                 key: (stored.get(key), fingerprint.get(key))
@@ -419,7 +241,7 @@ class DurableBackend:
                 if stored.get(key) != fingerprint.get(key)
             }
             raise RecoveryError(
-                f"configuration fingerprint mismatch for {self.wal_dir}: "
+                f"configuration fingerprint mismatch for {wal_dir}: "
                 f"{diff} (stored vs resuming) — resuming under different "
                 f"parameters would change resolution semantics"
             )
@@ -443,67 +265,67 @@ class DurableBackend:
         """Append attempts over the whole run (crash-point index space)."""
         return self._writer.records_seen
 
+    def log_input(self, entities: Iterable[EntityDescription]) -> int:
+        """Log one admission before any of its entities runs; returns the
+        log position of its first entity (positions count entities over
+        the whole run)."""
+        encoded = [encode_entity(entity) for entity in entities]
+        position = self.entities_logged
+        if not encoded:
+            return position
+        self._append({"op": "input", "entities": encoded})
+        self.entities_logged += len(encoded)
+        self._since_checkpoint += len(encoded)
+        return position
+
+    def log_dead_letter(self, position: int, eid: EntityId, stage: str) -> None:
+        """Log that the entity at ``position`` was given up before ``stage``
+        (``"pipeline"``: the sequential pipeline caught its failure)."""
+        self._append(
+            {"op": "dead_letter", "at": position, "eid": encode_id(eid), "stage": stage}
+        )
+
     def _append(self, record: dict) -> None:
         writer = self._writer
         bytes_before = writer.bytes_written
         syncs_before = writer.syncs
         writer.append(record)
+        if self.fsync == "commit":
+            writer.sync()
         if self._metrics_on:
             self._records_metric.inc()
             self._bytes_metric.inc(writer.bytes_written - bytes_before)
             if writer.syncs > syncs_before:
                 self._syncs_metric.inc(writer.syncs - syncs_before)
 
-    def commit_entity(self, eid: Any) -> None:
-        """Mark one entity fully processed: the crash-consistency boundary."""
-        with self._commit_lock:
-            seq = self.next_seq
-            self.next_seq += 1
-            self.entities_committed += 1
-            self._append(
-                {
-                    "op": "commit",
-                    "seq": seq,
-                    "eid": encode_id(eid),
-                    "n": self.entities_committed,
-                }
-            )
-            if self.config.fsync == "commit":
-                self._sync()
-            every = self.config.checkpoint_every
-            if every and self.entities_committed % every == 0:
-                self.checkpoint()
-
-    def _sync(self) -> None:
-        before = self._writer.syncs
-        self._writer.sync()
-        if self._metrics_on and self._writer.syncs > before:
-            self._syncs_metric.inc(self._writer.syncs - before)
-
     # -- checkpointing -------------------------------------------------
+
+    def checkpoint_if_due(self) -> None:
+        """Snapshot once ``checkpoint_every`` entities have been admitted
+        since the last one.  Executors call it between admissions, where
+        the state is quiescent."""
+        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
+            self.checkpoint()
 
     def checkpoint(self) -> Path:
         """Snapshot the full state, roll the WAL, prune old artifacts."""
         start = time.perf_counter()
-        self._sync()
         new_epoch = self.epoch + 1
         document = state_document(
-            self.inner,
-            entities_processed=self.entities_committed,
-            epoch=new_epoch,
-            next_seq=self.next_seq,
+            self.inner, entities_processed=self.entities_logged, epoch=new_epoch
         )
         path = write_snapshot(snapshot_path(self.wal_dir, new_epoch), document)
         records_seen = self._writer.records_seen
-        self._writer.close()
+        self._writer.close()  # fsyncs the segment before its successor opens
         self._writer = WalWriter(
             segment_path(self.wal_dir, new_epoch),
             epoch=new_epoch,
-            fsync=self.config.fsync,
+            fsync=self.fsync,
             crash_point=self.crash_point,
             records_before=records_seen,
         )
         self.epoch = new_epoch
+        self._since_checkpoint = 0
         self._prune()
         if self._metrics_on:
             self._checkpoints_metric.inc()
@@ -514,9 +336,9 @@ class DurableBackend:
     def _prune(self) -> None:
         """Drop snapshots beyond retention and the segments only they need."""
         snapshots = list_snapshots(self.wal_dir)
-        if len(snapshots) <= self.config.keep_snapshots:
+        if len(snapshots) <= KEEP_SNAPSHOTS:
             return
-        cut = len(snapshots) - self.config.keep_snapshots
+        cut = len(snapshots) - KEEP_SNAPSHOTS
         oldest_kept = snapshots[cut][0]
         for epoch, path in snapshots[:cut]:
             path.unlink(missing_ok=True)
@@ -534,16 +356,5 @@ class DurableBackend:
         """Fsync and close the live segment (the clean-shutdown path)."""
         self._writer.close()
 
-    def state(self) -> ERState:
-        # Hand out the *proxies*, so anything reaching state through this
-        # view (windowed eviction, invariant checks) stays journaled.
-        return ERState(
-            blocks=self.blocks,
-            blacklist=self.blacklist,
-            profiles=self.profiles,
-            matches=self.matches,
-        )
-
     def __getattr__(self, attr: str):
         return getattr(self.inner, attr)
-

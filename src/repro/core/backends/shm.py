@@ -583,9 +583,9 @@ class SharedMemoryBackend:
 
     Compose with :class:`~repro.core.backends.durable.DurableBackend` as
     ``DurableBackend.open(wal_dir, config, inner=SharedMemoryBackend())``
-    — durability is the *outer* decorator.  Its logging proxies call
-    straight through to the inner stores, so WAL journaling is unaffected
-    by where the columns live, and the shm-only surface
+    — durability is the *outer* decorator.  It logs the executors' input
+    and hands the stages the inner stores unchanged, so the WAL is
+    unaffected by where the columns live, and the shm-only surface
     (``publish_membership``, ``token_store``, ``layout``) remains
     reachable through its attribute delegation.
     """

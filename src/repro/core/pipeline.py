@@ -99,8 +99,10 @@ class StreamERPipeline:
         Where the ER state lives; defaults to a fresh
         :class:`~repro.core.backends.InMemoryBackend`.  A durable run
         passes :meth:`~repro.core.backends.DurableBackend.open` (see
-        ``docs/durability.md``); on a resumed backend
-        ``entities_processed`` continues from the recovered count.
+        ``docs/durability.md``): every :meth:`process` call and every
+        :meth:`process_many` increment is logged before it runs, and on a
+        resumed backend ``entities_processed`` continues from the
+        recovered count.
     registry:
         An optional :class:`~repro.observability.MetricsRegistry`; when
         enabled, the pipeline emits the shared metric vocabulary (see
@@ -157,7 +159,10 @@ class StreamERPipeline:
         self.cl = self.compiled.get("cl")
         self._named_stages = tuple(self.compiled.ordered())
         self._stages = tuple(stage for _, stage in self._named_stages)
-        self._entities_processed = getattr(backend, "entities_committed", 0)
+        # A durable backend's log call, resolved once: None on the plain
+        # hot path.
+        self._log = getattr(self.backend, "log_input", None)
+        self._entities_processed = getattr(self.backend, "entities_logged", 0)
         self.items_failed = 0
         self.retries_performed = 0
         self.dead_letters: list[DeadLetter] = []
@@ -186,6 +191,14 @@ class StreamERPipeline:
 
     def process(self, entity: EntityDescription) -> list[Match]:
         """Run one entity end to end; returns the new matches it produced."""
+        if self._log is None:
+            return self._process(entity)
+        self._log((entity,))
+        matches = self._process(entity)
+        self.backend.checkpoint_if_due()
+        return matches
+
+    def _process(self, entity: EntityDescription) -> list[Match]:
         seq = self._entities_processed
         self._entities_processed += 1
         trace = self.tracer.start(seq, entity.eid) if self.tracer is not None else None
@@ -206,7 +219,7 @@ class StreamERPipeline:
             self._entities_metric.inc()
             self._latency_metric.observe(time.perf_counter() - entity_start)
         if self.checker is not None:
-            self.checker.after_entity()
+            self.checker.after_entity(self._entities_processed)
         return out  # type: ignore[return-value]
 
     def process_many(
@@ -222,7 +235,9 @@ class StreamERPipeline:
         posture, where one malformed description must not stop the feed.
         Note the entity may already have mutated shared state (e.g. been
         registered in some blocks) before failing; dead-lettering is a
-        survival guarantee, not a transactional rollback.
+        survival guarantee, not a transactional rollback.  On a durable
+        backend the increment is one admission: it is logged whole before
+        its first entity runs.
         """
         if on_error not in ("raise", "dead_letter"):
             raise ConfigurationError(
@@ -233,13 +248,16 @@ class StreamERPipeline:
         dead: list[DeadLetter] = []
         count = 0
         wall_start = time.perf_counter()
+        if self._log is not None:
+            entities = list(entities)
+            self._log(entities)
         for entity in entities:
             count += 1
             if on_error == "raise":
-                matches.extend(self.process(entity))
+                matches.extend(self._process(entity))
                 continue
             try:
-                matches.extend(self.process(entity))
+                matches.extend(self._process(entity))
             except Exception as exc:
                 letter = DeadLetter(
                     stage="pipeline", entity_id=entity.eid, error=repr(exc)
@@ -249,6 +267,12 @@ class StreamERPipeline:
                 self.items_failed += 1
                 if self._metrics_on:
                     self.registry.counter(DEAD_LETTERS, stage="pipeline").inc()
+                if self._log is not None:
+                    self.backend.log_dead_letter(
+                        self._entities_processed - 1, entity.eid, "pipeline"
+                    )
+        if self._log is not None:
+            self.backend.checkpoint_if_due()
         elapsed = time.perf_counter() - wall_start
         end = lifetime_counters(self)
         return ERResult(

@@ -21,8 +21,8 @@ every active stage against one backend and returns a
 :class:`CompiledPipeline` — instead of hand-constructing stages, so stage
 wiring, ordering and state ownership are defined exactly once.  The
 compiled pipeline is also the one place that decides what happens around
-a stage call (durable commit, metrics, invariant checks): it composes
-those duties into a single callable per stage, at compile time.
+a stage call (metrics, invariant checks): it composes those duties into a
+single callable per stage, at compile time.
 
 ``STAGE_ORDER`` (the full eight-name tuple) is re-exported here and is the
 canonical import site for every stage-name consumer outside ``core``.
@@ -191,8 +191,7 @@ class PipelinePlan:
 
         With an enabled ``registry`` every stage call records the shared
         metric vocabulary; with an enabled ``checker`` every output message
-        is verified against the registered stage invariants; on a durable
-        backend every entity is committed as it leaves ``f_cl``.  See
+        is verified against the registered stage invariants.  See
         :class:`CompiledPipeline` for how those duties are composed.
         """
         return CompiledPipeline(
@@ -215,17 +214,15 @@ _MESSAGE_COUNTERS: dict[str, tuple[str, Callable]] = {
 
 
 class _StageCall:
-    """One stage call with every duty around it: the stage, the durable
-    commit (``f_cl`` only), then service time, item count and message
-    counter (the commit inside the timed region), then the stage-scope
-    invariants — outside the timing, so a violating call is still timed."""
+    """One stage call with every duty around it: the stage, then service
+    time, item count and message counter, then the stage-scope invariants
+    — outside the timing, so a violating call is still timed."""
 
-    __slots__ = ("name", "_stage", "_commit", "_service", "_items", "_counter", "_size", "_check")
+    __slots__ = ("name", "_stage", "_service", "_items", "_counter", "_size", "_check")
 
-    def __init__(self, name, stage, commit, registry: MetricsRegistry, check) -> None:
+    def __init__(self, name, stage, registry: MetricsRegistry, check) -> None:
         self.name = name
         self._stage = stage
-        self._commit = commit
         self._service = registry.histogram(STAGE_SERVICE_SECONDS, stage=name)
         self._items = registry.counter(STAGE_ITEMS, stage=name)
         metric, self._size = _MESSAGE_COUNTERS.get(name, (None, None))
@@ -235,8 +232,6 @@ class _StageCall:
     def __call__(self, message):
         start = perf_counter()
         out = self._stage(message)
-        if self._commit is not None:
-            self._commit(message.profile.eid)
         self._service.observe(perf_counter() - start)
         self._items.inc()
         if self._counter is not None:
@@ -258,9 +253,9 @@ class CompiledPipeline:
 
     The per-stage callable is built once, here — the one place that decides
     what happens around a stage call.  With nothing to do per call
-    (disabled registry, no stage-scope invariant to check, not the durable
-    ``f_cl``) it *is* the stage object: the bare hot path pays no extra
-    frame.  Otherwise it is one :class:`_StageCall`.
+    (disabled registry, no stage-scope invariant to check) it *is* the
+    stage object: the bare hot path pays no extra frame.  Otherwise it is
+    one :class:`_StageCall`.
     """
 
     def __init__(
@@ -280,18 +275,15 @@ class CompiledPipeline:
         self._stages: dict[str, Callable] = {
             spec.name: spec.factory(plan.config, backend) for spec in plan.specs
         }
-        # A durable backend commits each entity as it leaves ``f_cl``.
-        commit_entity = getattr(backend, "commit_entity", None)
         self._calls: dict[str, Callable] = {}
         for name, stage in self._stages.items():
-            commit = commit_entity if name == "cl" else None
             check = None
             if self.checker is not None and invariants_for("stage", name):
                 check = self.checker.observe_stage
-            if commit is None and check is None and not self.registry.enabled:
+            if check is None and not self.registry.enabled:
                 self._calls[name] = stage
             else:
-                self._calls[name] = _StageCall(name, stage, commit, self.registry, check)
+                self._calls[name] = _StageCall(name, stage, self.registry, check)
 
     @property
     def names(self) -> tuple[str, ...]:

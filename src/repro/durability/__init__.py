@@ -1,11 +1,12 @@
 """Durable ER state: write-ahead log, checkpoints, crash-consistent resume.
 
 The paper's §III-A allows the initial state σ₁ to be seeded from a prior
-resolution run; this package makes that survivable: every state mutation
-is appended to a length-prefixed, checksummed write-ahead log, periodic
-snapshot checkpoints bound replay time, and :func:`recover` (behind
-``DurableBackend.open(..., resume=True)``) rebuilds the exact pre-crash
-state from disk.
+resolution run; this package makes that survivable: the input each
+executor admits is appended to a length-prefixed, checksummed write-ahead
+log before it runs (command logging), periodic snapshot checkpoints bound
+replay time, and :func:`recover` (behind ``DurableBackend.open(...,
+resume=True)``) rebuilds the pre-crash state from disk by re-running the
+logged input through the same plan.
 
 Layout of a durable run directory (``wal_dir``)::
 

@@ -1,12 +1,11 @@
 """Canonical JSON encoding of ER values for WAL records and snapshots.
 
-One codec serves both durability artifacts so a value round-trips
-identically whether it travelled through the log or a checkpoint.
-Identifiers survive for every shape the framework produces — ints,
-strings, and the ``(source, local_id)`` tuples of clean-clean ER — and
-floats round-trip exactly (``json`` emits ``repr``-precision, which is
-lossless for finite IEEE doubles), so "bit-identical match sets" means
-similarities too, not just pair keys.
+The log carries entity descriptions (:func:`encode_entity`); snapshots
+carry profiles and matches.  Identifiers survive for every shape the
+framework produces — ints, strings, and the ``(source, local_id)`` tuples
+of clean-clean ER — and floats round-trip exactly (``json`` emits
+``repr``-precision, which is lossless for finite IEEE doubles), so
+"bit-identical match sets" means similarities too, not just pair keys.
 
 :func:`state_digest` is the oracle primitive behind the
 ``durability-replay-digest`` invariant: a canonical SHA-256 over the
@@ -22,11 +21,13 @@ import json
 from typing import Any
 
 from repro.errors import DatasetError
-from repro.types import EntityId, Match, Profile
+from repro.types import EntityDescription, EntityId, Match, Profile
 
 __all__ = [
     "encode_id",
     "decode_id",
+    "encode_entity",
+    "decode_entity",
     "encode_profile",
     "decode_profile",
     "encode_match",
@@ -50,12 +51,30 @@ def decode_id(value: object) -> EntityId:
     return value  # type: ignore[return-value]
 
 
+def encode_entity(entity: EntityDescription) -> list:
+    """One logged entity description: ``[eid, attributes, source]``."""
+    return [
+        encode_id(entity.eid),
+        [[name, value] for name, value in entity.attributes],
+        entity.source,
+    ]
+
+
+def decode_entity(data: list) -> EntityDescription:
+    eid, attributes, source = data
+    return EntityDescription(
+        eid=decode_id(eid),
+        attributes=tuple((name, value) for name, value in attributes),
+        source=source,
+    )
+
+
 def encode_profile(profile: Profile) -> dict:
     """Encode a profile, remembering *whether* it carried interned ids.
 
     The ids themselves are not stored — they are dictionary-relative, and
-    both replay paths restore the token dictionary first, so ids are
-    re-attached by lookup (never re-interning, which could reorder them).
+    a snapshot restores the token dictionary first, so ids are re-attached
+    by lookup (never re-interning, which could reorder them).
     """
     return {
         "eid": encode_id(profile.eid),
@@ -70,8 +89,7 @@ def decode_profile(data: dict, dictionary: Any = None) -> Profile:
     """Decode a profile, re-attaching token ids from ``dictionary``.
 
     Ids are resolved with ``lookup`` — every token of an interned profile
-    must already be in the dictionary (token-intern records precede the
-    profile's registration in the WAL, and snapshots store the dictionary
+    must already be in the dictionary (snapshots store the dictionary
     wholesale), so a miss means corruption and fails loudly.
     """
     tokens = frozenset(data["tokens"])

@@ -1,4 +1,4 @@
-"""Crash recovery: newest snapshot + WAL tail replay, up to the last commit.
+"""Crash recovery: newest snapshot, then re-run the logged input.
 
 The procedure (see ``docs/durability.md``):
 
@@ -6,23 +6,22 @@ The procedure (see ``docs/durability.md``):
    to older ones (snapshot publication is atomic, but recovery does not
    *assume* it); no snapshot means replay from the empty state at
    epoch 0.
-2. Replay every WAL segment from the snapshot's epoch forward, in epoch
+2. Read every WAL segment from the snapshot's epoch forward, in epoch
    order.  The chain must be gap-free — a missing middle segment is
-   unrecoverable data loss, not a torn tail.
-3. In the final segment, apply records only up to the **last commit**:
-   everything after it belongs to the entity that was mid-flight at the
-   crash and is discarded (the caller re-feeds it).  A torn tail is
-   clamped; mid-log corruption raises under ``strict``.
-4. Commit sequence numbers must continue the snapshot's ``next_seq``
-   exactly: a duplicate commit drops its whole buffered mutation batch
-   (``block_add`` is not idempotent, so re-applying would corrupt block
-   membership), gaps raise :class:`~repro.errors.RecoveryError`.
-   Mutations are therefore buffered until their commit record arrives
-   and applied batch-wise — which is also what makes the final-segment
-   clamp exact.
+   unrecoverable data loss, not a torn tail.  A torn tail of the final
+   segment is clamped; only the admission whose ``input`` record it held
+   is lost, and the caller re-feeds it.
+3. Run every logged entity through ``PipelinePlan.from_config(config)``
+   compiled against the recovered backend, in log order.  A
+   ``dead_letter`` record stops its entity before the named stage.  A
+   stage that raises is caught, as the live run's supervision or
+   ``on_error`` caught it: stages are deterministic in their input and
+   the state, so the entity fails at the same point again.
 
-Resume then truncates the final segment at the clamp offset and appends
-from there — the discarded tail never survives a successful resume.
+Snapshots are taken only between admissions, so every entity logged after
+one is an entity the snapshot does not contain.  Resume then truncates
+the final segment at the clamp offset and appends from there — the torn
+record never survives a successful resume.
 """
 
 from __future__ import annotations
@@ -31,41 +30,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.durability.codec import decode_id, decode_match, decode_profile
+from repro.durability.codec import decode_entity, decode_id
 from repro.durability.snapshot import (
     apply_state_document,
     list_snapshots,
     load_snapshot,
 )
-from repro.durability.wal import header_size, scan_wal, segment_path
+from repro.durability.wal import scan_wal, segment_path
 from repro.errors import RecoveryError
 
-__all__ = ["RecoveredState", "apply_record", "recover"]
-
-
-def apply_record(record: dict, backend: Any) -> None:
-    """Re-apply one WAL state mutation to ``backend`` (commits are no-ops)."""
-    op = record.get("op")
-    if op == "token":
-        backend.dictionary.intern(record["t"])
-    elif op == "profile_put":
-        backend.profiles.put(decode_profile(record["p"], backend.dictionary))
-    elif op == "profile_remove":
-        backend.profiles.remove(decode_id(record["eid"]))
-    elif op == "block_add":
-        backend.blocks.add(record["k"], decode_id(record["eid"]))
-    elif op == "block_remove":
-        backend.blocks.remove_block(record["k"])
-    elif op == "block_discard":
-        backend.blocks.discard(record["k"], decode_id(record["eid"]))
-    elif op == "blacklist_add":
-        backend.blacklist.add(record["k"])
-    elif op == "match_add":
-        backend.matches.add(decode_match(record["m"]))
-    elif op == "commit":
-        pass  # sequencing is validated by the recover() loop
-    else:
-        raise RecoveryError(f"WAL record with unknown op {op!r}: {record!r}")
+__all__ = ["RecoveredState", "recover"]
 
 
 @dataclass
@@ -73,29 +47,31 @@ class RecoveredState:
     """Everything :func:`recover` reconstructed from a durable run directory."""
 
     backend: Any
-    entities_processed: int
+    entities_processed: int  # the snapshot's count + every logged entity
+    entities_replayed: int  # logged after the snapshot, re-run by recovery
+    entities_failed: int  # re-run entities a stage raised on, as it did live
     epoch: int  # epoch of the live (final) WAL segment
-    segments_replayed: int
     records_replayed: int
-    records_discarded: int  # post-last-commit tail of the final segment
-    records_skipped: int  # duplicate commit batches dropped during replay
     torn_tail: bool
-    resume_segment: Path
-    resume_offset: int  # truncate-and-append point for the resumed writer
-    next_seq: int
+    resume_offset: int  # truncate-and-append point in the final segment
 
 
-def recover(wal_dir: str | Path, strict: bool = True) -> RecoveredState:
-    """Rebuild the last crash-consistent state from ``wal_dir``."""
+def recover(wal_dir: str | Path, config: Any, upto: int | None = None) -> RecoveredState:
+    """Rebuild the state of the durable run in ``wal_dir`` under ``config``.
+
+    ``upto`` stops the replay once that many entities of the whole run
+    have been re-run (the ``durability-replay-digest`` invariant compares
+    a live run caught mid-admission); ``None`` replays the whole log.
+    """
     wal_dir = Path(wal_dir)
     if not wal_dir.is_dir():
         raise RecoveryError(f"durable run directory {wal_dir} does not exist")
 
     from repro.core.backends.memory import InMemoryBackend
+    from repro.core.plan import PipelinePlan
 
     backend = InMemoryBackend()
-    entities_processed = 0
-    next_seq = 0
+    snapshot_entities = 0
     snapshot_epoch = 0
     snapshot_errors: list[str] = []
     for epoch, path in reversed(list_snapshots(wal_dir)):
@@ -104,8 +80,7 @@ def recover(wal_dir: str | Path, strict: bool = True) -> RecoveredState:
         except RecoveryError as exc:
             snapshot_errors.append(str(exc))
             continue
-        entities_processed = apply_state_document(document, backend)
-        next_seq = int(document.get("next_seq", 0))
+        snapshot_entities = apply_state_document(document, backend)
         snapshot_epoch = epoch
         break
     else:
@@ -129,91 +104,68 @@ def recover(wal_dir: str | Path, strict: bool = True) -> RecoveredState:
             f"{wal_dir} has no WAL segment at or after snapshot epoch "
             f"{snapshot_epoch}"
         )
-    expected_chain = list(range(chain[0], chain[0] + len(chain)))
-    if chain != expected_chain or chain[0] != snapshot_epoch:
+    if chain != list(range(snapshot_epoch, snapshot_epoch + len(chain))):
         raise RecoveryError(
             f"broken WAL segment chain in {wal_dir}: snapshot epoch "
             f"{snapshot_epoch}, segments {chain}"
         )
 
-    records_replayed = 0
-    records_discarded = 0
-    records_skipped = 0
-    pending: list[dict] = []  # mutations awaiting their commit record
-    torn = False
-    resume_segment = segment_path(wal_dir, chain[-1])
-    resume_offset = header_size()
-    for position, epoch in enumerate(chain):
-        final = position == len(chain) - 1
-        scan = scan_wal(segment_path(wal_dir, epoch), strict=strict)
+    entities: list = []  # logged after the snapshot, in log order
+    letters: dict[int, str] = {}  # log position -> stage the entity stopped before
+    records = 0
+    for epoch in chain:
+        scan = scan_wal(segment_path(wal_dir, epoch))
         if scan.epoch != epoch:
             raise RecoveryError(
                 f"{scan.path} carries epoch {scan.epoch} in its header but "
                 f"is named for epoch {epoch}"
             )
-        if scan.torn_tail and not final:
+        if scan.torn_tail and epoch != chain[-1]:
             # Checkpointing fsyncs a segment before opening its successor,
             # so damage before the final segment is lost data, not a torn
             # write-in-progress.
             raise RecoveryError(
                 f"non-final WAL segment {scan.path.name} is damaged "
-                f"({scan.tail_error}); committed records are unrecoverable"
+                f"({scan.tail_error}); logged records are unrecoverable"
             )
-        # Clamp the final segment to its last commit: later records belong
-        # to the entity that was mid-flight when the process died.
-        last_commit = -1
-        for index, record in enumerate(scan.records):
-            if record.get("op") == "commit":
-                last_commit = index
-        cutoff = len(scan.records) if not final else last_commit + 1
-        for record in scan.records[:cutoff]:
-            if record.get("op") != "commit":
-                pending.append(record)
-                continue
-            seq = int(record["seq"])
-            if seq < next_seq:
-                # A duplicate commit: its buffered batch re-states
-                # mutations already applied, and block_add is not
-                # idempotent — drop the whole batch, not just the marker.
-                records_skipped += len(pending) + 1
-                pending.clear()
-                continue
-            if seq > next_seq:
-                raise RecoveryError(
-                    f"commit sequence gap in {scan.path.name}: expected "
-                    f"{next_seq}, found {seq} — a committed entity is "
-                    f"missing from the log"
-                )
-            for buffered in pending:
-                apply_record(buffered, backend)
-            records_replayed += len(pending) + 1
-            pending.clear()
-            next_seq = seq + 1
-            entities_processed = int(record.get("n", entities_processed))
-        if final:
-            records_discarded = len(scan.records) - cutoff
-            torn = scan.torn_tail
-            resume_segment = scan.path
-            if cutoff:
-                next_start = (
-                    scan.offsets[cutoff]
-                    if cutoff < len(scan.offsets)
-                    else scan.valid_bytes
-                )
-                resume_offset = next_start
+        records += len(scan.records)
+        for record in scan.records:
+            op = record.get("op")
+            if op == "input":
+                entities.extend(map(decode_entity, record["entities"]))
+            elif op == "dead_letter":
+                at = int(record["at"]) - snapshot_entities
+                eid = decode_id(record["eid"])
+                if not 0 <= at < len(entities) or entities[at].eid != eid:
+                    raise RecoveryError(
+                        f"dead letter for entity {eid!r} at log position "
+                        f"{record['at']} in {scan.path.name} names no entity "
+                        f"logged there"
+                    )
+                letters[at] = record["stage"]
             else:
-                resume_offset = header_size()
+                raise RecoveryError(f"WAL record with unknown op {op!r}: {record!r}")
+
+    stages = PipelinePlan.from_config(config).compile(backend).ordered()
+    limit = len(entities) if upto is None else max(0, upto - snapshot_entities)
+    failed = 0
+    for position, entity in enumerate(entities[:limit]):
+        stop = letters.get(position)
+        message: object = entity
+        try:
+            for name, stage in stages:
+                if name == stop:
+                    break
+                message = stage(message)
+        except Exception:  # the live run caught it too
+            failed += 1
     return RecoveredState(
         backend=backend,
-        entities_processed=entities_processed,
+        entities_processed=snapshot_entities + len(entities),
+        entities_replayed=min(limit, len(entities)),
+        entities_failed=failed,
         epoch=chain[-1],
-        segments_replayed=len(chain),
-        records_replayed=records_replayed,
-        records_discarded=records_discarded,
-        records_skipped=records_skipped,
-        torn_tail=torn,
-        resume_segment=resume_segment,
-        resume_offset=resume_offset,
-        next_seq=next_seq,
+        records_replayed=records,
+        torn_tail=scan.torn_tail,
+        resume_offset=scan.valid_bytes,
     )
-

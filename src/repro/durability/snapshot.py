@@ -3,8 +3,8 @@
 A snapshot is a JSON document carrying the complete mutable ER state —
 token dictionary first (id order), then profiles (registration order),
 blocks (member order preserved), blacklist, matches (discovery order) —
-plus the checkpoint epoch, the entity count, and the next commit
-sequence number.  Its integrity hash covers everything but itself.
+plus the checkpoint epoch and the entity count.  Its integrity hash
+covers everything but itself.
 
 Writing follows the atomic-rename discipline: the document is written to
 a temporary file in the same directory, flushed and fsynced, renamed
@@ -82,7 +82,6 @@ def state_document(
     backend: Any,
     entities_processed: int = 0,
     epoch: int = 0,
-    next_seq: int = 0,
 ) -> dict:
     """Render a backend's complete state as a snapshot document."""
     document = {
@@ -90,7 +89,6 @@ def state_document(
         "version": SNAPSHOT_VERSION,
         "epoch": epoch,
         "entities_processed": entities_processed,
-        "next_seq": next_seq,
         "dictionary": list(backend.dictionary),
         "profiles": [encode_profile(p) for p in backend.profiles.values()],
         "blocks": [
@@ -199,7 +197,6 @@ def dump_state(pipeline: Any, target: str | Path | IO[str]) -> None:
         pipeline.backend,
         entities_processed=pipeline.entities_processed,
         epoch=0,
-        next_seq=pipeline.entities_processed,
     )
     if isinstance(target, (str, Path)):
         write_snapshot(target, document)

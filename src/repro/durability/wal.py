@@ -6,13 +6,13 @@ A WAL segment is::
     then zero or more records, each:
     u32 payload length | u32 crc32(payload) | payload (compact JSON)
 
-Every mutation of ER state (profile put/remove, block add/prune/discard,
-blacklist add, match emit, token-dictionary append) is one record, plus a
-``commit`` record per fully processed entity carrying a strictly
-increasing sequence number — the unit of crash consistency.  Recovery
-replays a segment only up to its last *commit*; everything after it
-belongs to an entity that was mid-flight when the process died and will
-be re-fed on resume.
+The log holds what the executors *admitted*, not what the stages did
+(command logging): an ``input`` record carries the entity descriptions of
+one admission and is appended before any of them runs; a ``dead_letter``
+record names an entity a supervisor gave up on, and the stage it stopped
+before.  The state is a deterministic fold over that input, so recovery
+re-runs the logged entities instead of re-applying mutations.  Version 2
+is this format; version 1 logged state mutations and is refused.
 
 Torn-tail classification on read follows the standard WAL discipline:
 
@@ -20,7 +20,7 @@ Torn-tail classification on read follows the standard WAL discipline:
   checksum failure on the *final* record → **torn tail** (a write the
   crash interrupted); the valid prefix is the recoverable log.
 * a checksum failure with valid data after it → **corruption**
-  (:class:`~repro.errors.WalCorruptionError`): committed records would be
+  (:class:`~repro.errors.WalCorruptionError`): logged records would be
   silently dropped by clamping, so the scanner fails loudly instead.
 
 :class:`CrashPoint` is the crash-injection hook (re-exported through
@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 WAL_MAGIC = b"REPROWAL"
-WAL_VERSION = 1
+WAL_VERSION = 2
 
 _HEADER = struct.Struct("<II")  # file header: version, epoch
 _RECORD = struct.Struct("<II")  # record header: payload length, crc32
@@ -109,11 +109,11 @@ class WalWriter:
     """Appends framed records to one segment file, thread-safe.
 
     ``fsync`` policy: ``"always"`` syncs every append, ``"commit"`` syncs
-    when :meth:`sync` is called (the durable backend calls it on every
-    entity commit), ``"never"`` leaves flushing to the OS until
+    when :meth:`sync` is called (the durable backend calls it after every
+    record it appends), ``"never"`` leaves flushing to the OS until
     :meth:`close`.  All policies share the consistency guarantee — a
     crash can only lose a suffix of the log, never tear its middle —
-    they trade how much committed tail is at the OS's mercy.
+    they trade how much logged tail is at the OS's mercy.
     """
 
     def __init__(
@@ -141,8 +141,8 @@ class WalWriter:
         self._lock = threading.Lock()
         self._dead = False
         if resume_offset is not None:
-            # Resuming into an existing segment: drop the discarded tail
-            # (torn record + uncommitted mutations) before appending.
+            # Resuming into an existing segment: drop the torn tail
+            # before appending.
             with self.path.open("r+b") as handle:
                 handle.truncate(resume_offset)
             self._file = self.path.open("ab")
@@ -231,7 +231,7 @@ def scan_wal(path: str | Path, strict: bool = True) -> WalScan:
 
     ``strict=False`` downgrades mid-log corruption to a clamp at the last
     valid prefix (forensic use); the default fails loudly on it, because
-    clamping there drops committed records.
+    clamping there drops logged records.
     """
     path = Path(path)
     data = path.read_bytes()

@@ -42,7 +42,7 @@ class WalCorruptionError(ReproError):
 
     Raised for corruption *inside* the log body (a damaged record with
     valid records after it) — that is data loss, never a torn tail, and
-    recovery refuses to silently drop committed records.  A damaged
+    recovery refuses to silently drop logged records.  A damaged
     *final* record is classified as a torn tail instead and clamped to
     the last consistent prefix (see ``docs/durability.md``).
     """
@@ -51,8 +51,8 @@ class WalCorruptionError(ReproError):
 class RecoveryError(ReproError):
     """Crash recovery could not reconstruct a consistent state.
 
-    Covers a missing WAL segment chain, a commit-sequence gap during
-    replay, or a configuration fingerprint mismatch between the durable
+    Covers a missing WAL segment chain, a dead letter naming no logged
+    entity, or a configuration fingerprint mismatch between the durable
     run on disk and the pipeline trying to resume it.
     """
 

@@ -4,10 +4,10 @@ An :class:`InvariantChecker` is handed to an executor (or directly to
 :meth:`~repro.core.plan.PipelinePlan.compile`); the compiled pipeline then
 calls :meth:`InvariantChecker.observe_stage` after every call of a stage
 that has stage-scope invariants — one duty of the single per-stage
-callable it composes, beside metrics and the durable commit — so the
-same checker works in the sequential pipeline, the thread framework, the
-multiprocess executor and (for the run-level conservation checks) the
-simulator, without any executor-specific shims.  ``checker=None`` (the
+callable it composes, beside metrics — so the same checker works in the
+sequential pipeline, the thread framework, the multiprocess executor and
+(for the run-level conservation checks) the simulator, without any
+executor-specific shims.  ``checker=None`` (the
 default everywhere) compiles nothing and costs nothing.
 
 Two enforcement modes:
@@ -102,6 +102,7 @@ class InvariantChecker:
         self._backend: Any = None
         self._registry: Any = None
         self._entities_seen = 0
+        self._processed: int | None = None
 
     # -- wiring --------------------------------------------------------
 
@@ -161,8 +162,12 @@ class InvariantChecker:
             )
             self._run_checks(invariants, view, stage=stage)
 
-    def after_entity(self) -> None:
-        """Sequential executors: periodic state check at entity boundaries."""
+    def after_entity(self, processed: int | None = None) -> None:
+        """Sequential executors: periodic state check at entity boundaries.
+
+        ``processed`` is the executor's entity count so far, which may end
+        mid-admission (see :attr:`StateView.processed`)."""
+        self._processed = processed
         self._entities_seen += 1
         if self._entities_seen % self.state_every == 0:
             self.check_state()
@@ -176,7 +181,12 @@ class InvariantChecker:
             if self.exempt_provider is not None
             else frozenset()
         )
-        view = StateView(config=self._config, backend=self._backend, exempt=exempt)
+        view = StateView(
+            config=self._config,
+            backend=self._backend,
+            exempt=exempt,
+            processed=self._processed,
+        )
         self._run_checks(invariants_for("state"), view)
 
     def check_result(

@@ -64,11 +64,17 @@ class StateView:
     Invariants that hold for them too ignore it: ``f_bb+bp`` registers the
     profile before any block add, so even a dead-lettered entity in a
     block resolves in the profile map.
+
+    ``processed`` is how many entities the run has put through its
+    pipeline, when a check lands inside an admission (the sequential
+    pipeline's every-``state_every``-entities check); ``None`` means the
+    state is quiescent and everything admitted has run.
     """
 
     config: Any
     backend: Any
     exempt: frozenset = frozenset()
+    processed: int | None = None
 
 
 @dataclass
@@ -314,6 +320,12 @@ def check_match_store(view: StateView) -> None:
             _fail("match-store-consistent", f"self-match {a!r} in the store")
 
 
+def _durable(backend: Any) -> bool:
+    from repro.core.backends.durable import DurableBackend
+
+    return isinstance(backend, DurableBackend)
+
+
 @_invariant(
     "durability-layout-consistent",
     "state",
@@ -322,12 +334,12 @@ def check_match_store(view: StateView) -> None:
 )
 def check_durability_layout(view: StateView) -> None:
     backend = view.backend
-    wal_dir = getattr(backend, "wal_dir", None)
-    if wal_dir is None or not hasattr(backend, "commit_entity"):
-        return  # not a durable backend
+    if not _durable(backend):
+        return
     from repro.durability.snapshot import list_snapshots
     from repro.durability.wal import segment_path
 
+    wal_dir = backend.wal_dir
     snapshots = list_snapshots(wal_dir)
     epochs = [epoch for epoch, _ in snapshots]
     if epochs != sorted(set(epochs)):
@@ -354,32 +366,28 @@ def check_durability_layout(view: StateView) -> None:
 @_invariant(
     "durability-replay-digest",
     "state",
-    description="replaying the durable run from disk reproduces the live "
-    "state, digest for digest",
+    description="re-running the logged input of the durable run reproduces "
+    "the live state, digest for digest",
 )
 def check_durability_replay(view: StateView) -> None:
     backend = view.backend
-    if getattr(backend, "wal_dir", None) is None or not hasattr(
-        backend, "commit_entity"
-    ):
-        return  # not a durable backend
-    if view.exempt:
-        # Dead-lettered entities mutated state without committing; replay
-        # (which stops at the last commit) legitimately diverges.
+    if not _durable(backend):
         return
     backend.flush()
     from repro.durability.codec import state_digest
     from repro.durability.recovery import recover
 
-    recovered = recover(backend.wal_dir)
+    # Dead letters are logged too, so the replay of exactly the entities
+    # the live run has processed owes the live state every bit.
+    recovered = recover(backend.wal_dir, view.config, upto=view.processed)
     live = state_digest(backend)
     replayed = state_digest(recovered.backend)
     if live != replayed:
+        at = backend.entities_logged if view.processed is None else view.processed
         _fail(
             "durability-replay-digest",
             f"replayed-state digest {replayed[:16]}… != live-state digest "
-            f"{live[:16]}… at entity boundary "
-            f"{getattr(backend, 'entities_committed', '?')}",
+            f"{live[:16]}… after entity {at}",
         )
 
 

@@ -63,7 +63,7 @@ from repro.parallel.allocation import (
     paper_example_times,
 )
 from repro.parallel.faults import FaultInjector, FaultPlan, wrap_stages
-from repro.parallel.supervision import Supervisor, format_liveness
+from repro.parallel.supervision import Supervisor, extract_entity_id, format_liveness
 from repro.types import DeadLetter, EntityDescription, Match
 
 _STOP = object()
@@ -193,6 +193,7 @@ class _StageRunner:
         hole_sink: "_ReorderBuffer | None" = None,
         tracer: "Tracer | None" = None,
         downstream_name: str | None = None,
+        log_dead_letter=None,
     ) -> None:
         self.name = name
         self.fn = fn
@@ -208,6 +209,7 @@ class _StageRunner:
         self.hole_sink = hole_sink
         self.tracer = tracer
         self.downstream_name = downstream_name
+        self.log_dead_letter = log_dead_letter
         self._active = workers
         self._lock = threading.Lock()
         self.threads = [
@@ -251,6 +253,8 @@ class _StageRunner:
             # tell the serializer's reorder buffer not to wait for it.
             if trace is not None:
                 trace.dead_letter(self.name)
+            if self.log_dead_letter is not None:
+                self.log_dead_letter(seq, payload, self.name)
             if self.hole_sink is not None:
                 self.hole_sink.hole(seq)
             return
@@ -338,7 +342,10 @@ class ParallelERPipeline:
         :class:`~repro.parallel.faults.FaultSpec`); the wrapped injectors
         are exposed as ``fault_injectors`` for inspection.
     backend:
-        Where the ER state lives (default: a fresh in-memory backend).
+        Where the ER state lives (default: a fresh in-memory backend).  On
+        a durable backend every :meth:`submit` is logged before the entity
+        is queued, every dead letter is logged, and :meth:`join` checkpoints
+        once the workers have exited.
     registry:
         Optional :class:`~repro.observability.MetricsRegistry`; when
         enabled, the framework emits the shared metric vocabulary —
@@ -394,6 +401,11 @@ class ParallelERPipeline:
         )
         self.backend = self.compiled.backend
         self._cl_lock = threading.Lock()
+        # A durable backend's log call, resolved once: None on the plain
+        # hot path.  Submissions are its only admissions while this
+        # pipeline runs, so an entity's log position is base + sequence.
+        self._log = getattr(self.backend, "log_input", None)
+        self._log_base = getattr(self.backend, "entities_logged", 0)
 
         stage_fns = self.compiled.stage_functions()
         cl_stage = stage_fns["cl"]
@@ -468,10 +480,16 @@ class ParallelERPipeline:
                     hole_sink=self._sequencer if name in pre_serial else None,
                     tracer=tracer,
                     downstream_name=names[index + 1] if index + 1 < len(names) else None,
+                    log_dead_letter=self._log_dead_letter if self._log is not None else None,
                 )
             )
         self._started = False
         self._closed = False
+
+    def _log_dead_letter(self, seq: int, payload: object, stage: str) -> None:
+        self.backend.log_dead_letter(
+            self._log_base + seq, extract_entity_id(payload), stage
+        )
 
     # -- lifecycle ------------------------------------------------------
 
@@ -486,6 +504,8 @@ class ParallelERPipeline:
         if self._closed:
             raise PipelineStoppedError("pipeline already closed")
         self.start()
+        if self._log is not None:
+            self._log((entity,))
         seq = self._seq
         self._seq += 1
         self._entities_in += 1
@@ -529,17 +549,20 @@ class ParallelERPipeline:
         if timeout is None:
             for runner in self._runners:
                 runner.join()
-            return
-        deadline = time.perf_counter() + timeout
-        for runner in self._runners:
-            runner.join(deadline)
-        stuck = [r.name for r in self._runners if r.alive() > 0]
-        if stuck:
-            raise PipelineStoppedError(
-                f"join() timed out after {timeout}s with live stages "
-                f"{stuck}; stage liveness:\n"
-                + format_liveness(self.liveness_report())
-            )
+        else:
+            deadline = time.perf_counter() + timeout
+            for runner in self._runners:
+                runner.join(deadline)
+            stuck = [r.name for r in self._runners if r.alive() > 0]
+            if stuck:
+                raise PipelineStoppedError(
+                    f"join() timed out after {timeout}s with live stages "
+                    f"{stuck}; stage liveness:\n"
+                    + format_liveness(self.liveness_report())
+                )
+        if self._log is not None:
+            # Every worker has exited: the state is quiescent.
+            self.backend.checkpoint_if_due()
 
     # -- observability ----------------------------------------------------
 

@@ -32,13 +32,17 @@ the supervisor — sequential semantics, no pool.  ``self.lm`` / ``self.cc``
 are the plan's stage objects themselves, so the counters the workers
 report are folded straight into them.
 
-Which of the two is resolved *once*, at construction, against the four
+Which of the two is resolved *once*, at construction, against the three
 configuration blockers (:attr:`MultiprocessERPipeline.partition_blockers`:
 non-interned comparator, backend without shared columns, classifier that
-may need more than token ids, durable per-entity commit hook); an
-ineligible wiring never spawns a pool.  On an eligible wiring, an entity
-still runs in the parent when it has no candidates (nothing to dispatch)
-or it or a partner has no interned token ids (no row to hand a worker).
+may need more than token ids); an ineligible wiring never spawns a pool.
+Durable state is no blocker: a
+:class:`~repro.core.backends.DurableBackend` over a
+:class:`~repro.core.backends.SharedMemoryBackend` logs each run's input
+in the parent before any entity of it runs, so the workers need no hook.
+On an eligible wiring, an entity still runs in the parent when it has no
+candidates (nothing to dispatch) or it or a partner has no interned token
+ids (no row to hand a worker).
 
 The pool is spawned on the first :meth:`MultiprocessERPipeline.run` and
 reused by every later one (the streaming increments of dynamic ER), so
@@ -249,7 +253,7 @@ def _init_worker(*args) -> None:
 
 def _run_partition(
     rows: array,
-) -> tuple[list[Match], list[DeadLetter], dict, dict, dict, dict]:
+) -> tuple[list[Match], list[tuple[int, DeadLetter]], dict, dict, dict, dict]:
     """Run the plan's tail over one partition descriptor, inside a worker.
 
     Each membership row of the descriptor decodes to ``[own_row,
@@ -259,10 +263,11 @@ def _run_partition(
     policy, so failures travel back as data.  Returns ``(matches,
     dead_letters, retries, items, counters, seconds)``: what ``f_cl``
     emitted (against a per-partition scratch store; the parent's store has
-    the last word), the supervisor's dead letters and per-stage retry
-    counts, the entities that finished each stage, the stage counters'
-    deltas, and each stage's per-entity service seconds (``{}`` unless the
-    parent's registry is enabled).
+    the last word), the supervisor's dead letters — each paired with the
+    index of its entity's row in ``rows`` — and per-stage retry counts,
+    the entities that finished each stage, the stage counters' deltas, and
+    each stage's per-entity service seconds (``{}`` unless the parent's
+    registry is enabled).
     """
     worker = _worker
     assert worker is not None, "worker not initialized"
@@ -271,7 +276,8 @@ def _run_partition(
     before = worker.counters()
     items = dict.fromkeys(worker.fns, 0)
     matches: list[Match] = []
-    for membership_row in rows:
+    failed: list[int] = []
+    for slot, membership_row in enumerate(rows):
         record = decode_membership(worker.membership.record(membership_row)).tolist()
         message: object = CandidateComparisons(
             profile=worker.profiles.arriving(record[0]), candidates=record[1:]
@@ -279,6 +285,7 @@ def _run_partition(
         for name, fn in worker.fns.items():
             ok, message = supervisor.execute(name, fn, message)
             if not ok:
+                failed.append(slot)
                 break
             items[name] += 1
         else:
@@ -287,7 +294,7 @@ def _run_partition(
     counters = {name: after[name] - before[name] for name in after}
     return (
         matches,
-        supervisor.dead_letters,
+        list(zip(failed, supervisor.dead_letters)),
         supervisor.retries_by_stage,
         items,
         counters,
@@ -326,7 +333,10 @@ class MultiprocessERPipeline:
     backend:
         Where the parent-side ER state lives (default: a fresh in-memory
         backend, which is not eligible for partitioned dispatch; pass a
-        :class:`~repro.core.backends.shm.SharedMemoryBackend`).
+        :class:`~repro.core.backends.shm.SharedMemoryBackend`, bare or
+        inside a :class:`~repro.core.backends.DurableBackend`).  On a
+        durable backend each :meth:`run` is logged whole before its first
+        entity runs, and its dead letters are logged at its end.
     registry:
         An optional :class:`~repro.observability.MetricsRegistry`.  Stage
         calls the parent runs record metrics through the compiled plan's
@@ -397,6 +407,9 @@ class MultiprocessERPipeline:
             backend, registry=self.registry, checker=self.checker
         )
         self.backend = self.compiled.backend
+        # A durable backend's log call, resolved once: None on the plain
+        # hot path.
+        self._log = getattr(self.backend, "log_input", None)
         self.entities_processed = 0
         self._trace_seq = 0
         # The stage objects (optional nodes the plan dropped are None);
@@ -458,10 +471,6 @@ class MultiprocessERPipeline:
                 "classifier may be stateful or read attributes (not an exact "
                 "threshold/oracle classifier; workers hold token ids only)"
             )
-        if hasattr(self.backend, "commit_entity"):
-            # The commit rides the parent's compiled cl call; a worker-side
-            # cl would bypass it and the WAL would silently miss matches.
-            blockers.append("durable backends commit per-entity through cl")
         return tuple(blockers)
 
     @property
@@ -537,6 +546,10 @@ class MultiprocessERPipeline:
         while the front keeps running; their results are merged at the end.
         """
         start = time.perf_counter()
+        log = self._log
+        if log is not None:
+            entities = list(entities)
+            base = log(entities)
         counters_before = lifetime_counters(self)
         matches: list[Match] = []
         count_in = 0
@@ -545,7 +558,11 @@ class MultiprocessERPipeline:
             entities_metric = self.registry.counter(ENTITIES)
         tracer = self.tracer
         pending = array("Q")  # membership rows not yet dispatched
-        dispatched: list = []  # the pool's AsyncResults, in dispatch order
+        slots = array("Q")  # their entities' indices in this run
+        # (AsyncResult, slots) per descriptor, in dispatch order.
+        dispatched: list[tuple] = []
+        failed: list[int] = []  # indices of the entities dead-lettered here
+        worker_failed: list[tuple[int, DeadLetter]] = []
         pool = self._acquire_pool() if self.partitioned_dispatch else None
         try:
             for entity in entities:
@@ -561,20 +578,28 @@ class MultiprocessERPipeline:
                 for name in self._front:
                     ok, message = self._step(name, message, trace)
                     if not ok:
+                        failed.append(count_in - 1)
                         break
                 else:
                     if pool is not None and self._publish(message, pending):
+                        slots.append(count_in - 1)
                         if len(pending) >= _DISPATCH_ENTITIES:
-                            dispatched.append(pool.apply_async(_run_partition, (pending,)))
-                            pending = array("Q")
+                            dispatched.append(
+                                (pool.apply_async(_run_partition, (pending,)), slots)
+                            )
+                            pending, slots = array("Q"), array("Q")
                         if trace is not None:
                             trace.complete()
                     else:
-                        matches.extend(self._run_inline_tail(message, trace))
+                        tail = self._run_inline_tail(message, trace)
+                        if tail is None:
+                            failed.append(count_in - 1)
+                        else:
+                            matches.extend(tail)
             if pool is not None:
                 if pending:
-                    dispatched.append(pool.apply_async(_run_partition, (pending,)))
-                self._merge(dispatched, matches)
+                    dispatched.append((pool.apply_async(_run_partition, (pending,)), slots))
+                worker_failed = self._merge(dispatched, matches)
         except BaseException:
             # A mid-run failure can leave tasks queued on the pool; a
             # reused pool would interleave their late results into the
@@ -584,6 +609,12 @@ class MultiprocessERPipeline:
         # This run's increment, like StreamERPipeline.process_many.
         counters = lifetime_counters(self)
         letters = self.supervisor.dead_letters[counters_before["items_failed"] :]
+        if log is not None:
+            # The parent's letters were recorded before the workers' were
+            # absorbed, one per failed index.
+            for index, letter in [*zip(failed, letters), *worker_failed]:
+                self.backend.log_dead_letter(base + index, letter.entity_id, letter.stage)
+            self.backend.checkpoint_if_due()
         result = ERResult(
             entities_processed=count_in,
             matches=matches,
@@ -605,8 +636,9 @@ class MultiprocessERPipeline:
             (trace.record_finish if ok else trace.dead_letter)(name)
         return ok, out
 
-    def _run_inline_tail(self, generated, trace=None) -> list[Match]:
-        """cc → lm → co → cl in the parent for one entity.
+    def _run_inline_tail(self, generated, trace=None) -> list[Match] | None:
+        """cc → lm → co → cl in the parent for one entity; None when the
+        entity was dead-lettered.
 
         Runs the real compiled stages under the supervisor, so counters,
         instrumentation, fault specs and dead-lettering behave exactly as
@@ -616,7 +648,7 @@ class MultiprocessERPipeline:
         for name in self._tail:
             ok, message = self._step(name, message, trace)
             if not ok:
-                return []
+                return None
         if trace is not None:
             trace.complete()
         return message  # type: ignore[return-value]
@@ -649,9 +681,10 @@ class MultiprocessERPipeline:
             self.registry.counter(PARTITION_PAIRS).inc(len(candidates))
         return True
 
-    def _merge(self, dispatched: list, matches: list[Match]) -> None:
+    def _merge(self, dispatched: list, matches: list[Match]) -> list[tuple[int, DeadLetter]]:
         """Fold the workers' results into this pipeline, in dispatch order,
-        and their new matches into ``matches``."""
+        and their new matches into ``matches``; returns the workers' dead
+        letters, each with its entity's index in the run."""
         metrics_on = self.registry.enabled
         registry = self.registry
         if metrics_on:
@@ -660,7 +693,8 @@ class MultiprocessERPipeline:
             registry.counter(PARTITIONS_DISPATCHED).inc(len(dispatched))
         match_store = self.backend.matches
         lm, cc = self.lm, self.cc
-        for result in dispatched:
+        failed: list[tuple[int, DeadLetter]] = []
+        for result, slots in dispatched:
             found, dead_letters, retries, items, counters, seconds = result.get()
             if metrics_on:
                 for name, count in items.items():
@@ -670,7 +704,8 @@ class MultiprocessERPipeline:
                     for value in values:
                         service.observe(value)
                 executed_metric.inc(counters["compared"])
-            self.supervisor.absorb(dead_letters, retries)
+            self.supervisor.absorb([letter for _, letter in dead_letters], retries)
+            failed.extend((slots[slot], letter) for slot, letter in dead_letters)
             # Fold the workers' stage counters into the canonical ones —
             # except co.compared: each side of the decision stays accountable.
             self.pairs_dispatched += counters["compared"] - counters["prefiltered"]
@@ -688,3 +723,4 @@ class MultiprocessERPipeline:
             registry.gauge(SHM_BYTES).set(backend.shm_bytes())
             registry.gauge(SHM_SEGMENTS).set(len(backend.segment_names()))
             registry.gauge(SHM_ROWS).set(len(self._token_store))
+        return failed

@@ -296,8 +296,10 @@ def _check_invariants_hold(case: ERCase) -> None:
 def _check_resume_equals_uninterrupted(case: ERCase) -> None:
     # Resume-after-crash is just another increment cut of the incremental
     # fold: kill a durable run at a seeded WAL record (clean or torn),
-    # recover, re-feed the uncommitted suffix, and the final match set —
-    # pairs *and* similarities — must equal an uninterrupted run's.
+    # recover, re-feed the unlogged suffix, and the final match set —
+    # pairs *and* similarities — must equal an uninterrupted run's.  The
+    # stream is admitted in seeded increments of one to four entities, so
+    # the log holds several input records to crash into.
     import tempfile
     from pathlib import Path
 
@@ -311,6 +313,16 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
     baseline = {
         (m.key(), m.similarity) for m in reference.backend.matches.matches()
     }
+    rng = random.Random(f"{case.salt}:resume")
+    sizes = [rng.randint(1, 4) for _ in entities]
+
+    def feed(pipeline: StreamERPipeline, start: int = 0) -> None:
+        for size in sizes:
+            if start >= len(entities):
+                return
+            pipeline.process_many(entities[start : start + size])
+            start += size
+
     with tempfile.TemporaryDirectory(prefix="repro-resume-") as root:
         probe = StreamERPipeline(
             config,
@@ -319,12 +331,11 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
                 Path(root) / "probe", config, checkpoint_every=5
             ),
         )
-        probe.process_many(entities)
+        feed(probe)
         probe.close()
         total = probe.backend.wal_records_seen
         if not total:
             return  # nothing was ever logged; nothing to crash into
-        rng = random.Random(f"{case.salt}:resume")
         scenarios = [
             (1, None),  # the very first record
             (rng.randint(1, total), None),  # a clean mid-run crash
@@ -343,7 +354,7 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
                 ),
             )
             try:
-                crashed.process_many(entities)
+                feed(crashed)
             except SimulatedCrash:
                 pass
             resumed = StreamERPipeline(
@@ -353,7 +364,7 @@ def _check_resume_equals_uninterrupted(case: ERCase) -> None:
                     wal_dir, config, resume=True, checkpoint_every=5
                 ),
             )
-            resumed.process_many(entities[resumed.entities_processed :])
+            feed(resumed, resumed.entities_processed)
             resumed.close()
             pairs = {
                 (m.key(), m.similarity)

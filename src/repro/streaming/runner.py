@@ -157,8 +157,9 @@ class MultiprocessStreamRunner:
     With ``backend=None`` a fresh shared-memory backend is created and
     owned (closed + unlinked) by the runner; pass an explicit backend —
     e.g. ``DurableBackend.open(wal_dir, config,
-    inner=SharedMemoryBackend())`` for a durable incremental run — to
-    manage its lifecycle yourself.
+    inner=SharedMemoryBackend())`` for a durable incremental run, whose
+    tails still dispatch to the pool (each increment is logged in the
+    parent before it runs) — to manage its lifecycle yourself.
 
     ``partitioned="auto"`` (default) uses partitioned dispatch when
     the wiring is eligible and otherwise resolves every entity in the

@@ -198,7 +198,9 @@ class TestPlanCompilation:
         pipeline.process_many(entities)
         pipeline.close()
         n = len(entities)
-        assert pipeline.backend.entities_committed == n  # one commit per entity
+        # The increment is one admission: logged whole, one record.
+        assert pipeline.backend.entities_logged == n
+        assert pipeline.backend.wal_records_seen == 1
         assert registry.value(STAGE_ITEMS, stage="cl") == n
         forced = [v for v in checker.violations if v.invariant == "forced-cl-failure"]
         assert len(forced) == n and {v.stage for v in forced} == {"cl"}

@@ -1,13 +1,13 @@
 """Durability over shared memory:
 ``DurableBackend.open(wal_dir, config, inner=SharedMemoryBackend())``.
 
-Durability is the *outer* decorator — its logging proxies journal every
-mutation and call straight through to the inner stores, so where the
-token columns physically live is invisible to the WAL.  These tests pin
-that composition: the shm-only surface stays reachable through the
-decorator, the multiprocess executor runs every tail in the parent (the
-per-entity commit hook is a partitioned-dispatch blocker) with the same
-match set as worker-side execution, journaling is unaffected, a crashed run resumes to the exact
+Durability is the *outer* decorator — it logs what the executors admit
+and hands the stages the inner stores unchanged, so where the token
+columns physically live is invisible to the WAL.  These tests pin that
+composition: the shm-only surface stays reachable through the decorator,
+the multiprocess executor dispatches tails to its workers on durable
+state exactly as on bare shm (same match set, and the log re-runs to the
+live state, dead letters included), a crashed run resumes to the exact
 match set, and the shared segments never leak — crash included.
 
 Recovery rebuilds into an :class:`~repro.core.backends.InMemoryBackend`
@@ -21,7 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.classification import OracleClassifier
-from repro.core import StreamERConfig, StreamERPipeline
+from repro.core import StreamERConfig, StreamERPipeline, SupervisionPolicy
 from repro.core.backends import (
     InMemoryBackend,
     SharedMemoryBackend,
@@ -29,9 +29,12 @@ from repro.core.backends import (
 )
 from repro.core.backends.durable import DurableBackend
 from repro.datasets import DatasetSpec, generate
+from repro.durability.codec import state_digest
+from repro.durability.recovery import recover
+from repro.durability.snapshot import snapshot_path
 from repro.errors import SimulatedCrash
 from repro.parallel import MultiprocessERPipeline
-from repro.parallel.faults import CrashPoint
+from repro.parallel.faults import CrashPoint, FaultSpec
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +71,12 @@ class TestComposition:
             with MultiprocessERPipeline(config, backend=inner) as mp:
                 assert mp.partition_blockers == ()
             durable = DurableBackend.open(tmp_path / "wal", config, inner=inner)
-            # The shm surface reaches through the decorator; only the
-            # per-entity commit keeps the tails in the parent.
+            # The shm surface reaches through the decorator, and durable
+            # state blocks nothing.
             assert durable.layout() == inner.layout()
             assert durable.shm_bytes() == inner.shm_bytes()
             with MultiprocessERPipeline(config, backend=durable) as mp:
-                assert mp.partition_blockers == (
-                    "durable backends commit per-entity through cl",
-                )
+                assert mp.partition_blockers == ()
             durable.close()
 
     def test_sequential_journal_over_shm(self, dataset, tmp_path):
@@ -95,41 +96,60 @@ class TestComposition:
         durable.process_many(dataset.stream())
         durable.close()
         assert match_set(durable.backend) == match_set(plain.backend)
-        assert durable.backend.wal_records_seen > 0
-        # The journaled dictionary proxies to the shared one: every token
-        # the run interned is decodable from the shm column.
-        assert len(durable.backend.dictionary) == len(inner.dictionary)
+        assert durable.backend.wal_records_seen == 1  # one admission
+        # The stages intern into the shared dictionary: every token the
+        # run interned is decodable from the shm column.
+        assert durable.backend.dictionary is inner.dictionary
         inner.unlink()
         assert active_shm_segments(prefix) == []
 
-    def test_multiprocess_commits_through_cl_in_the_parent(self, dataset, tmp_path):
-        """A durable backend commits per entity through the ``cl`` wrapper,
-        so the executor keeps every tail in the parent — and says so —
-        while the same config on the bare shm backend runs worker-side;
-        the two match sets are identical and the WAL sees the run."""
-        with SharedMemoryBackend() as bare:
-            reference = MultiprocessERPipeline(
-                interned_config(dataset), workers=2, backend=bare
+    @pytest.mark.parametrize("fault_stage", [None, "cg", "co"])
+    def test_multiprocess_dispatches_to_workers_on_durable_state(
+        self, dataset, tmp_path, fault_stage
+    ):
+        """The same config on bare and on durable shm: both dispatch tails
+        to the pool, their match sets agree, and re-running the log
+        reproduces the live state — with dead letters in the parent
+        (``cg``) or in the workers (``co``) logged by position."""
+        faults = {fault_stage: FaultSpec(probability=0.2, seed=5)} if fault_stage else {}
+        entities = list(dataset.stream())
+        increments = [entities[:50], entities[50:]]
+
+        def run(backend):
+            mp = MultiprocessERPipeline(
+                interned_config(dataset), workers=2, backend=backend,
+                supervision=SupervisionPolicy.none(), faults=faults,
             )
-            reference.run(dataset.stream())
-            assert reference.partitioned_dispatch
+            letters = [mp.run(increment).dead_letter_ids for increment in increments]
+            mp.close()
+            return mp, set().union(*letters)
+
+        with SharedMemoryBackend() as bare:
+            reference, expected_letters = run(bare)
             expected = match_set(bare)
-            reference.close()
+        assert reference.partitioned_dispatch
 
         with SharedMemoryBackend() as inner:
             config = interned_config(dataset)
-            durable = DurableBackend.open(tmp_path / "wal", config, inner=inner)
-            mp = MultiprocessERPipeline(config, workers=2, backend=durable)
-            result = mp.run(dataset.stream())
-            assert not mp.partitioned_dispatch
-            assert len(mp.partition_blockers) == 1
-            assert "durable" in mp.partition_blockers[0]
-            assert mp.pool_spawns == 0
-            assert match_set(durable) == expected
-            assert result.items_failed == 0
-            assert durable.wal_records_seen > 0
-            mp.close()
+            wal_dir = tmp_path / "wal"
+            durable = DurableBackend.open(wal_dir, config, inner=inner, checkpoint_every=40)
+            mp, letters = run(durable)
             durable.close()
+            assert mp.partition_blockers == ()
+            assert mp.pool_spawns == 1 and mp.pairs_dispatched > 0
+            assert match_set(durable) == expected
+            assert letters == expected_letters
+            assert bool(letters) == (fault_stage is not None)
+            live = state_digest(durable)
+            # The first run checkpoints; the second is re-run on top.
+            recovered = recover(wal_dir, config)
+            assert (recovered.epoch, recovered.entities_replayed) == (1, 30)
+            assert state_digest(recovered.backend) == live
+            # Without the checkpoint, both runs are re-run from the log.
+            snapshot_path(wal_dir, 1).unlink()
+            recovered = recover(wal_dir, config)
+            assert recovered.entities_replayed == len(entities)
+            assert state_digest(recovered.backend) == live
 
 
 class TestCrashResume:
@@ -151,11 +171,12 @@ class TestCrashResume:
                 config,
                 inner=inner,
                 checkpoint_every=13,
-                crash_point=CrashPoint(at_record=120),
+                crash_point=CrashPoint(at_record=12),
             ),
         )
         with pytest.raises(SimulatedCrash):
-            crashing.process_many(entities)
+            for start in range(0, len(entities), 4):
+                crashing.process_many(entities[start : start + 4])
         # The crashed creator's segments are reclaimed; the WAL is the
         # durable copy.
         inner.unlink()

@@ -1,9 +1,11 @@
 """WAL format regressions: torn tails, corruption, duplicates.
 
-Every fixture here is a hand-damaged segment: the scanner must classify
-a write the crash interrupted (torn tail → clamp to the valid prefix)
-differently from damage with committed records after it (corruption →
-fail loudly), and recovery must replay exactly to the last commit.
+Every fixture here is a hand-written or hand-damaged segment: the scanner
+must classify a write the crash interrupted (torn tail → clamp to the
+valid prefix) differently from damage with logged records after it
+(corruption → fail loudly), and recovery must re-run exactly the entities
+of the complete ``input`` records, stopping dead-lettered ones before
+their stage.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import zlib
 
 import pytest
 
+from repro.core import StreamERConfig
 from repro.durability.recovery import recover
 from repro.durability.wal import (
     WAL_MAGIC,
@@ -32,23 +35,21 @@ from repro.errors import (
 )
 
 
+CONFIG = StreamERConfig()
+
+
+def input_record(*eids: int) -> dict:
+    """The ``input`` record of one admission: entity ``i`` has the single
+    token ``tok<i>``."""
+    return {
+        "op": "input",
+        "entities": [[i, [["name", f"tok{i}"]], None] for i in eids],
+    }
+
+
 def entity_records(i: int) -> list[dict]:
-    """The minimal WAL trace of one fully processed entity."""
-    return [
-        {"op": "token", "t": f"tok{i}"},
-        {
-            "op": "profile_put",
-            "p": {
-                "eid": i,
-                "attributes": [["name", f"tok{i}"]],
-                "tokens": [f"tok{i}"],
-                "source": None,
-                "interned": False,
-            },
-        },
-        {"op": "block_add", "k": f"tok{i}", "eid": i},
-        {"op": "commit", "seq": i, "eid": i, "n": i + 1},
-    ]
+    """The WAL trace of one admitted entity."""
+    return [input_record(i)]
 
 
 def write_segment(path, records, epoch=0):
@@ -98,7 +99,11 @@ class TestScan:
             scan_wal(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "future.log"
+        # Version 1 logged state mutations; its segments cannot be re-run.
+        path = tmp_path / "v1.log"
+        path.write_bytes(WAL_MAGIC + struct.pack("<II", 1, 0))
+        with pytest.raises(WalCorruptionError, match="version 1"):
+            scan_wal(path)
         path.write_bytes(WAL_MAGIC + struct.pack("<II", WAL_VERSION + 1, 0))
         with pytest.raises(WalCorruptionError, match="version"):
             scan_wal(path)
@@ -241,51 +246,48 @@ class TestCrashPointValidation:
 
 
 class TestRecoveryFromFixtures:
-    def test_replays_to_the_last_commit(self, tmp_path):
-        records = [r for i in range(2) for r in entity_records(i)]
-        # A third entity whose commit never made it to the log.
-        records += entity_records(2)[:-1]
-        write_segment(segment_path(tmp_path, 0), records)
-        state = recover(tmp_path)
-        assert state.entities_processed == 2
-        assert state.next_seq == 2
-        assert state.records_discarded == 3
-        assert len(state.backend.profiles) == 2
-        assert "tok2" not in state.backend.blocks
+    def test_replays_every_complete_input_record(self, tmp_path):
+        write_segment(segment_path(tmp_path, 0), [input_record(0, 1), input_record(2)])
+        state = recover(tmp_path, CONFIG)
+        assert state.entities_processed == state.entities_replayed == 3
+        assert state.records_replayed == 2
+        assert len(state.backend.profiles) == 3
+        assert state.backend.blocks.block("tok2") == [2]
 
-    def test_duplicate_records_recover_to_the_consistent_state(self, tmp_path):
-        records = entity_records(0)
-        # A retried append: the same mutations and the same commit seq
-        # land twice.  Mutations are idempotent; the commit is a skip.
-        records += entity_records(0)
-        records += entity_records(1)
+    def test_dead_letter_stops_its_entity_before_the_stage(self, tmp_path):
+        records = [
+            input_record(0, 1, 2),
+            {"op": "dead_letter", "at": 1, "eid": 1, "stage": "bb+bp"},
+        ]
         write_segment(segment_path(tmp_path, 0), records)
-        state = recover(tmp_path)
-        assert state.entities_processed == 2
-        assert state.next_seq == 2
-        assert state.records_skipped == len(entity_records(0))
-        assert len(state.backend.profiles) == 2
-        assert state.backend.blocks.block("tok0") == [0]
+        state = recover(tmp_path, CONFIG)
+        assert state.entities_processed == 3
+        # f_bb+bp registers the profile: entity 1 never reached it.
+        assert 1 not in state.backend.profiles
+        assert "tok1" not in state.backend.blocks
+        assert state.backend.blocks.block("tok2") == [2]
 
-    def test_commit_sequence_gap_raises(self, tmp_path):
-        records = entity_records(0)
-        skipped = entity_records(2)  # seq jumps 0 -> 2
-        write_segment(segment_path(tmp_path, 0), records + skipped)
-        with pytest.raises(RecoveryError, match="sequence gap"):
-            recover(tmp_path)
+    def test_dead_letter_naming_no_logged_entity_raises(self, tmp_path):
+        records = [
+            input_record(0),
+            {"op": "dead_letter", "at": 0, "eid": 5, "stage": "co"},
+        ]
+        write_segment(segment_path(tmp_path, 0), records)
+        with pytest.raises(RecoveryError, match="names no entity"):
+            recover(tmp_path, CONFIG)
 
     def test_unknown_op_raises(self, tmp_path):
         records = [{"op": "frobnicate"}] + entity_records(0)
         write_segment(segment_path(tmp_path, 0), records)
         with pytest.raises(RecoveryError, match="unknown op"):
-            recover(tmp_path)
+            recover(tmp_path, CONFIG)
 
     def test_torn_tail_is_clamped_and_reported(self, tmp_path):
         path = segment_path(tmp_path, 0)
         write_segment(path, [r for i in range(2) for r in entity_records(i)])
         with path.open("ab") as handle:
-            handle.write(encode_record({"op": "token", "t": "torn"})[:6])
-        state = recover(tmp_path)
+            handle.write(encode_record(input_record(2))[:6])
+        state = recover(tmp_path, CONFIG)
         assert state.torn_tail
         assert state.entities_processed == 2
         assert state.resume_offset == scan_wal(path).valid_bytes
@@ -294,12 +296,12 @@ class TestRecoveryFromFixtures:
         write_segment(segment_path(tmp_path, 0), entity_records(0))
         write_segment(segment_path(tmp_path, 2), entity_records(1), epoch=2)
         with pytest.raises(RecoveryError, match="broken WAL segment chain"):
-            recover(tmp_path)
+            recover(tmp_path, CONFIG)
 
     def test_header_epoch_must_match_the_name(self, tmp_path):
         write_segment(segment_path(tmp_path, 0), entity_records(0), epoch=3)
         with pytest.raises(RecoveryError, match="named for epoch"):
-            recover(tmp_path)
+            recover(tmp_path, CONFIG)
 
     def test_damage_before_the_final_segment_raises(self, tmp_path):
         path0 = segment_path(tmp_path, 0)
@@ -310,12 +312,12 @@ class TestRecoveryFromFixtures:
         # Without a snapshot at epoch 1, recovery must replay epoch 0 —
         # and its damage is unrecoverable data loss, not a torn tail.
         with pytest.raises(RecoveryError, match="non-final WAL segment"):
-            recover(tmp_path)
+            recover(tmp_path, CONFIG)
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(RecoveryError, match="does not exist"):
-            recover(tmp_path / "nope")
+            recover(tmp_path / "nope", CONFIG)
 
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(RecoveryError, match="no WAL segment"):
-            recover(tmp_path)
+            recover(tmp_path, CONFIG)

@@ -454,9 +454,8 @@ class TestInvariantCheckedEquivalence:
         assert checker.checks_performed > 0
 
     def test_checked_run_with_dead_letters_uses_exemptions(self, seeded_dirty):
-        """Dead-lettered entities may leave uncommitted state behind; the
-        checker exempts exactly them where that matters (durable replay)
-        and still validates everything else."""
+        """Dead-lettered entities may leave partial state behind; the
+        checker still validates everything."""
         checker = InvariantChecker(mode="raise")
         parallel = ParallelERPipeline(
             config_for(seeded_dirty),

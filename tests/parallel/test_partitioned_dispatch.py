@@ -151,19 +151,6 @@ class TestPartitionPlanner:
             plan_partitions({"a": 1}, 0)
 
 
-class _CommittingProxy:
-    """Delegating backend wrapper that *looks* durable (has commit_entity)."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def commit_entity(self, eid) -> None:
-        pass
-
-
 class _StatefulThreshold(ThresholdClassifier):
     """A subclass may consult state the workers lack: exact-type check."""
 
@@ -183,7 +170,6 @@ BLOCKERS = {
         lambda: threshold_config(classifier=_StatefulThreshold(0.4)),
         None, None, "stateful",
     ),
-    "durable-commit-hook": (threshold_config, _CommittingProxy, None, "durable"),
 }
 
 
