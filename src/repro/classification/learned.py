@@ -38,8 +38,12 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 
 def pair_features(left: Profile, right: Profile) -> np.ndarray:
-    """The fixed feature vector of a profile pair (see FEATURE_NAMES)."""
-    a, b = left.tokens, right.tokens
+    """The fixed feature vector of a profile pair (see FEATURE_NAMES).
+
+    Either side may be a profile-map partner, whose tokens are a tuple;
+    both are taken as sets, so ``a == b`` compares contents.
+    """
+    a, b = frozenset(left.tokens), frozenset(right.tokens)
     common = len(a & b)
     size_ratio = (
         min(len(a), len(b)) / max(len(a), len(b)) if a and b else float(a == b)

@@ -25,11 +25,12 @@ set-similarity-join literature end to end:
    those pairs, the match set is again byte-identical; only the
    non-match bookkeeping disappears.
 
-Every executor scores through this one kernel.  The hot loop intersects
-with ``a.intersection(b)`` — a C loop — whose right operand may be any
-iterable of ids: a pool worker hands it the partner's packed id *array*
-straight off the shared column and builds a set only for the arriving
-entity (see :mod:`repro.parallel.mp_framework`).
+Every executor scores through this one kernel, one arriving entity against
+its partners per call.  The hot loop intersects with ``a.intersection(b)``
+— a C loop — whose right operand may be any iterable of ids: partners
+come as the profile map stores them, with the packed id *array* of
+:func:`~repro.reading.interning.pack_ids` (in memory, or straight off the
+shared column in a pool worker), and only the arriving entity is a set.
 
 Safety argument for the prefilter (``docs/performance.md`` repeats this
 with the full derivation): with ``m = min(|a|, |b|)``, ``M = max(|a|, |b|)``
@@ -156,34 +157,41 @@ class InternedComparator:
     # -- batched kernel ------------------------------------------------
 
     def compare_batch(
-        self, comparisons: list[Comparison], tally=None
+        self, left: Profile, partners: list[Profile], tally=None
     ) -> list[ScoredComparison]:
-        """Score a batch; with a threshold, emit only potential matches.
+        """Score ``left`` against every partner; with a threshold, emit only
+        potential matches.
 
         Without a ``threshold`` this returns one :class:`ScoredComparison`
-        per input, exactly like the per-pair path.  With one, pairs that
-        provably cannot match are skipped (length prefilter) or dropped
-        after scoring (verification), so the result contains exactly the
-        pairs a :class:`~repro.classification.classifiers.
-        ThresholdClassifier` at that threshold would accept.
+        per partner, in order, exactly like the per-pair path.  With one,
+        pairs that provably cannot match are skipped (length prefilter) or
+        dropped after scoring (verification), so the result contains
+        exactly the pairs a :class:`~repro.classification.classifiers.
+        ThresholdClassifier` at that threshold would accept.  A
+        :class:`~repro.types.Comparison` is built only for an emitted pair.
+
+        The left side is turned into a set once per call; a partner's ids
+        (or tokens) may be any sized iterable — a set, or the stored
+        profile's packed array.  A pair where either side has no interned
+        ids is scored on the two token sets.
 
         ``tally`` (``f_co`` passes itself) has its ``prefiltered`` attribute
-        raised, once per batch, by the number of pairs the length-prefilter
-        branches below skipped.
+        raised, once per call, by the number of pairs the length prefilter
+        skipped.
         """
         out: list[ScoredComparison] = []
-        skipped = 0
         append = out.append
+        skipped = 0
         thr = self.threshold
-        measure = self.measure
-        if measure == "jaccard" and thr is not None and thr > 0.0:
+        ids = left.token_ids
+        if ids is not None:
+            ids = frozenset(ids)
+        strings = None  # left.tokens as a set, built on the first mixed pair
+        if self.measure == "jaccard" and thr is not None and thr > 0.0:
             # Specialized hot loop for the default configuration (Jaccard
             # under a positive threshold): the ratio reuses the intersection
             # size for the union and sub-threshold pairs exit before any
-            # allocation.  The streaming front-end compares each incoming
-            # entity against its whole candidate set, so batches share their
-            # left profile; detecting that run with an identity check hoists
-            # the left-side attribute walk out of the loop.
+            # allocation.
             #
             # The prefilter test is the *division* form ``la / lb < thr``
             # deliberately: it evaluates the exact float expression the
@@ -199,28 +207,18 @@ class InternedComparator:
             # the only way the prefilter ratio divides by zero, which the
             # (cost-free on 3.11+) except block turns into the 1.0 that
             # ``similarity.jaccard`` defines for them.
-            emit = ScoredComparison
-            prev_left = None
-            a: object = None
-            a_is_ids = False
-            la = 0
-            if self.prefilter:
-                for c in comparisons:
-                    left = c.left
-                    if left is not prev_left:
-                        prev_left = left
-                        a = left.token_ids
-                        a_is_ids = a is not None
-                        if a is None:
-                            a = left.tokens
-                        la = len(a)  # type: ignore[arg-type]
-                    b = c.right.token_ids
-                    if b is None or not a_is_ids:
-                        a = left.tokens
-                        la = len(a)
-                        b = c.right.tokens
-                        prev_left = None  # re-derive the ids view next pair
-                    lb = len(b)
+            prefilter = self.prefilter
+            for partner in partners:
+                b = partner.token_ids
+                if b is None or ids is None:
+                    if strings is None:
+                        strings = frozenset(left.tokens)
+                    a, b = strings, partner.tokens
+                else:
+                    a = ids
+                la = len(a)
+                lb = len(b)
+                if prefilter:
                     if la <= lb:
                         try:
                             if la / lb < thr:
@@ -229,63 +227,39 @@ class InternedComparator:
                         except ZeroDivisionError:
                             # la == lb == 0: two empty sets score 1.0 and
                             # 1.0 >= thr always holds for thr in (0, 1].
-                            append(emit(comparison=c, similarity=1.0))
+                            append(ScoredComparison(Comparison(left, partner), 1.0))
                             continue
                     elif lb / la < thr:  # la > lb, so la >= 1: never raises
                         skipped += 1
                         continue
-                    inter = len(a.intersection(b))  # type: ignore[union-attr]
-                    denom = la + lb - inter
-                    s = inter / denom if denom else 1.0
-                    if s >= thr:
-                        append(emit(comparison=c, similarity=s))
-                if tally is not None:
-                    tally.prefiltered += skipped
-            else:
-                for c in comparisons:
-                    left = c.left
-                    if left is not prev_left:
-                        prev_left = left
-                        a = left.token_ids
-                        a_is_ids = a is not None
-                        if a is None:
-                            a = left.tokens
-                        la = len(a)  # type: ignore[arg-type]
-                    b = c.right.token_ids
-                    if b is None or not a_is_ids:
-                        a = left.tokens
-                        la = len(a)
-                        b = c.right.tokens
-                        prev_left = None  # re-derive the ids view next pair
-                    lb = len(b)
-                    inter = len(a.intersection(b))  # type: ignore[union-attr]
-                    denom = la + lb - inter
-                    s = inter / denom if denom else 1.0
-                    if s >= thr:
-                        append(emit(comparison=c, similarity=s))
-            return out
-        sim = SET_SIMILARITIES[measure]
-        pre = self.prefilter and thr is not None and thr > 0.0
-        bound = _BOUNDS[measure]
-        for c in comparisons:
-            left = c.left
-            right = c.right
-            a = left.token_ids
-            b = right.token_ids
-            if a is None or b is None:
-                a = left.tokens  # type: ignore[assignment]
-                b = right.tokens  # type: ignore[assignment]
-            la = len(a)
-            lb = len(b)
-            if not la or not lb:
-                s = 1.0 if la == lb else 0.0
-            else:
-                if pre and bound(la, lb) < thr:  # type: ignore[operator]
-                    skipped += 1
-                    continue
-                s = sim(a, b)  # type: ignore[arg-type]
-            if thr is None or s >= thr:
-                append(ScoredComparison(comparison=c, similarity=s))
+                inter = len(a.intersection(b))
+                denom = la + lb - inter
+                s = inter / denom if denom else 1.0
+                if s >= thr:
+                    append(ScoredComparison(Comparison(left, partner), s))
+        else:
+            sim = SET_SIMILARITIES[self.measure]
+            pre = self.prefilter and thr is not None and thr > 0.0
+            bound = _BOUNDS[self.measure]
+            for partner in partners:
+                b = partner.token_ids
+                if b is None or ids is None:
+                    if strings is None:
+                        strings = frozenset(left.tokens)
+                    a, b = strings, partner.tokens
+                else:
+                    a = ids
+                la = len(a)
+                lb = len(b)
+                if not la or not lb:
+                    s = 1.0 if la == lb else 0.0
+                else:
+                    if pre and bound(la, lb) < thr:  # type: ignore[operator]
+                        skipped += 1
+                        continue
+                    s = sim(a, b)  # type: ignore[arg-type]
+                if thr is None or s >= thr:
+                    append(ScoredComparison(Comparison(left, partner), s))
         if tally is not None:
             tally.prefiltered += skipped
         return out

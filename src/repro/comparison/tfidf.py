@@ -60,10 +60,12 @@ class IncrementalTfIdfComparator:
     def score(self, left: Profile, right: Profile) -> float:
         self.observe(left)
         self.observe(right)
-        union = left.tokens | right.tokens
+        # A profile-map partner's tokens are a tuple: take both as sets.
+        a, b = frozenset(left.tokens), frozenset(right.tokens)
+        union = a | b
         if not union:
             return 1.0
-        inter = left.tokens & right.tokens
+        inter = a & b
         union_weight = sum(self.idf(t) for t in union)
         if union_weight <= 0.0:
             return 0.0

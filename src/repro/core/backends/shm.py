@@ -59,9 +59,10 @@ from repro.core.state import (
     ERState,
     MatchStore,
     ProfileStore,
+    stored_form,
 )
 from repro.errors import ConfigurationError
-from repro.reading.interning import TokenDictionary, pack_ids
+from repro.reading.interning import TokenDictionary
 from repro.types import EntityId, Profile
 
 __all__ = [
@@ -484,28 +485,29 @@ class SharedTokenArrayStore:
         self.entity_columns = entity_columns
         #: eid → the row holding its current token ids.
         self.rows: dict[EntityId, int] = {}
-        #: eid → the token-id set that row was packed from.
-        self._token_ids: dict[EntityId, object] = {}
+        #: eid → the packed id array that row holds.
+        self._token_ids: dict[EntityId, array] = {}
 
     def __len__(self) -> int:
         return len(self.columns)
 
-    def row_for(self, eid: EntityId, token_ids: Iterable[int]) -> int:
-        """The row holding ``eid``'s packed ids, appending on first sight.
+    def row_for(self, eid: EntityId, packed: array) -> int:
+        """The row holding ``eid``'s :func:`pack_ids` array, appending on
+        first sight.
 
-        The cache key is the token-id set itself (identity fast path,
-        equality slow path), so an updated entity is re-published rather
-        than served stale ids.
+        The array is both the row payload and the cache key (the profile
+        map passes its stored ``token_ids``).  The key is compared by
+        identity, then by value, so an updated entity is re-published
+        rather than served stale ids.
         """
         cached = self._token_ids.get(eid)
-        if cached is not None and (cached is token_ids or cached == token_ids):
+        if cached is not None and (cached is packed or cached == packed):
             return self.rows[eid]
-        packed = pack_ids(token_ids)
         record = packed.typecode.encode("ascii") + packed.tobytes()
         row = self.columns.append(record)
         if self.entity_columns is not None:
             self.entity_columns.append(pickle.dumps(eid, protocol=5))
-        self._token_ids[eid] = token_ids
+        self._token_ids[eid] = packed
         self.rows[eid] = row
         return row
 
@@ -525,7 +527,9 @@ class _RowMappedProfiles(ProfileStore):
 
     ``f_bb+bp`` is the profile map's only writer under every executor, so
     it is also the token column's only writer, and ``token_store.rows``
-    always names the row of the profile the map holds.  A profile without
+    always names the row of the profile the map holds.  The ids are packed
+    once: the stored profile's ``token_ids`` array is also the row payload
+    and the token store's change-detection key.  A profile without
     interned ids (``token_ids is None``) has no row to name: ``put`` drops
     the eid from the map, as ``remove`` does.
     """
@@ -537,11 +541,12 @@ class _RowMappedProfiles(ProfileStore):
         self._tokens = tokens
 
     def put(self, profile: Profile) -> None:
-        self._profiles[profile.eid] = profile
-        if profile.token_ids is None:
+        stored = stored_form(profile)
+        self._profiles[profile.eid] = stored
+        if stored.token_ids is None:
             self._tokens.forget(profile.eid)
         else:
-            self._tokens.row_for(profile.eid, profile.token_ids)
+            self._tokens.row_for(profile.eid, stored.token_ids)
 
     def remove(self, eid: EntityId) -> bool:
         self._tokens.forget(eid)

@@ -138,10 +138,6 @@ class StreamERPipeline:
         self.registry = registry
         self.tracer = tracer
         self.checker = checker if (checker is not None and checker.enabled) else None
-        if self.checker is not None:
-            self.checker.exempt_provider = lambda: {
-                d.entity_id for d in self.dead_letters
-            }
         self.compiled = self.plan.compile(
             backend, registry=self.registry, checker=self.checker
         )

@@ -208,7 +208,7 @@ class PipelinePlan:
 #: compiled plan still count right.
 _MESSAGE_COUNTERS: dict[str, tuple[str, Callable]] = {
     "cg": (COMPARISONS_GENERATED, lambda message, out: len(out.candidates)),
-    "co": (COMPARISONS_EXECUTED, lambda message, out: len(message.comparisons)),
+    "co": (COMPARISONS_EXECUTED, lambda message, out: len(message.partners)),
     "cl": (MATCHES, lambda message, out: len(out)),
 }
 

@@ -95,10 +95,26 @@ class CleanedComparisons:
 
 @dataclass(slots=True)
 class MaterializedComparisons:
-    """Output of ``f_lm``: comparisons with full profiles re-attached."""
+    """Output of ``f_lm``: the partners' stored profiles re-attached.
+
+    Every pair is ``(profile, partner)``, so the message carries the left
+    side once and the stored partner profiles in first-occurrence order;
+    ``f_co`` builds a :class:`~repro.types.Comparison` only for a pair it
+    emits.
+    """
 
     profile: Profile
-    comparisons: list[Comparison]
+    partners: list[Profile]
+
+    @property
+    def comparisons(self) -> list[Comparison]:
+        """The pairs as ``Comparison`` objects, built on every read.
+
+        A read-only view for code outside the pipeline that wants pair
+        objects; no stage reads it.
+        """
+        profile = self.profile
+        return [Comparison(profile, partner) for partner in self.partners]
 
 
 @dataclass(slots=True)
@@ -284,7 +300,7 @@ class LoadManagementStage:
     intact when the plan drops the ``cc`` node entirely
     (``enable_comparison_cleaning=False``) and ``f_cg``'s
     multiplicity-carrying candidates flow here directly.  ``materialized``
-    counts the comparisons actually emitted, which is therefore the
+    counts the partners actually emitted, which is therefore the
     "after cleaning" figure regardless of which optional nodes are active.
     """
 
@@ -296,27 +312,29 @@ class LoadManagementStage:
         self.materialized = 0
 
     def __call__(self, cleaned: CleanedComparisons) -> MaterializedComparisons:
-        profile = cleaned.profile
-        comparisons: list[Comparison] = []
-        for j in dict.fromkeys(cleaned.candidates):
-            other = self.profiles.get(j)
-            if other is None:
-                raise UnknownProfileError(f"profile of {j!r} was never registered")
-            comparisons.append(Comparison(left=profile, right=other))
-        self.materialized += len(comparisons)
-        return MaterializedComparisons(profile=profile, comparisons=comparisons)
+        ids = dict.fromkeys(cleaned.candidates)
+        partners = list(map(self.profiles.get, ids))
+        # A stored profile is never falsy, so ``all`` finds a missing one
+        # without calling the dataclass ``__eq__`` once per partner.
+        if not all(partners):
+            missing = next(j for j, p in zip(ids, partners) if p is None)
+            raise UnknownProfileError(f"profile of {missing!r} was never registered")
+        self.materialized += len(partners)
+        return MaterializedComparisons(profile=cleaned.profile, partners=partners)
 
 
 class ComparisonStage:
     """``f_co``: score every surviving comparison with the similarity.
 
-    Comparators exposing ``compare_batch`` (the interned kernel) score the
-    whole per-entity batch in one call; threshold-aware comparators may
-    emit *fewer* scored comparisons than they were given — exactly the
-    pairs that can still classify as matches — so ``compared`` counts the
-    pairs examined, not the pairs emitted.  ``prefiltered`` is the part of
-    ``compared`` the kernel's length prefilter skipped without intersecting
-    (the kernel reports it; 0 for per-pair comparators).
+    Comparators exposing ``compare_batch(left, partners, tally)`` (the
+    interned kernel) score the whole per-entity batch in one call;
+    threshold-aware comparators may emit *fewer* scored comparisons than
+    they were given — exactly the pairs that can still classify as matches
+    — so ``compared`` counts the pairs examined, not the pairs emitted.
+    A per-pair comparator gets one ``Comparison(profile, partner)`` per
+    partner.  ``prefiltered`` is the part of ``compared`` the kernel's
+    length prefilter skipped without intersecting (the kernel reports it;
+    0 for per-pair comparators).
     """
 
     name = "co"
@@ -328,13 +346,15 @@ class ComparisonStage:
         self._batch = getattr(self.comparator, "compare_batch", None)
 
     def __call__(self, materialized: MaterializedComparisons) -> ScoredComparisons:
-        comparisons = materialized.comparisons
+        profile = materialized.profile
+        partners = materialized.partners
         if self._batch is not None:
-            scored = self._batch(comparisons, self)
+            scored = self._batch(profile, partners, self)
         else:
-            scored = [self.comparator.compare(c) for c in comparisons]
-        self.compared += len(comparisons)
-        return ScoredComparisons(profile=materialized.profile, scored=scored)
+            compare = self.comparator.compare
+            scored = [compare(Comparison(profile, partner)) for partner in partners]
+        self.compared += len(partners)
+        return ScoredComparisons(profile=profile, scored=scored)
 
 
 class ClassificationStage:

@@ -4,7 +4,8 @@ Following the paper's "avoiding shared state" design, the components here are
 each owned by exactly one pipeline stage:
 
 * :class:`BlockCollection` + its blacklist — owned by ``f_bb+bp``;
-* :class:`ProfileStore` (the profile map *PM*) — owned by ``f_lm``;
+* :class:`ProfileStore` (the profile map *PM*) — written by ``f_bb+bp``,
+  read by ``f_lm``;
 * :class:`MatchStore` — owned by ``f_cl``.
 
 Blocks store entity *identifiers only* (the paper's profile-maintenance
@@ -23,6 +24,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
+from repro.reading.interning import pack_ids
 from repro.types import EntityId, Match, Profile, pair_key
 
 
@@ -166,8 +168,37 @@ class Blacklist:
         return len(self.keys)
 
 
+def stored_form(profile: Profile) -> Profile:
+    """The copy of ``profile`` the profile map keeps.
+
+    An interned profile is stored with ``tokens`` as a tuple and
+    ``token_ids`` as the sorted :func:`~repro.reading.interning.pack_ids`
+    array.  The collector untracks a tuple of strings and finds no object
+    reference in an array, where it walks the arriving profile's two
+    frozensets element by element on every full collection.  Scoring
+    sizes and iterates a partner's ids and never needs them as a set, so
+    the kernel scores the stored form as it is.  A profile without
+    interned ids is stored unchanged: the string comparators intersect its
+    token set.
+    """
+    if profile.token_ids is None:
+        return profile
+    return Profile(
+        profile.eid,
+        profile.attributes,
+        tuple(profile.tokens),
+        profile.source,
+        pack_ids(profile.token_ids),
+    )
+
+
 class ProfileStore:
-    """The profile map *PM*: entity identifier → full standardized profile."""
+    """The profile map *PM*: entity identifier → standardized profile.
+
+    ``put`` keeps the :func:`stored_form` of the profile, so ``get``
+    returns an equal-content copy — tuple tokens and a packed id array —
+    for an interned profile, and the profile itself otherwise.
+    """
 
     __slots__ = ("_profiles",)
 
@@ -175,7 +206,7 @@ class ProfileStore:
         self._profiles: dict[EntityId, Profile] = {}
 
     def put(self, profile: Profile) -> None:
-        self._profiles[profile.eid] = profile
+        self._profiles[profile.eid] = stored_form(profile)
 
     def get(self, eid: EntityId) -> Profile | None:
         return self._profiles.get(eid)

@@ -28,7 +28,7 @@ from repro.core.stages import (
     ScoredComparisons,
 )
 from repro.metablocking.iwnp import iwnp
-from repro.types import Comparison, EntityDescription, Match, Profile
+from repro.types import EntityDescription, Match, Profile
 
 
 class InlineProfilePipeline:
@@ -102,10 +102,7 @@ class InlineProfilePipeline:
         else:
             survivors = list(dict.fromkeys(candidates))
         self.comparisons_after_cleaning += len(survivors)
-        comparisons = [Comparison(left=profile, right=o) for o in survivors]
-        scored = self.co(
-            MaterializedComparisons(profile=profile, comparisons=comparisons)
-        )
+        scored = self.co(MaterializedComparisons(profile=profile, partners=survivors))
         matches = self.cl(ScoredComparisons(profile=profile, scored=scored.scored))
         self.elapsed_seconds += time.perf_counter() - start
         return matches

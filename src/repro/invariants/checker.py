@@ -27,7 +27,7 @@ Two enforcement modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants.checks import (
@@ -94,10 +94,6 @@ class InvariantChecker:
         self.enabled = enabled
         self.violations: list[Violation] = []
         self.checks_performed = 0
-        #: Zero-arg callable returning entity ids whose state may be partial
-        #: (dead-lettered mid-pipeline); executors point it at their
-        #: dead-letter queue.
-        self.exempt_provider: Callable[[], set] | None = None
         self._config: Any = None
         self._backend: Any = None
         self._registry: Any = None
@@ -176,16 +172,8 @@ class InvariantChecker:
         """Run the state-scope invariants against the bound backend now."""
         if not self.bound:
             return
-        exempt = (
-            frozenset(self.exempt_provider())
-            if self.exempt_provider is not None
-            else frozenset()
-        )
         view = StateView(
-            config=self._config,
-            backend=self._backend,
-            exempt=exempt,
-            processed=self._processed,
+            config=self._config, backend=self._backend, processed=self._processed
         )
         self._run_checks(invariants_for("state"), view)
 

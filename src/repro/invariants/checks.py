@@ -58,12 +58,10 @@ __all__ = [
 class StateView:
     """A state-scope snapshot: the backend plus the active config.
 
-    ``exempt`` holds entity identifiers whose state is *allowed* to be
-    partial — dead-lettered entities may have mutated some stores before
-    failing (dead-lettering is a survival guarantee, not a rollback).
-    Invariants that hold for them too ignore it: ``f_bb+bp`` registers the
-    profile before any block add, so even a dead-lettered entity in a
-    block resolves in the profile map.
+    No entity is exempt from a state check: dead-lettering is a survival
+    guarantee, not a rollback, but ``f_bb+bp`` registers the profile
+    before any block add, so even a dead-lettered entity in a block
+    resolves in the profile map.
 
     ``processed`` is how many entities the run has put through its
     pipeline, when a check lands inside an admission (the sequential
@@ -73,7 +71,6 @@ class StateView:
 
     config: Any
     backend: Any
-    exempt: frozenset = frozenset()
     processed: int | None = None
 
 
@@ -507,24 +504,18 @@ def check_cc_output(view: StageView) -> None:
     "lm-materialization-wellformed",
     "stage",
     stage="lm",
-    description="materialized comparisons are distinct, non-self, and "
-    "anchored on the incoming profile",
+    description="materialized partners are distinct and non-self (every "
+    "pair is anchored on the incoming profile by construction)",
 )
 def check_lm_output(view: StageView) -> None:
     materialized = view.payload
     anchor = materialized.profile.eid
-    partners = [c.right.eid for c in materialized.comparisons]
-    for c in materialized.comparisons:
-        if c.left.eid != anchor:
-            _fail(
-                "lm-materialization-wellformed",
-                f"comparison anchored on {c.left.eid!r}, expected {anchor!r}",
-            )
-        if c.right.eid == anchor:
-            _fail(
-                "lm-materialization-wellformed",
-                f"self-comparison materialized for {anchor!r}",
-            )
+    partners = [p.eid for p in materialized.partners]
+    if anchor in partners:
+        _fail(
+            "lm-materialization-wellformed",
+            f"self-comparison materialized for {anchor!r}",
+        )
     if len(set(partners)) != len(partners):
         _fail(
             "lm-materialization-wellformed",

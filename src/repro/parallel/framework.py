@@ -389,9 +389,6 @@ class ParallelERPipeline:
             # Stage checks run on worker threads; a raise there would be
             # swallowed into the dead-letter queue by supervision.
             self.checker.concurrent = True
-            self.checker.exempt_provider = lambda: {
-                d.entity_id for d in self.supervisor.dead_letters
-            }
         names = self.plan.stage_names()
         self.allocation = allocate_processes(
             stage_seconds or paper_example_times(), processes, stages=names

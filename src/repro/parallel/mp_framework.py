@@ -65,7 +65,6 @@ import pickle
 import time
 import weakref
 from array import array
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, Iterable
 
@@ -131,10 +130,11 @@ class _RowProfiles:
     exactly one current row at publish time: a bijection), which lets
     ``f_cc`` and ``f_lm`` run unmodified on row numbers.  The profiles
     carry the *decoded* entity id — injectors, dead letters, the classifier
-    and the matches all see real ids — and the token ids, nothing else.
-    Partners keep the packed id array off the column (a cached ``frozenset``
-    per row costs ~6 % peak RSS); only the arriving entity gets a set,
-    which is all the kernel's ``a.intersection(b)`` needs.
+    and the matches all see real ids — and the token ids, nothing else:
+    the packed id array off the column, the same form the parent's profile
+    map stores (a cached ``frozenset`` per row costs ~6 % peak RSS).  The
+    kernel makes a set of the arriving entity's ids once per call, which
+    is all its ``a.intersection(b)`` needs.
     """
 
     def __init__(self, tokens: SharedColumnReader, entities: SharedColumnReader) -> None:
@@ -155,11 +155,6 @@ class _RowProfiles:
                 self._cache.clear()
             self._cache[row] = profile
         return profile
-
-    def arriving(self, row: int) -> Profile:
-        """The profile of the entity whose tail is about to run."""
-        stored = self.get(row)
-        return replace(stored, token_ids=frozenset(stored.token_ids))  # type: ignore[arg-type]
 
 
 class _Timed:
@@ -280,7 +275,7 @@ def _run_partition(
     for slot, membership_row in enumerate(rows):
         record = decode_membership(worker.membership.record(membership_row)).tolist()
         message: object = CandidateComparisons(
-            profile=worker.profiles.arriving(record[0]), candidates=record[1:]
+            profile=worker.profiles.get(record[0]), candidates=record[1:]
         )
         for name, fn in worker.fns.items():
             ok, message = supervisor.execute(name, fn, message)
@@ -400,9 +395,6 @@ class MultiprocessERPipeline:
         self.checker = checker if (checker is not None and checker.enabled) else None
         if self.checker is not None:
             self.checker.concurrent = True  # defer raises to finalize()
-            self.checker.exempt_provider = lambda: {
-                d.entity_id for d in self.supervisor.dead_letters
-            }
         self.compiled = self.plan.compile(
             backend, registry=self.registry, checker=self.checker
         )

@@ -11,7 +11,7 @@ both the dataset of origin and the local key, exactly as the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 EntityId = Hashable
 AttributePairs = tuple[tuple[str, str], ...]
@@ -66,20 +66,27 @@ class Profile:
     holds the dense integer ids of exactly the tokens in ``tokens``, and the
     comparison kernel scores pairs on these compact int sets instead of the
     string sets.  ``None`` means the profile was built without interning
-    (the string path); scoring falls back to ``tokens``.  Scoring only
-    sizes and iterates a partner's ``token_ids``, so a multiprocess pool
-    worker hands partners over with the packed id ``array`` straight off
-    the shared column instead of a set.
+    (the string path); scoring falls back to ``tokens``.
+
+    ``f_dr`` builds both views as frozensets.  The profile map stores an
+    interned profile in compact form (see
+    :func:`~repro.core.state.stored_form`): ``tokens`` as a tuple of the
+    same distinct strings and ``token_ids`` as the sorted packed id
+    ``array``, neither of which the garbage collector walks.  Scoring only
+    sizes and iterates a partner's ``token_ids``, and a pool worker reads
+    the same array straight off the shared column.  Code that needs set
+    operations on a profile that may be stored takes ``frozenset(...)`` of
+    the view first.
     """
 
     eid: EntityId
     attributes: AttributePairs
-    tokens: frozenset[str]
+    tokens: frozenset[str] | tuple[str, ...]
     source: str | None = None
-    token_ids: frozenset[int] | None = None
+    token_ids: frozenset[int] | Sequence[int] | None = None
 
     @property
-    def keys(self) -> frozenset[str]:
+    def keys(self) -> frozenset[str] | tuple[str, ...]:
         """The blocking keys ``K_i`` of this profile (alias for ``tokens``)."""
         return self.tokens
 

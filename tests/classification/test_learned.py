@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from repro.classification import (
     ThresholdClassifier,
     pair_features,
 )
+from repro.core.state import stored_form
 from repro.errors import ConfigurationError
+from repro.reading import TokenDictionary
 from repro.reading.profiles import ProfileBuilder
 from repro.types import Comparison, Profile, ScoredComparison
 
@@ -57,6 +60,31 @@ class TestPairFeatures:
         features = pair_features(profile(1, {"x"}), profile(2, {"y"}))
         assert features[0] == 0.0
         assert features[6] == 0.0  # log1p(0)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (set(), set()),  # both empty: size ratio 1.0
+            ({"x"}, {"y"}),  # disjoint
+            ({"x", "y", "z"}, {"y", "z", "w"}),
+            ({"x"}, set()),
+        ],
+        ids=["both-empty", "disjoint", "overlapping", "one-empty"],
+    )
+    def test_stored_partner_gives_the_same_features(self, left, right):
+        """A profile-map partner carries its tokens as a tuple (and packed
+        ids); the features must not depend on that form."""
+        dictionary = TokenDictionary()
+        a = profile(1, left, [("t", " ".join(sorted(left)))])
+        b = profile(2, right, [("t", " ".join(sorted(right)))])
+        b_interned = replace(b, token_ids=dictionary.intern_set(b.tokens))
+        stored = stored_form(b_interned)
+        assert type(stored.tokens) is tuple
+        expected = pair_features(a, b)
+        assert pair_features(a, stored).tolist() == expected.tolist()
+        assert pair_features(stored, a).tolist() == pair_features(b, a).tolist()
+        if not left and not right:
+            assert expected[5] == 1.0
 
 
 class TestLogisticMatcher:

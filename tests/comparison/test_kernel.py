@@ -108,6 +108,22 @@ def batch_for(pairs, dictionary=None):
     return comparisons
 
 
+def compare_runs(comparator, comparisons, tally=None):
+    """Score ``comparisons`` through ``compare_batch(left, partners)``, one
+    call per run of pairs that share their left profile."""
+    out = []
+    start = 0
+    while start < len(comparisons):
+        left = comparisons[start].left
+        end = start
+        while end < len(comparisons) and comparisons[end].left is left:
+            end += 1
+        partners = [c.right for c in comparisons[start:end]]
+        out.extend(comparator.compare_batch(left, partners, tally))
+        start = end
+    return out
+
+
 class TestCompareBatch:
     @given(
         measures,
@@ -118,7 +134,7 @@ class TestCompareBatch:
         d = TokenDictionary() if interned else None
         comparisons = batch_for(pairs, d)
         comparator = InternedComparator(measure=measure, threshold=None)
-        scored = comparator.compare_batch(comparisons)
+        scored = compare_runs(comparator, comparisons)
         assert [s.comparison for s in scored] == comparisons
         assert [s.similarity for s in scored] == [
             SET_SIMILARITIES[measure](a, b) for a, b in pairs
@@ -139,7 +155,7 @@ class TestCompareBatch:
         comparator = InternedComparator(
             measure=measure, threshold=threshold, prefilter=prefilter
         )
-        scored = comparator.compare_batch(comparisons)
+        scored = compare_runs(comparator, comparisons)
         expected = [
             (c, SET_SIMILARITIES[measure](a, b))
             for c, (a, b) in zip(comparisons, pairs)
@@ -160,42 +176,45 @@ class TestCompareBatch:
         on = InternedComparator(threshold=0.5, prefilter=True)
         off = InternedComparator(threshold=0.5, prefilter=False)
         assert [
-            (s.comparison, s.similarity) for s in on.compare_batch(comparisons)
-        ] == [(s.comparison, s.similarity) for s in off.compare_batch(comparisons)]
+            (s.comparison, s.similarity) for s in compare_runs(on, comparisons)
+        ] == [(s.comparison, s.similarity) for s in compare_runs(off, comparisons)]
 
     def test_two_empty_sets_emit_at_any_threshold(self):
         d = TokenDictionary()
         comparisons = batch_for([(set(), set())], d)
-        scored = InternedComparator(threshold=1.0).compare_batch(comparisons)
+        scored = compare_runs(InternedComparator(threshold=1.0), comparisons)
         assert [s.similarity for s in scored] == [1.0]
 
     def test_alternating_lefts_defeat_run_caching_safely(self):
-        # The jaccard hot loop caches the left profile across a run of
-        # pairs; alternating distinct lefts must still score each pair on
-        # its own sets.
+        # The kernel turns the left side into a set once per call; calls
+        # with alternating lefts must still score each pair on its own sets.
         d = TokenDictionary()
         p1 = interned_profile(1, {"a", "b"}, d)
         p2 = interned_profile(2, {"c", "d"}, d)
         p3 = interned_profile(3, {"a", "b"}, d)
-        comparisons = [
+        comparator = InternedComparator(threshold=None)
+        scored = [
+            s
+            for left in (p1, p2, p1)
+            for s in comparator.compare_batch(left, [p3])
+        ]
+        assert [s.similarity for s in scored] == [1.0, 0.0, 1.0]
+        assert [s.comparison for s in scored] == [
             Comparison(p1, p3),
             Comparison(p2, p3),
             Comparison(p1, p3),
         ]
-        scored = InternedComparator(threshold=None).compare_batch(comparisons)
-        assert [s.similarity for s in scored] == [1.0, 0.0, 1.0]
 
     def test_mixed_interned_and_plain_profiles_in_one_batch(self):
         d = TokenDictionary()
         interned_left = interned_profile(1, {"x", "y"}, d)
         plain = string_profile(2, {"x", "y"})
         interned_other = interned_profile(3, {"x", "z"}, d)
-        comparisons = [
-            Comparison(interned_left, plain),  # falls back to strings
-            Comparison(interned_left, interned_other),  # back on ids
-            Comparison(plain, interned_other),  # strings again
-        ]
-        scored = InternedComparator(threshold=None).compare_batch(comparisons)
+        comparator = InternedComparator(threshold=None)
+        # A plain partner falls back to strings; the next one is back on ids.
+        scored = comparator.compare_batch(interned_left, [plain, interned_other])
+        # A plain left scores every partner on strings.
+        scored += comparator.compare_batch(plain, [interned_other])
         assert [s.similarity for s in scored] == [
             1.0,
             pytest.approx(1 / 3),
@@ -208,20 +227,28 @@ class TestCompareBatch:
         st.sampled_from([None, 0.0, 0.5, 0.7]),
     )
     def test_packed_array_partner_scores_like_a_set(self, measure, pairs, threshold):
-        """The pool worker's route: the arriving side is a set, the partner
-        the packed id array straight off the shared column."""
+        """Partners as the profile map and a pool worker hold them: the
+        packed id array.  The arriving side is a set in the parent and the
+        array off the shared column in a worker."""
 
         def profile(eid, ids):
             return Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=ids)
 
         comparator = InternedComparator(measure=measure, threshold=threshold)
-        on_sets = comparator.compare_batch(
-            [Comparison(profile(1, frozenset(a)), profile(2, frozenset(b))) for a, b in pairs]
+        on_sets = compare_runs(
+            comparator,
+            [Comparison(profile(1, frozenset(a)), profile(2, frozenset(b))) for a, b in pairs],
         )
-        on_arrays = comparator.compare_batch(
-            [Comparison(profile(1, frozenset(a)), profile(2, pack_ids(b))) for a, b in pairs]
+        on_arrays = compare_runs(
+            comparator,
+            [Comparison(profile(1, frozenset(a)), profile(2, pack_ids(b))) for a, b in pairs],
+        )
+        both_arrays = compare_runs(
+            comparator,
+            [Comparison(profile(1, pack_ids(a)), profile(2, pack_ids(b))) for a, b in pairs],
         )
         assert [s.similarity for s in on_arrays] == [s.similarity for s in on_sets]
+        assert [s.similarity for s in both_arrays] == [s.similarity for s in on_sets]
 
 
 class TestPrefilterZeroTokenRegression:
@@ -237,9 +264,10 @@ class TestPrefilterZeroTokenRegression:
         d = TokenDictionary()
         both_empty, one_sided = batch_for([(set(), set()), (set(), {"a", "b"})], d)
         stage = ComparisonStage(InternedComparator(threshold=0.4))
+        assert one_sided.left.token_ids == both_empty.left.token_ids == frozenset()
         out = stage(
             MaterializedComparisons(
-                profile=both_empty.left, comparisons=[both_empty, one_sided]
+                profile=both_empty.left, partners=[both_empty.right, one_sided.right]
             )
         )
         assert [(s.comparison, s.similarity) for s in out.scored] == [(both_empty, 1.0)]
@@ -249,18 +277,18 @@ class TestPrefilterZeroTokenRegression:
     @pytest.mark.parametrize("measure", sorted(SET_SIMILARITIES))
     def test_prefiltered_counts_only_length_skips(self, measure):
         d = TokenDictionary()
-        pairs = [
-            ({"a"}, {"a", "b", "c", "d", "e"}),  # length bound below 0.5
-            ({"a", "b"}, {"c", "d"}),  # scored, then verified away
-            ({"a", "b"}, {"a", "b"}),
+        left = interned_profile(0, {"a"}, d)
+        partners = [
+            interned_profile(1, {"a", "b", "c", "d", "e"}, d),  # length bound below 0.5
+            interned_profile(2, {"b"}, d),  # scored, then verified away
+            interned_profile(3, {"a"}, d),
         ]
         stage = ComparisonStage(InternedComparator(measure=measure, threshold=0.5))
-        comparisons = batch_for(pairs, d)
-        stage(MaterializedComparisons(profile=comparisons[0].left, comparisons=comparisons))
+        stage(MaterializedComparisons(profile=left, partners=partners))
         assert stage.compared == 3
         assert stage.prefiltered == (0 if measure == "overlap" else 1)
         unfiltered = ComparisonStage(
             InternedComparator(measure=measure, threshold=0.5, prefilter=False)
         )
-        unfiltered(MaterializedComparisons(profile=comparisons[0].left, comparisons=comparisons))
+        unfiltered(MaterializedComparisons(profile=left, partners=partners))
         assert unfiltered.prefiltered == 0

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.comparison import IncrementalTfIdfComparator
+from repro.core.state import stored_form
+from repro.reading import TokenDictionary
 from repro.types import Comparison, Profile
 
 
@@ -38,6 +42,30 @@ class TestScoring:
     def test_empty_profiles_score_one(self):
         comparator = IncrementalTfIdfComparator()
         assert comparator.score(profile(1, set()), profile(2, set())) == 1.0
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [(set(), set()), ({"a"}, {"b"}), ({"a", "b", "c"}, {"b", "c", "d"}), ({"a"}, set())],
+        ids=["both-empty", "disjoint", "overlapping", "one-empty"],
+    )
+    def test_stored_partner_scores_like_a_set(self, left, right):
+        """A profile-map partner carries its tokens as a tuple (and packed
+        ids); the score must not depend on that form."""
+        dictionary = TokenDictionary()
+        right_profile = profile(2, right)
+        stored = stored_form(
+            replace(right_profile, token_ids=dictionary.intern_set(right_profile.tokens))
+        )
+        assert type(stored.tokens) is tuple
+        on_sets = IncrementalTfIdfComparator()
+        on_stored = IncrementalTfIdfComparator()
+        for comparator in (on_sets, on_stored):
+            comparator.observe(profile(3, {"a", "z"}))
+        expected = on_sets.score(profile(1, left), right_profile)
+        assert on_stored.score(profile(1, left), stored) == expected
+        assert on_stored.score(stored, profile(1, left)) == on_sets.score(
+            right_profile, profile(1, left)
+        )
 
     def test_rare_shared_token_outweighs_common_one(self):
         comparator = IncrementalTfIdfComparator()

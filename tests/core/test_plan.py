@@ -15,17 +15,23 @@ import pytest
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.core.backends import DurableBackend, InMemoryBackend, SharedMemoryBackend
-from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan
+from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan, _StageCall
 from repro.core.stages import (
     BlockBuildingStage,
     CandidateComparisons,
     ClassificationStage,
     ComparisonGenerationStage,
     LoadManagementStage,
+    MaterializedComparisons,
 )
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants import Invariant, InvariantChecker, checks
-from repro.observability import STAGE_ITEMS, STAGE_SERVICE_SECONDS, MetricsRegistry
+from repro.observability import (
+    COMPARISONS_EXECUTED,
+    STAGE_ITEMS,
+    STAGE_SERVICE_SECONDS,
+    MetricsRegistry,
+)
 from repro.parallel import (
     FIXED_STAGES,
     SCALABLE_STAGES,
@@ -104,7 +110,7 @@ class TestPlanConstruction:
                 candidates=[1, 2, 2, 1],
             )
         )
-        assert [c.right.eid for c in out.comparisons] == [1, 2]
+        assert [p.eid for p in out.partners] == [1, 2]
         assert lm.materialized == 2
 
 
@@ -231,6 +237,28 @@ class TestPlanCompilation:
         assert mp.cc.retained == mp.lm.materialized == (
             mp.pairs_dispatched + mp.pairs_prefiltered + mp.co.compared
         )
+
+    @pytest.mark.parametrize("interned", [False, True])
+    def test_no_stage_duty_reads_the_comparisons_view(self, monkeypatch, interned):
+        """``MaterializedComparisons.comparisons`` is for readers outside the
+        pipeline: a registry-enabled, checked plan runs without it."""
+        make = StreamERConfig.interned if interned else StreamERConfig
+        config = make(alpha=100, beta=0.5, classifier=ThresholdClassifier(0.3))
+        entities = overlapping_entities(30)
+        expected = StreamERPipeline(config).process_many(entities).match_pairs
+
+        def unreadable(message):
+            raise AssertionError("a stage duty read MaterializedComparisons.comparisons")
+
+        monkeypatch.setattr(MaterializedComparisons, "comparisons", property(unreadable))
+        registry = MetricsRegistry()
+        checker = InvariantChecker(mode="raise")
+        pipeline = StreamERPipeline(config, registry=registry, checker=checker)
+        assert isinstance(dict(pipeline.compiled.ordered())["co"], _StageCall)
+        result = pipeline.process_many(entities)
+        assert result.match_pairs == expected and expected
+        assert not checker.violations
+        assert registry.value(COMPARISONS_EXECUTED) == pipeline.lm.materialized > 0
 
 
 class TestExecutorsShareThePlan:

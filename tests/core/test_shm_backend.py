@@ -32,6 +32,7 @@ from repro.core.backends import (
     active_shm_segments,
 )
 from repro.parallel import FaultSpec, MultiprocessERPipeline
+from repro.reading.interning import pack_ids
 from repro.types import EntityDescription, Profile
 
 RUN_TIMEOUT = 60.0
@@ -153,11 +154,11 @@ class TestSharedTokenStores:
         try:
             store = SharedTokenArrayStore(columns)
             ids = array("Q", [3, 1, 4, 1, 5, 92])
-            row = store.row_for(7, ids)
-            # Ids are packed in canonical (sorted) order.
+            row = store.row_for(7, pack_ids(ids))
+            # The row holds the packed (sorted) array.
             assert store.ids_at(row).tolist() == sorted(ids)
-            # Same eid + same token ids → same row, no second append.
-            assert store.row_for(7, ids) == row
+            # Same eid + equal packed ids → same row, no second append.
+            assert store.row_for(7, pack_ids(ids)) == row
             assert len(columns) == 1
         finally:
             columns.unlink()
@@ -231,7 +232,7 @@ class TestBackendLifecycle:
         prefix = backend.name
         # Growth after construction must be covered by the finalizer too.
         for i in range(20_000):
-            backend.token_store.row_for(i, frozenset({i, i + 1}))
+            backend.token_store.row_for(i, pack_ids((i, i + 1)))
         assert len(active_shm_segments(prefix)) > 9
         del backend
         gc.collect()
@@ -278,9 +279,10 @@ class TestRunHygiene:
         script = (
             "import time\n"
             "from repro.core.backends import SharedMemoryBackend\n"
+            "from repro.reading.interning import pack_ids\n"
             "backend = SharedMemoryBackend()\n"
             "for i in range(500):\n"
-            "    backend.token_store.row_for(i, frozenset({i}))\n"
+            "    backend.token_store.row_for(i, pack_ids((i,)))\n"
             "print(backend.name, flush=True)\n"
             "time.sleep(60)\n"
         )

@@ -297,8 +297,8 @@ class TestLoadManagementStage:
         stage = LoadManagementStage(backend=SimpleNamespace(profiles=profiles))
         p2 = make_profile(2, {"a"})
         out = stage(CleanedComparisons(profile=p2, candidates=[1]))
-        assert len(out.comparisons) == 1
-        assert out.comparisons[0].right is p1
+        assert out.partners == [p1]
+        assert out.partners[0] is p1  # a non-interned profile is stored as is
         assert 2 not in profiles and len(profiles) == 1
 
     def test_unknown_partner_raises(self):
@@ -311,9 +311,7 @@ class TestComparisonStage:
     def test_scores_jaccard(self):
         stage = ComparisonStage()
         a, b = make_profile(1, {"x", "y"}), make_profile(2, {"y", "z"})
-        out = stage(
-            MaterializedComparisons(profile=a, comparisons=[Comparison(a, b)])
-        )
+        out = stage(MaterializedComparisons(profile=a, partners=[b]))
         assert out.scored[0].similarity == pytest.approx(1 / 3)
         assert stage.compared == 1
 

@@ -164,7 +164,7 @@ class TestPersistenceRoundTrip:
         for profile in resumed.lm.profiles.values():
             assert profile.token_ids is not None
             dictionary = resumed.dr.builder.dictionary
-            assert dictionary.decode_set(profile.token_ids) == profile.tokens
+            assert dictionary.decode_set(profile.token_ids) == frozenset(profile.tokens)
         resumed.process_many(entities[midpoint:])
 
         whole = StreamERPipeline(

@@ -455,7 +455,7 @@ class TestInvariantCheckedEquivalence:
 
     def test_checked_run_with_dead_letters_uses_exemptions(self, seeded_dirty):
         """Dead-lettered entities may leave partial state behind; the
-        checker still validates everything."""
+        checker still validates everything, exempting no entity."""
         checker = InvariantChecker(mode="raise")
         parallel = ParallelERPipeline(
             config_for(seeded_dirty),

@@ -8,12 +8,11 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.stages import BlockedEntity, CandidateComparisons
+from repro.core.stages import BlockedEntity, CandidateComparisons, MaterializedComparisons
 from repro.core.state import BlockPrefix
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants import (
     InvariantChecker,
-    StateView,
     get_invariant,
     invariant_names,
     invariants_for,
@@ -120,18 +119,6 @@ class TestSequentialEnforcement:
         assert excinfo.value.invariant == "blocked-entities-have-profiles"
         assert "999" in excinfo.value.detail
 
-    def test_exempt_stale_membership_still_raises(self):
-        """``f_bb+bp`` registers the profile before any block add, so a
-        dead-lettered entity is no excuse for a blocked id without one."""
-        checker = InvariantChecker(mode="raise")
-        pipeline = StreamERPipeline(small_config(), checker=checker)
-        pipeline.process_many(small_stream())
-        pipeline.backend.blocks.add("glass", 999)
-        checker.exempt_provider = lambda: {999}
-        with pytest.raises(InvariantViolation) as excinfo:
-            checker.check_state()
-        assert excinfo.value.invariant == "blocked-entities-have-profiles"
-
     def test_record_mode_accumulates_without_raising(self):
         checker = InvariantChecker(mode="record")
         pipeline = StreamERPipeline(small_config(), checker=checker)
@@ -220,6 +207,19 @@ class TestStageEnforcement:
         assert self.observe("cg", out, blocked, clean_clean=True) == []
         assert self.observe("cg", out) == []  # no source message: nothing to relate
 
+    def test_lm_partners_are_distinct_and_non_self(self):
+        def profile(eid):
+            return Profile(eid=eid, attributes=(), tokens=frozenset())
+
+        def materialized(*partners):
+            return MaterializedComparisons(
+                profile=profile(9), partners=[profile(j) for j in partners]
+            )
+
+        assert self.observe("lm", materialized(1, 2, 3)) == []
+        assert self.observe("lm", materialized(1, 2, 1)) == ["lm-materialization-wellformed"]
+        assert self.observe("lm", materialized(1, 9)) == ["lm-materialization-wellformed"]
+
     def test_stage_without_invariants_checks_nothing(self):
         checker = InvariantChecker(mode="raise")
         checker.bind(small_config(), backend=object())
@@ -297,8 +297,3 @@ class TestSimulationScope:
         checker.check_simulation(result, n_items=6)
         assert not checker.violations
 
-
-class TestStateViewExemptions:
-    def test_exempt_set_reaches_the_view(self):
-        view = StateView(config=None, backend=None, exempt=frozenset({1}))
-        assert 1 in view.exempt

@@ -35,6 +35,7 @@ from repro.parallel import (
     mp_framework,
     plan_partitions,
 )
+from repro.reading.interning import pack_ids
 from repro.streaming import MultiprocessStreamRunner
 from repro.types import EntityDescription, Profile
 
@@ -448,10 +449,10 @@ class TestWorkerFunctionInProcess:
                 threshold_config(), workers=1, backend=backend, partitioned=True
             )
             row_for = backend.token_store.row_for
-            empty_a = row_for(1, frozenset())
-            empty_b = row_for(2, frozenset())
-            wood_a = row_for(3, frozenset({0, 1}))
-            wood_b = row_for(4, frozenset({0, 1}))
+            empty_a = row_for(1, pack_ids(()))
+            empty_b = row_for(2, pack_ids(()))
+            wood_a = row_for(3, pack_ids((0, 1)))
+            wood_b = row_for(4, pack_ids((0, 1)))
             rows = [
                 backend.publish_membership([empty_a, empty_b, wood_a]),
                 backend.publish_membership([wood_a, wood_b]),

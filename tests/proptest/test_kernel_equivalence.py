@@ -1,6 +1,10 @@
 """Randomized equivalence: InternedComparator.compare_batch vs a naive
 reference comparator, including the threshold-boundary edges.
 
+The generated batches share their left profile in runs, like the
+streaming front; the kernel is called once per run
+(``compare_batch(left, partners)``).
+
 The kernel's claim is exact: with a threshold, ``compare_batch`` emits
 *precisely* the pairs a ``ThresholdClassifier`` at that threshold would
 accept, and every emitted similarity equals the naive per-pair score
@@ -18,6 +22,7 @@ import pytest
 
 from repro.comparison.kernel import InternedComparator, similarity_bound
 from repro.comparison.similarity import SET_SIMILARITIES
+from repro.core.state import stored_form
 from repro.proptest import example_rng
 from repro.types import Comparison, Profile
 
@@ -71,10 +76,29 @@ def reference(measure: str, batch, threshold):
     return {k: s for k, s in scored.items() if s >= threshold}
 
 
-def emitted(comparator: InternedComparator, batch):
+def compare_runs(comparator: InternedComparator, batch, stored: bool = False):
+    """One ``compare_batch(left, partners)`` call per run of pairs sharing
+    a left profile; with ``stored``, the partners in the profile map's
+    stored form."""
+    out = []
+    start = 0
+    while start < len(batch):
+        left = batch[start].left
+        end = start
+        while end < len(batch) and batch[end].left is left:
+            end += 1
+        partners = [c.right for c in batch[start:end]]
+        if stored:
+            partners = [stored_form(p) for p in partners]
+        out.extend(comparator.compare_batch(left, partners))
+        start = end
+    return out
+
+
+def emitted(comparator: InternedComparator, batch, stored: bool = False):
     return {
         sc.comparison.key(): sc.similarity
-        for sc in comparator.compare_batch(batch)
+        for sc in compare_runs(comparator, batch, stored)
     }
 
 
@@ -87,6 +111,19 @@ class TestRandomizedEquivalence:
             batch = random_batch(rng, rng.randint(0, 40))
             comparator = InternedComparator(measure=measure, threshold=threshold)
             assert emitted(comparator, batch) == reference(
+                measure, batch, threshold
+            ), f"diverged on example {index}"
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("threshold", [None, 0.0, 0.5, 1.0])
+    def test_stored_partners_equal_reference(self, measure, threshold):
+        """Partners as the profile map stores them (tuple tokens, packed
+        ids) against the oracle on the original profiles."""
+        for index in range(15):
+            rng = example_rng(2021, f"stored:{measure}:{threshold}", index)
+            batch = random_batch(rng, rng.randint(0, 40))
+            comparator = InternedComparator(measure=measure, threshold=threshold)
+            assert emitted(comparator, batch, stored=True) == reference(
                 measure, batch, threshold
             ), f"diverged on example {index}"
 
@@ -169,10 +206,10 @@ class TestThresholdBoundary:
         rng = example_rng(1, "thr-zero", 0)
         batch = random_batch(rng, 20)
         comparator = InternedComparator(measure="jaccard", threshold=0.0)
-        assert len(comparator.compare_batch(batch)) == len(batch)
+        assert len(compare_runs(comparator, batch)) == len(batch)
 
     def test_no_threshold_preserves_batch_order_and_length(self):
         rng = example_rng(1, "no-thr", 0)
         batch = random_batch(rng, 20)
-        scored = InternedComparator(measure="jaccard").compare_batch(batch)
+        scored = compare_runs(InternedComparator(measure="jaccard"), batch)
         assert [sc.comparison for sc in scored] == batch
