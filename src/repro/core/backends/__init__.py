@@ -7,7 +7,6 @@ from repro.core.backends.shm import (
     SharedColumnReader,
     SharedColumnStore,
     SharedMemoryBackend,
-    SharedTokenArrayStore,
     active_shm_segments,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "SharedColumnReader",
     "SharedColumnStore",
     "SharedMemoryBackend",
-    "SharedTokenArrayStore",
     "active_shm_segments",
 ]

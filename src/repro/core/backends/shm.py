@@ -4,10 +4,13 @@ Pickling token payloads to worker processes — the same entity's tokens
 crossing the process boundary every time it is compared — and re-forking
 the pool per increment cost more than the comparisons themselves.
 
-This module removes the data from the wire.  Token payloads live in
-``multiprocessing.shared_memory`` segments behind numpy-backed columnar
-stores; workers attach once at pool spawn and afterwards receive only row
-numbers.  Two design rules make that safe without any cross-process lock:
+This module removes the data from the wire.  The backend keeps one
+column in ``multiprocessing.shared_memory`` segments: the profile rows,
+each an entity's packed token ids and its entity id
+(:func:`encode_profile_row` / :func:`decode_profile_row`).  Workers
+attach once at pool spawn and afterwards receive only row numbers — a
+descriptor lists, per entity, its own row and its partners' rows.  Two
+design rules make that safe without any cross-process lock:
 
 **Append-only columns.**  A :class:`SharedColumnStore` is a log of
 variable-length records.  Records are addressed by a dense row number;
@@ -42,6 +45,7 @@ import itertools
 import os
 import pickle
 import secrets
+import struct
 import sys
 import threading
 import weakref
@@ -49,7 +53,6 @@ from array import array
 from bisect import bisect_right
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -70,11 +73,10 @@ __all__ = [
     "SharedColumnReader",
     "SharedColumnStore",
     "SharedMemoryBackend",
-    "SharedTokenArrayStore",
     "active_shm_segments",
     "attach_segment",
-    "decode_membership",
-    "decode_packed",
+    "decode_profile_row",
+    "encode_profile_row",
 ]
 
 #: Every segment this module creates starts with this, so leak checks can
@@ -216,7 +218,6 @@ class SharedColumnStore:
         self._rows = 0
         self._data_used = 0
         self._dir_used = 0
-        self.bytes_appended = 0
 
     # -- segment plumbing ----------------------------------------------
 
@@ -287,7 +288,6 @@ class SharedColumnStore:
                 view, dtype=np.uint8
             )
         self._data_used = offset + length
-        self.bytes_appended += length
         if self._dir_used >= self._dir_caps[-1]:
             self._grow_dir(self._dir_caps[-1] * 2)
         self._dirs[-1][self._dir_used] = (generation, offset, length)
@@ -430,156 +430,102 @@ class SharedColumnReader:
         self.close()
 
 
-def decode_packed(record: "np.ndarray | memoryview") -> array:
-    """Rebuild a :func:`~repro.reading.interning.pack_ids` array from a record.
+#: A profile row's header: the id array's typecode and its byte length.
+_ROW_HEAD = struct.Struct("<cI")
 
-    The wire format is one ASCII typecode byte followed by the raw
-    machine bytes of the array — the same bytes :meth:`array.tobytes`
-    produced on the writer side.
+
+def encode_profile_row(eid: EntityId, token_ids: array) -> bytes:
+    """One profile row: an entity's :func:`~repro.reading.interning.pack_ids`
+    array and its entity id.
+
+    The layout is :data:`_ROW_HEAD`, the ids' raw machine bytes, then the
+    pickled entity id.  The ids stay raw so a reader rebuilds the array
+    with one ``frombytes``; only the id, which may be any picklable
+    value, is pickled.
     """
-    view = memoryview(record)
-    ids = array(chr(view[0]))
-    ids.frombytes(view[1:])
-    return ids
+    ids = token_ids.tobytes()
+    head = _ROW_HEAD.pack(token_ids.typecode.encode("ascii"), len(ids))
+    return b"".join((head, ids, pickle.dumps(eid, protocol=5)))
 
 
-def decode_membership(record: "np.ndarray | memoryview") -> np.ndarray:
-    """Rebuild a membership record: ``[own_row, partner_row, ...]``.
+def decode_profile_row(record: "np.ndarray | memoryview | bytes") -> tuple[EntityId, array]:
+    """The ``(eid, token_ids)`` an :func:`encode_profile_row` record holds.
 
-    The copy (``bytes``) realigns the view — a shared-column record is an
-    arbitrary byte offset into the data segment, which ``np.frombuffer``
-    would reject for an 8-byte dtype.
+    One copy (``tobytes``) realigns the record — a column record sits at
+    an arbitrary byte offset of its segment — and is cheaper to slice
+    than the shared view.
     """
-    return np.frombuffer(bytes(record), dtype=np.uint64)
-
-
-class SharedTokenArrayStore:
-    """Per-entity packed token-id arrays as rows of a shared column.
-
-    The parent appends each entity's :func:`pack_ids` payload *once* per
-    distinct token set and afterwards ships only the row number.  A
-    re-arriving entity whose token set changed (dynamic data) gets a fresh
-    row; the old row stays valid for any membership record that already
-    names it (append-only means no ABA hazard).
-
-    :attr:`rows` maps each entity to its *current* row.  Under a
-    :class:`SharedMemoryBackend` the profile map keeps it current (every
-    ``put`` calls :meth:`row_for`, every ``remove`` calls :meth:`forget`),
-    so a candidate list maps to rows with one dict probe per partner.
-
-    With an ``entity_columns`` store attached, every token-row append is
-    mirrored by a pickled entity-id record at the *same* row number —
-    ``row_for`` is the only appender, so the two columns stay row-aligned
-    by construction.  That reverse mapping (row → eid) is what lets the
-    partitioned dispatch mode resolve matches entirely worker-side.
-    """
-
-    __slots__ = ("columns", "entity_columns", "rows", "_token_ids")
-
-    def __init__(
-        self,
-        columns: SharedColumnStore,
-        entity_columns: SharedColumnStore | None = None,
-    ) -> None:
-        self.columns = columns
-        self.entity_columns = entity_columns
-        #: eid → the row holding its current token ids.
-        self.rows: dict[EntityId, int] = {}
-        #: eid → the packed id array that row holds.
-        self._token_ids: dict[EntityId, array] = {}
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def row_for(self, eid: EntityId, packed: array) -> int:
-        """The row holding ``eid``'s :func:`pack_ids` array, appending on
-        first sight.
-
-        The array is both the row payload and the cache key (the profile
-        map passes its stored ``token_ids``).  The key is compared by
-        identity, then by value, so an updated entity is re-published
-        rather than served stale ids.
-        """
-        cached = self._token_ids.get(eid)
-        if cached is not None and (cached is packed or cached == packed):
-            return self.rows[eid]
-        record = packed.typecode.encode("ascii") + packed.tobytes()
-        row = self.columns.append(record)
-        if self.entity_columns is not None:
-            self.entity_columns.append(pickle.dumps(eid, protocol=5))
-        self._token_ids[eid] = packed
-        self.rows[eid] = row
-        return row
-
-    def forget(self, eid: EntityId) -> None:
-        """Drop ``eid`` from the row map (its rows stay in the column)."""
-        self._token_ids.pop(eid, None)
-        self.rows.pop(eid, None)
-
-    def ids_at(self, row: int) -> array:
-        """Decode a row back to its packed array (writer-side check path)."""
-        return decode_packed(self.columns.record(row))
+    data = memoryview(record).tobytes()
+    typecode, length = _ROW_HEAD.unpack_from(data)
+    end = _ROW_HEAD.size + length
+    token_ids = array(typecode.decode("ascii"))
+    token_ids.frombytes(data[_ROW_HEAD.size : end])
+    return pickle.loads(data[end:]), token_ids
 
 
 class _RowMappedProfiles(ProfileStore):
-    """The profile map of a :class:`SharedMemoryBackend`: every write also
-    keeps the token store's row map current.
+    """The profile map of a :class:`SharedMemoryBackend`: every interned
+    profile it holds is also a row of its shared :attr:`column`.
 
     ``f_bb+bp`` is the profile map's only writer under every executor, so
-    it is also the token column's only writer, and ``token_store.rows``
-    always names the row of the profile the map holds.  The ids are packed
-    once: the stored profile's ``token_ids`` array is also the row payload
-    and the token store's change-detection key.  A profile without
-    interned ids (``token_ids is None``) has no row to name: ``put`` drops
-    the eid from the map, as ``remove`` does.
+    it is also the column's only writer, and :attr:`rows` (eid → current
+    row) always names the row of the profile the map holds.  A ``put``
+    whose ids equal the stored profile's keeps the row; changed ids (or
+    ids after none) append a new one, and the old row stays valid for any
+    descriptor that already names it (append-only: no ABA hazard).  A
+    profile without interned ids (``token_ids is None``) has no row to
+    name: ``put`` drops the eid from :attr:`rows`, as ``remove`` does.
     """
 
-    __slots__ = ("_tokens",)
+    __slots__ = ("column", "rows")
 
-    def __init__(self, tokens: SharedTokenArrayStore) -> None:
+    def __init__(self, column: SharedColumnStore) -> None:
         super().__init__()
-        self._tokens = tokens
+        self.column = column
+        #: eid → the row holding its current profile.
+        self.rows: dict[EntityId, int] = {}
 
     def put(self, profile: Profile) -> None:
+        eid = profile.eid
         stored = stored_form(profile)
-        self._profiles[profile.eid] = stored
-        if stored.token_ids is None:
-            self._tokens.forget(profile.eid)
-        else:
-            self._tokens.row_for(profile.eid, stored.token_ids)
+        old = self._profiles.get(eid)
+        self._profiles[eid] = stored
+        ids = stored.token_ids
+        if ids is None:
+            self.rows.pop(eid, None)
+        elif old is None or old.token_ids != ids:
+            self.rows[eid] = self.column.append(encode_profile_row(eid, ids))
 
     def remove(self, eid: EntityId) -> bool:
-        self._tokens.forget(eid)
+        self.rows.pop(eid, None)
         return super().remove(eid)
 
 
-def _finalize_backend(creator_pid: int, stores) -> None:
+def _finalize_backend(creator_pid: int, column: SharedColumnStore) -> None:
     """Module-level so ``weakref.finalize`` holds no reference cycles.
 
     The pid guard is load-bearing: a forked worker inherits the backend
     object, and its interpreter exit must *not* unlink the parent's
-    segments out from under the run.  Unlinking through the stores (not a
+    segments out from under the run.  Unlinking through the store (not a
     snapshot of segments) covers generations created after construction.
     """
-    if os.getpid() != creator_pid:
-        return
-    for store in stores:
-        store.unlink()
+    if os.getpid() == creator_pid:
+        column.unlink()
 
 
 class SharedMemoryBackend:
-    """A :class:`~repro.core.backends.StateBackend` with shared token state.
+    """A :class:`~repro.core.backends.StateBackend` with shared profile rows.
 
-    Three columns live in shared memory — the per-entity packed token-id
-    arrays, the row → entity-id mirror and the per-entity candidate
-    (membership) records — because those are exactly what a worker needs
-    to run an entity's ``cc → lm → co → cl`` tail.  Everything else
-    (blocks, blacklist, profiles, matches, and the token dictionary, which
-    only ``f_dr`` in the parent consults) is parent-only state that never
-    crosses the process boundary, so it stays as the plain in-memory
-    implementations — except that the profile map also appends each
-    profile's token ids to the shared column as it is written, keeping
-    ``token_store.rows`` (eid → current row) in step with it.
+    One column lives in shared memory: the profile rows — each interned
+    profile's packed token ids and its entity id — because that is all a
+    worker needs to run an entity's ``cc → lm → co → cl`` tail, given a
+    descriptor that names the entity's row and its partners' rows.  The
+    profile map owns the column and appends each profile as it is
+    written, keeping ``profiles.rows`` (eid → current row) in step with
+    it.  Everything else (blocks, blacklist, matches, and the token
+    dictionary, which only ``f_dr`` in the parent consults) is parent-only
+    state that never crosses the process boundary, so it stays as the
+    plain in-memory implementations.
 
     Lifecycle: the creating process owns the segments.  ``close()``
     detaches, ``unlink()`` removes (both idempotent; ``unlink`` implies
@@ -590,9 +536,9 @@ class SharedMemoryBackend:
     ``DurableBackend.open(wal_dir, config, inner=SharedMemoryBackend())``
     — durability is the *outer* decorator.  It logs the executors' input
     and hands the stages the inner stores unchanged, so the WAL is
-    unaffected by where the columns live, and the shm-only surface
-    (``publish_membership``, ``token_store``, ``layout``) remains
-    reachable through its attribute delegation.
+    unaffected by where the column lives, and the shm-only surface
+    (``layout``, ``segment_names``, ``shm_bytes``) remains reachable
+    through its attribute delegation.
     """
 
     def __init__(
@@ -604,38 +550,17 @@ class SharedMemoryBackend:
     ) -> None:
         self.name = name if name is not None else _fresh_prefix()
         self._creator_pid = os.getpid()
-        self._closed = False
-        created: list[SharedColumnStore] = []
-        try:
-            token_columns = self._column(created, "t", data_bytes, dir_rows)
-            entity_columns = self._column(created, "e", data_bytes, dir_rows)
-            membership_columns = self._column(created, "m", data_bytes, dir_rows)
-        except BaseException:
-            for store in created:
-                store.unlink()
-            raise
-        self._stores = (token_columns, entity_columns, membership_columns)
-        self.membership_columns = membership_columns
-        self.token_store = SharedTokenArrayStore(
-            token_columns, entity_columns=entity_columns
+        self._column = SharedColumnStore(
+            self.name + "p", data_bytes=data_bytes, dir_rows=dir_rows
         )
         self.dictionary = TokenDictionary()
         self.blocks = BlockCollection()
         self.blacklist = Blacklist()
-        self.profiles = _RowMappedProfiles(self.token_store)
+        self.profiles = _RowMappedProfiles(self._column)
         self.matches = MatchStore()
         self._finalizer = weakref.finalize(
-            self, _finalize_backend, self._creator_pid, list(self._stores)
+            self, _finalize_backend, self._creator_pid, self._column
         )
-
-    def _column(
-        self, created: list, suffix: str, data_bytes: int, dir_rows: int
-    ) -> SharedColumnStore:
-        store = SharedColumnStore(
-            self.name + suffix, data_bytes=data_bytes, dir_rows=dir_rows
-        )
-        created.append(store)
-        return store
 
     # -- the StateBackend surface --------------------------------------
 
@@ -649,56 +574,30 @@ class SharedMemoryBackend:
 
     # -- the shm surface -----------------------------------------------
 
-    def layout(self) -> dict[str, str]:
-        """Column prefixes a worker needs to attach (picklable, tiny)."""
-        return {
-            "tokens": self.token_store.columns.prefix,
-            "entities": self.token_store.entity_columns.prefix,
-            "membership": self.membership_columns.prefix,
-        }
-
-    def publish_membership(self, rows: "array | Iterable[int]") -> int:
-        """Append one ``[own_row, partner_row, ...]`` record; its row number.
-
-        The record is the complete per-entity candidate list expressed in
-        shared token-column rows (with multiplicity, as ``f_cg`` emitted
-        it), so a worker holding only this row number can regenerate the
-        candidate pairs, run the cleaning count filter, and score — without
-        the parent walking the pair list.
-        """
-        if not isinstance(rows, array):
-            rows = array("Q", rows)
-        return self.membership_columns.append(rows)
+    def layout(self) -> str:
+        """The profile column's prefix: all a worker needs to attach."""
+        return self._column.prefix
 
     def segment_names(self) -> list[str]:
         """All segments this backend created (for leak accounting)."""
-        names: list[str] = []
-        for store in self._stores:
-            names.extend(store.segment_names())
-        return names
+        return self._column.segment_names()
 
     def shm_bytes(self) -> int:
         """Total bytes of shared memory currently mapped."""
-        return sum(store.shm_bytes() for store in self._stores)
+        return self._column.shm_bytes()
 
     # -- lifecycle -----------------------------------------------------
 
     def close(self) -> None:
         """Detach this process's mappings (does not remove segments)."""
-        if self._closed:
-            return
-        self._closed = True
-        for store in self._stores:
-            store.close()
+        self._column.close()
 
     def unlink(self) -> None:
         """Remove the segments from the system.  Creator-only; idempotent."""
         if os.getpid() != self._creator_pid:
             return
         self._finalizer.detach()
-        self.close()
-        for store in self._stores:
-            store.unlink()
+        self._column.unlink()
 
     def __enter__(self) -> "SharedMemoryBackend":
         return self

@@ -10,22 +10,23 @@ the parent — block building is inherently serial.  An entity's tail
 (``f_cc → f_lm → f_co → f_cl``) then runs in one of two places:
 
 **In a worker, via streamed dispatch.**  The entity's candidate list is
-published once to the backend's shared *membership* column, in
-token-column rows resolved at arrival time: the shm profile map keeps an
-eid → current-row map as ``f_bb+bp`` writes it, so that is one dict probe
-per partner.  The membership row joins a pending descriptor — a flat
-``uint64`` array of membership rows — and every :data:`_DISPATCH_ENTITIES`
-rows the descriptor goes to the pool's task queue while the parent keeps
-running the front for later entities.  An idle worker takes the next
-descriptor: many small tasks on one shared queue balance the load (the
-move of Kolb/Thor/Rahm's MapReduce blocking) without a planner.  A worker
-runs the plan's own ``cc → lm → co → cl`` stages over its descriptor: the
-same classes, built by the same :class:`~repro.core.plan.StageSpec`
-factories, against a worker backend whose profile store is a read view
-over the shared columns.  An entity's tail reads nothing but its own
-membership record, so per-entity cleaning semantics hold however
-entities are dealt.  At the end of the increment the parent merges the
-results in dispatch order (its match store stays the sole owner of *M*).
+resolved at arrival time to rows of the backend's shared *profile*
+column: the shm profile map keeps an eid → current-row map as
+``f_bb+bp`` writes it, so that is one dict probe per partner.  The record
+``[own_row, partner_row, ...]`` is appended, by value, to a pending
+descriptor — a flat ``uint64`` array of rows plus one length per entity —
+and every :data:`_DISPATCH_ENTITIES` entities the descriptor goes to the
+pool's task queue while the parent keeps running the front for later
+entities.  An idle worker takes the next descriptor: many small tasks on
+one shared queue balance the load (the move of Kolb/Thor/Rahm's MapReduce
+blocking) without a planner.  A worker runs the plan's own ``cc → lm →
+co → cl`` stages over its descriptor: the same classes, built by the same
+:class:`~repro.core.plan.StageSpec` factories, against a worker backend
+whose profile store is a read view over the profile column.  An entity's
+tail reads nothing but its own record, so per-entity cleaning semantics
+hold however entities are dealt.  At the end of the increment the parent
+merges the results in dispatch order (its match store stays the sole
+owner of *M*).
 
 **In the parent, via the compiled plan's own per-stage callables** under
 the supervisor — sequential semantics, no pool.  ``self.lm`` / ``self.cc``
@@ -34,8 +35,9 @@ report are folded straight into them.
 
 Which of the two is resolved *once*, at construction, against the three
 configuration blockers (:attr:`MultiprocessERPipeline.partition_blockers`:
-non-interned comparator, backend without shared columns, classifier that
-may need more than token ids); an ineligible wiring never spawns a pool.
+non-interned comparator, backend without a shared profile column,
+classifier that may need more than token ids); an ineligible wiring never
+spawns a pool.
 Durable state is no blocker: a
 :class:`~repro.core.backends.DurableBackend` over a
 :class:`~repro.core.backends.SharedMemoryBackend` logs each run's input
@@ -61,7 +63,6 @@ fail a descriptor's task.
 from __future__ import annotations
 
 import multiprocessing as mp
-import pickle
 import time
 import weakref
 from array import array
@@ -71,11 +72,7 @@ from typing import Callable, Iterable
 from repro.classification.classifiers import OracleClassifier, ThresholdClassifier
 from repro.comparison.kernel import InternedComparator
 from repro.core.backends import StateBackend
-from repro.core.backends.shm import (
-    SharedColumnReader,
-    decode_membership,
-    decode_packed,
-)
+from repro.core.backends.shm import SharedColumnReader, decode_profile_row
 from repro.core.config import StreamERConfig, SupervisionPolicy
 from repro.core.pipeline import ERResult, lifetime_counters
 from repro.core.plan import PipelinePlan
@@ -114,7 +111,7 @@ _PARTITIONABLE_CLASSIFIERS = (ThresholdClassifier, OracleClassifier)
 #: high; the bound only guards pathological vocabularies.
 _ROW_CACHE_LIMIT = 1 << 16
 
-#: Membership rows per descriptor.  Small enough that the first descriptor
+#: Entities per descriptor.  Small enough that the first descriptor
 #: leaves while the parent is still running the front and the workers
 #: share the tail evenly; large enough that per-task IPC stays negligible.
 #: A sweep of 128/256/512 on ``mp_bulk_updates_20k`` (docs/performance.md)
@@ -123,33 +120,33 @@ _DISPATCH_ENTITIES = 256
 
 
 class _RowProfiles:
-    """The worker's profile store: a read view over the shared token and
-    entity columns, keyed by row.
+    """The worker's profile store: a read view over the shared profile
+    column, keyed by row.
 
-    Inside one membership record rows stand in for entity ids (an eid has
+    Inside one entity's record rows stand in for entity ids (an eid has
     exactly one current row at publish time: a bijection), which lets
     ``f_cc`` and ``f_lm`` run unmodified on row numbers.  The profiles
     carry the *decoded* entity id — injectors, dead letters, the classifier
     and the matches all see real ids — and the token ids, nothing else:
-    the packed id array off the column, the same form the parent's profile
+    the packed id array off the row, the same form the parent's profile
     map stores (a cached ``frozenset`` per row costs ~6 % peak RSS).  The
     kernel makes a set of the arriving entity's ids once per call, which
     is all its ``a.intersection(b)`` needs.
     """
 
-    def __init__(self, tokens: SharedColumnReader, entities: SharedColumnReader) -> None:
-        self._tokens = tokens
-        self._entities = entities
+    def __init__(self, column: SharedColumnReader) -> None:
+        self.column = column
         self._cache: dict[int, Profile] = {}
 
     def get(self, row: int) -> Profile:
         profile = self._cache.get(row)
         if profile is None:
+            eid, token_ids = decode_profile_row(self.column.record(row))
             profile = Profile(
-                eid=pickle.loads(bytes(self._entities.record(row))),
+                eid=eid,
                 attributes=(),
                 tokens=frozenset(),
-                token_ids=decode_packed(self._tokens.record(row)),  # type: ignore[arg-type]
+                token_ids=token_ids,  # type: ignore[arg-type]
             )
             if len(self._cache) >= _ROW_CACHE_LIMIT:
                 self._cache.clear()
@@ -178,8 +175,8 @@ class _Timed:
 
 
 class _Worker:
-    """One pool worker's state: the shared-column readers, the plan's tail
-    built against them, and the supervision policy."""
+    """One pool worker's state: the profile column's reader, the plan's
+    tail built against it, and the supervision policy."""
 
     def __init__(
         self,
@@ -187,16 +184,12 @@ class _Worker:
         tail: tuple[str, ...],
         faults: FaultPlan,
         policy: SupervisionPolicy,
-        layout: dict[str, str],
+        layout: str,
         timed: bool,
     ) -> None:
-        # Attach to the parent's shared columns exactly once, here; every
+        # Attach to the parent's profile column exactly once, here; every
         # descriptor afterwards carries row numbers, not data.
-        self.membership, tokens, entities = self.readers = [
-            SharedColumnReader(layout[column])
-            for column in ("membership", "tokens", "entities")
-        ]
-        self.profiles = _RowProfiles(tokens, entities)
+        self.profiles = _RowProfiles(SharedColumnReader(layout))
         backend = SimpleNamespace(profiles=self.profiles, matches=MatchStore())
         #: The plan's own stage objects (counters are read per partition)
         #: and the callables a partition runs: the same objects — timed when
@@ -231,8 +224,7 @@ class _Worker:
         }
 
     def close(self) -> None:
-        for reader in self.readers:
-            reader.close()
+        self.profiles.column.close()
 
 
 #: Installed once per worker process by the pool initializer — never
@@ -247,22 +239,23 @@ def _init_worker(*args) -> None:
 
 
 def _run_partition(
-    rows: array,
+    rows: array, lengths: array
 ) -> tuple[list[Match], list[tuple[int, DeadLetter]], dict, dict, dict, dict]:
-    """Run the plan's tail over one partition descriptor, inside a worker.
+    """Run the plan's tail over one descriptor, inside a worker.
 
-    Each membership row of the descriptor decodes to ``[own_row,
+    The descriptor is ``rows``, the entities' records laid end to end, and
+    ``lengths``, each record's length.  A record is ``[own_row,
     partner_row, ...]`` — one entity's candidate list with multiplicity:
-    ``f_cg``'s output message with rows for ids.  It flows through the tail
-    callables, each call under a :class:`Supervisor` with the pipeline's
-    policy, so failures travel back as data.  Returns ``(matches,
-    dead_letters, retries, items, counters, seconds)``: what ``f_cl``
-    emitted (against a per-partition scratch store; the parent's store has
-    the last word), the supervisor's dead letters — each paired with the
-    index of its entity's row in ``rows`` — and per-stage retry counts,
-    the entities that finished each stage, the stage counters' deltas, and
-    each stage's per-entity service seconds (``{}`` unless the parent's
-    registry is enabled).
+    ``f_cg``'s output message with profile rows for ids.  It flows through
+    the tail callables, each call under a :class:`Supervisor` with the
+    pipeline's policy, so failures travel back as data.  Returns
+    ``(matches, dead_letters, retries, items, counters, seconds)``: what
+    ``f_cl`` emitted (against a per-partition scratch store; the parent's
+    store has the last word), the supervisor's dead letters — each paired
+    with the index of its entity's record in ``lengths`` — and per-stage
+    retry counts, the entities that finished each stage, the stage
+    counters' deltas, and each stage's per-entity service seconds (``{}``
+    unless the parent's registry is enabled).
     """
     worker = _worker
     assert worker is not None, "worker not initialized"
@@ -272,10 +265,12 @@ def _run_partition(
     items = dict.fromkeys(worker.fns, 0)
     matches: list[Match] = []
     failed: list[int] = []
-    for slot, membership_row in enumerate(rows):
-        record = decode_membership(worker.membership.record(membership_row)).tolist()
+    end = 0
+    for slot, length in enumerate(lengths):
+        start, end = end, end + length
         message: object = CandidateComparisons(
-            profile=worker.profiles.get(record[0]), candidates=record[1:]
+            profile=worker.profiles.get(rows[start]),
+            candidates=rows[start + 1 : end].tolist(),
         )
         for name, fn in worker.fns.items():
             ok, message = supervisor.execute(name, fn, message)
@@ -433,7 +428,7 @@ class MultiprocessERPipeline:
             )
         self.partitioned_dispatch = not self._blockers
         if self.partitioned_dispatch:
-            self._token_store = self.backend.token_store
+            self._rows = self.backend.profiles.rows
             self._ctx = mp.get_context(
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
@@ -456,7 +451,7 @@ class MultiprocessERPipeline:
             blockers.append(
                 "comparator is not the interned kernel (workers score id rows)"
             )
-        if not hasattr(self.backend, "publish_membership"):
+        if not hasattr(self.backend, "layout"):
             blockers.append("backend does not publish shared-memory columns")
         if type(self.config.classifier) not in _PARTITIONABLE_CLASSIFIERS:
             blockers.append(
@@ -549,8 +544,9 @@ class MultiprocessERPipeline:
         if metrics_on:
             entities_metric = self.registry.counter(ENTITIES)
         tracer = self.tracer
-        pending = array("Q")  # membership rows not yet dispatched
-        slots = array("Q")  # their entities' indices in this run
+        # The pending descriptor (see _run_partition) and the indices in
+        # this run of the entities it holds.
+        rows, lengths, slots = array("Q"), array("I"), array("Q")
         # (AsyncResult, slots) per descriptor, in dispatch order.
         dispatched: list[tuple] = []
         failed: list[int] = []  # indices of the entities dead-lettered here
@@ -573,13 +569,13 @@ class MultiprocessERPipeline:
                         failed.append(count_in - 1)
                         break
                 else:
-                    if pool is not None and self._publish(message, pending):
+                    if pool is not None and self._publish(message, rows, lengths):
                         slots.append(count_in - 1)
-                        if len(pending) >= _DISPATCH_ENTITIES:
+                        if len(slots) >= _DISPATCH_ENTITIES:
                             dispatched.append(
-                                (pool.apply_async(_run_partition, (pending,)), slots)
+                                (pool.apply_async(_run_partition, (rows, lengths)), slots)
                             )
-                            pending, slots = array("Q"), array("Q")
+                            rows, lengths, slots = array("Q"), array("I"), array("Q")
                         if trace is not None:
                             trace.complete()
                     else:
@@ -589,8 +585,8 @@ class MultiprocessERPipeline:
                         else:
                             matches.extend(tail)
             if pool is not None:
-                if pending:
-                    dispatched.append((pool.apply_async(_run_partition, (pending,)), slots))
+                if slots:
+                    dispatched.append((pool.apply_async(_run_partition, (rows, lengths)), slots))
                 worker_failed = self._merge(dispatched, matches)
         except BaseException:
             # A mid-run failure can leave tasks queued on the pool; a
@@ -647,13 +643,13 @@ class MultiprocessERPipeline:
 
     # -- partitioned dispatch ------------------------------------------
 
-    def _publish(self, generated, pending: array) -> bool:
-        """Publish one entity's tail for the workers and queue its membership
-        row on ``pending``; False when it has no candidates or cannot ride
-        the shared columns (the caller then runs the tail inline).
+    def _publish(self, generated, rows: array, lengths: array) -> bool:
+        """Append one entity's record ``[own_row, partner_row, ...]`` to the
+        pending descriptor; False when it has no candidates or cannot ride
+        the profile column (the caller then runs the tail inline).
 
-        The candidate list is resolved to token-column rows *at arrival
-        time*, exactly when the sequential pipeline would materialize the
+        The candidate list is resolved to profile rows *at arrival time*,
+        exactly when the sequential pipeline would materialize the
         partners — so a partner that re-arrives later in the increment with
         changed tokens is compared as it was when this entity arrived.  An
         eid missing from the row map has no interned ids, and ``cc`` counts
@@ -662,13 +658,15 @@ class MultiprocessERPipeline:
         candidates = generated.candidates
         if not candidates:
             return False
-        rows = self._token_store.rows
+        row_of = self._rows
+        mark = len(rows)
         try:
-            record = array("Q", (rows[generated.profile.eid],))
-            record.extend(map(rows.__getitem__, candidates))
+            rows.append(row_of[generated.profile.eid])
+            rows.extend(map(row_of.__getitem__, candidates))
         except KeyError:
+            del rows[mark:]
             return False
-        pending.append(self.backend.publish_membership(record))
+        lengths.append(len(rows) - mark)
         if self.registry.enabled:
             self.registry.counter(PARTITION_PAIRS).inc(len(candidates))
         return True
@@ -714,5 +712,5 @@ class MultiprocessERPipeline:
             backend = self.backend
             registry.gauge(SHM_BYTES).set(backend.shm_bytes())
             registry.gauge(SHM_SEGMENTS).set(len(backend.segment_names()))
-            registry.gauge(SHM_ROWS).set(len(self._token_store))
+            registry.gauge(SHM_ROWS).set(len(backend.profiles.column))
         return failed

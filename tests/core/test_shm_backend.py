@@ -28,9 +28,9 @@ from repro.core.backends import (
     SharedColumnReader,
     SharedColumnStore,
     SharedMemoryBackend,
-    SharedTokenArrayStore,
     active_shm_segments,
 )
+from repro.core.backends.shm import decode_profile_row, encode_profile_row
 from repro.parallel import FaultSpec, MultiprocessERPipeline
 from repro.reading.interning import pack_ids
 from repro.types import EntityDescription, Profile
@@ -148,71 +148,107 @@ class TestSharedColumnStore:
             store.unlink()
 
 
+def profile(eid, token_ids):
+    return Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=token_ids)
+
+
+def read(backend, row):
+    """``(eid, token_ids)`` of one row of the backend's profile column."""
+    return decode_profile_row(backend.profiles.column.record(row))
+
+
+class TestProfileRows:
+    """One row holds an entity's packed token ids and its entity id."""
+
+    @pytest.mark.parametrize("eid", [7, "e-7", ("left", 7)])
+    @pytest.mark.parametrize("ids", [(), (3, 1, 4, 5, 92), (1 << 40,)])
+    def test_round_trip(self, eid, ids):
+        packed = pack_ids(ids)
+        decoded_eid, decoded_ids = decode_profile_row(encode_profile_row(eid, packed))
+        assert decoded_eid == eid and type(decoded_eid) is type(eid)
+        assert decoded_ids.typecode == packed.typecode
+        assert decoded_ids == packed
+
+    def test_round_trip_through_a_reader(self):
+        # A record read back from shared memory sits at an arbitrary byte
+        # offset: decoding must not depend on its alignment.
+        store = SharedColumnStore()
+        try:
+            store.append(b"x")  # misalign the next record
+            row = store.append(encode_profile_row("e", pack_ids((2, 9))))
+            with SharedColumnReader(store.prefix) as reader:
+                eid, ids = decode_profile_row(reader.record(row))
+            assert (eid, ids.tolist()) == ("e", [2, 9])
+        finally:
+            store.unlink()
+
+
 class TestSharedTokenStores:
     def test_token_array_round_trip_and_identity_cache(self):
-        columns = SharedColumnStore()
-        try:
-            store = SharedTokenArrayStore(columns)
+        with SharedMemoryBackend() as backend:
             ids = array("Q", [3, 1, 4, 1, 5, 92])
-            row = store.row_for(7, pack_ids(ids))
-            # The row holds the packed (sorted) array.
-            assert store.ids_at(row).tolist() == sorted(ids)
+            backend.profiles.put(profile(7, ids))
+            row = backend.profiles.rows[7]
+            # The row holds the entity id and the packed (sorted) array.
+            eid, packed = read(backend, row)
+            assert eid == 7 and packed.tolist() == sorted(ids)
             # Same eid + equal packed ids → same row, no second append.
-            assert store.row_for(7, pack_ids(ids)) == row
-            assert len(columns) == 1
-        finally:
-            columns.unlink()
+            backend.profiles.put(profile(7, ids))
+            assert backend.profiles.rows[7] == row
+            assert len(backend.profiles.column) == 1
 
 
 class TestProfileMapKeepsRowMap:
-    """The shm backend's profile map is the token column's one writer:
-    ``token_store.rows`` always names the row of the profile it holds."""
-
-    @staticmethod
-    def profile(eid, token_ids):
-        return Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=token_ids)
+    """The shm backend's profile map is its column's one writer:
+    ``profiles.rows`` always names the row of the profile it holds."""
 
     def test_same_token_set_keeps_its_row(self):
         with SharedMemoryBackend() as backend:
-            backend.profiles.put(self.profile(7, frozenset({1, 2})))
-            row = backend.token_store.rows[7]
-            backend.profiles.put(self.profile(7, frozenset({2, 1})))
-            assert backend.token_store.rows[7] == row
-            assert len(backend.token_store) == 1
+            backend.profiles.put(profile(7, frozenset({1, 2})))
+            row = backend.profiles.rows[7]
+            backend.profiles.put(profile(7, frozenset({2, 1})))
+            assert backend.profiles.rows[7] == row
+            assert len(backend.profiles.column) == 1
 
     def test_changed_token_set_gets_new_row_and_old_row_survives(self):
         with SharedMemoryBackend() as backend:
-            backend.profiles.put(self.profile(7, frozenset({1, 2})))
-            old = backend.token_store.rows[7]
-            backend.profiles.put(self.profile(7, frozenset({3})))
-            new = backend.token_store.rows[7]
+            backend.profiles.put(profile(7, frozenset({1, 2})))
+            old = backend.profiles.rows[7]
+            backend.profiles.put(profile(7, frozenset({3})))
+            new = backend.profiles.rows[7]
             assert new != old
-            assert backend.token_store.ids_at(old).tolist() == [1, 2]
-            assert backend.token_store.ids_at(new).tolist() == [3]
+            assert read(backend, old) == (7, array("I", [1, 2]))
+            assert read(backend, new) == (7, array("I", [3]))
 
     def test_put_without_token_ids_drops_the_eid(self):
         with SharedMemoryBackend() as backend:
-            backend.profiles.put(self.profile(7, frozenset({1, 2})))
-            backend.profiles.put(self.profile(7, None))
-            assert 7 not in backend.token_store.rows
+            backend.profiles.put(profile(7, frozenset({1, 2})))
+            backend.profiles.put(profile(7, None))
+            assert 7 not in backend.profiles.rows
             assert backend.profiles.get(7).token_ids is None
+            # Ids again after none: a fresh row, since the old one may be
+            # stale.
+            backend.profiles.put(profile(7, frozenset({1, 2})))
+            assert backend.profiles.rows[7] == 1
 
     def test_remove_drops_the_eid(self):
         with SharedMemoryBackend() as backend:
-            backend.profiles.put(self.profile(7, frozenset({1, 2})))
+            backend.profiles.put(profile(7, frozenset({1, 2})))
             assert backend.profiles.remove(7)
-            assert 7 not in backend.token_store.rows
+            assert 7 not in backend.profiles.rows
             assert 7 not in backend.profiles
 
 
 class TestBackendLifecycle:
     def test_layout(self):
         with SharedMemoryBackend() as backend:
-            layout = backend.layout()
-            assert set(layout) == {"tokens", "entities", "membership"}
-            assert all(name.startswith(backend.name) for name in layout.values())
+            # One column: the profile rows.
+            assert backend.layout() == backend.profiles.column.prefix
+            assert backend.layout().startswith(backend.name)
             assert backend.shm_bytes() > 0
-            assert len(backend.segment_names()) == 9  # 3 stores x (ctl+data+dir)
+            names = backend.segment_names()
+            assert len(names) == 3  # ctl + data + dir
+            assert all(name.startswith(backend.name) for name in names)
 
     def test_context_manager_unlinks_all_segments(self):
         with SharedMemoryBackend() as backend:
@@ -232,8 +268,8 @@ class TestBackendLifecycle:
         prefix = backend.name
         # Growth after construction must be covered by the finalizer too.
         for i in range(20_000):
-            backend.token_store.row_for(i, pack_ids((i, i + 1)))
-        assert len(active_shm_segments(prefix)) > 9
+            backend.profiles.put(profile(i, (i, i + 1)))
+        assert len(active_shm_segments(prefix)) > 3
         del backend
         gc.collect()
         assert active_shm_segments(prefix) == []
@@ -279,10 +315,12 @@ class TestRunHygiene:
         script = (
             "import time\n"
             "from repro.core.backends import SharedMemoryBackend\n"
-            "from repro.reading.interning import pack_ids\n"
+            "from repro.types import Profile\n"
             "backend = SharedMemoryBackend()\n"
             "for i in range(500):\n"
-            "    backend.token_store.row_for(i, pack_ids((i,)))\n"
+            "    backend.profiles.put(\n"
+            "        Profile(eid=i, attributes=(), tokens=frozenset(), token_ids=(i,))\n"
+            "    )\n"
             "print(backend.name, flush=True)\n"
             "time.sleep(60)\n"
         )

@@ -35,7 +35,6 @@ from repro.parallel import (
     mp_framework,
     plan_partitions,
 )
-from repro.reading.interning import pack_ids
 from repro.streaming import MultiprocessStreamRunner
 from repro.types import EntityDescription, Profile
 
@@ -385,8 +384,9 @@ class TestStreamedDispatch:
         assert pairs == reference
 
     def test_workers_read_while_columns_grow(self, monkeypatch):
-        """More workers than cores, one entity per descriptor, and columns
-        seeded tiny so new generations appear while workers are reading:
+        """More workers than cores, one entity per descriptor, and the
+        profile column seeded tiny so new generations appear while workers
+        are reading:
         every descriptor must still see its rows (a torn or missed read
         would change the match set or the pair accounting)."""
         monkeypatch.setattr(mp_framework, "_DISPATCH_ENTITIES", 1)
@@ -405,7 +405,7 @@ class TestStreamedDispatch:
         finally:
             backend.unlink()
         assert active_shm_segments(prefix) == []
-        assert generations > 3 * 3  # every column grew past its first generations
+        assert generations > 3  # the column grew past its first generations
         assert result.items_failed == 0
         assert pipeline.co.compared == 0
         assert_pair_accounting(pipeline)
@@ -433,7 +433,7 @@ class TestWorkerFunctionInProcess:
 
     Blocking keys come from tokens, so no stream can put an empty profile
     into a block: drive the worker function directly, in this process,
-    against hand-published rows.  The zero-token cases are the regression
+    against hand-written profile rows.  The zero-token cases are the regression
     of a hand-copied prefilter that once lived here (the kernel-level
     twin is ``tests/comparison/test_kernel.py``): exactly one empty side
     is droppable, two empty sides score jaccard 1.0 and must be scored.
@@ -448,19 +448,19 @@ class TestWorkerFunctionInProcess:
             pipeline = MultiprocessERPipeline(
                 threshold_config(), workers=1, backend=backend, partitioned=True
             )
-            row_for = backend.token_store.row_for
-            empty_a = row_for(1, pack_ids(()))
-            empty_b = row_for(2, pack_ids(()))
-            wood_a = row_for(3, pack_ids((0, 1)))
-            wood_b = row_for(4, pack_ids((0, 1)))
-            rows = [
-                backend.publish_membership([empty_a, empty_b, wood_a]),
-                backend.publish_membership([wood_a, wood_b]),
-            ]
+            for eid, ids in ((1, ()), (2, ()), (3, (0, 1)), (4, (0, 1))):
+                backend.profiles.put(
+                    Profile(eid=eid, attributes=(), tokens=frozenset(), token_ids=ids)
+                )
+            row = backend.profiles.rows
+            # Two entities' records by value: 1 with partners 2 and 3, then
+            # 3 with partner 4.
+            rows = array("Q", [row[1], row[2], row[3], row[3], row[4]])
+            lengths = array("I", [3, 2])
             worker._init_worker(*pipeline._pool_initargs)
             try:
                 matches, dead_letters, retries, items, counters, seconds = (
-                    worker._run_partition(array("Q", rows))
+                    worker._run_partition(rows, lengths)
                 )
             finally:
                 # fork inherits module globals: leave none behind.
