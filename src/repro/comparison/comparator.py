@@ -24,7 +24,10 @@ class TokenSetComparator:
         return cls(similarity=get_set_similarity(name))
 
     def score(self, left: Profile, right: Profile) -> float:
-        return self.similarity(left.tokens, right.tokens)
+        # An interned profile's tokens are a tuple (its stored form); a
+        # set of the left side is all the intersection needs, and costs
+        # nothing on the string path, where it already is one.
+        return self.similarity(frozenset(left.tokens), right.tokens)
 
     def compare(self, comparison: Comparison) -> ScoredComparison:
         """Score a comparison tuple, preserving its identity."""
@@ -72,7 +75,7 @@ class AttributeWeightedComparator:
         right_by_name = self._attribute_index(right)
         shared = set(left_by_name) & set(right_by_name)
         if not shared:
-            return self.similarity(left.tokens, right.tokens)
+            return self.similarity(frozenset(left.tokens), right.tokens)
         total = sum(
             self.similarity(left_by_name[name], right_by_name[name]) for name in shared
         )

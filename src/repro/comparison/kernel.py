@@ -28,9 +28,11 @@ set-similarity-join literature end to end:
 Every executor scores through this one kernel, one arriving entity against
 its partners per call.  The hot loop intersects with ``a.intersection(b)``
 — a C loop — whose right operand may be any iterable of ids: partners
-come as the profile map stores them, with the packed id *array* of
-:func:`~repro.reading.interning.pack_ids` (in memory, or straight off the
-shared column in a pool worker), and only the arriving entity is a set.
+come as the profile map stores them, with the sorted id *tuple* of
+:func:`~repro.reading.interning.pack_ids` (the object ``f_dr`` built, or
+decoded off the shared column in a pool worker), whose ints the
+intersection hashes without boxing anything.  Only the arriving entity is
+turned into a set, once per call.
 
 Safety argument for the prefilter (``docs/performance.md`` repeats this
 with the full derivation): with ``m = min(|a|, |b|)``, ``M = max(|a|, |b|)``
@@ -142,12 +144,17 @@ class InternedComparator:
     # -- single-pair API (parity with TokenSetComparator) --------------
 
     def score(self, left: Profile, right: Profile) -> float:
-        """The full similarity of one pair (never filtered or dropped)."""
+        """The full similarity of one pair (never filtered or dropped).
+
+        Either side may be in stored form (tuples): the left one is made a
+        set, which costs nothing when it already is one.
+        """
         a = left.token_ids
         b = right.token_ids
+        sim = SET_SIMILARITIES[self.measure]
         if a is None or b is None:
-            return SET_SIMILARITIES[self.measure](left.tokens, right.tokens)
-        return SET_SIMILARITIES[self.measure](a, b)  # type: ignore[arg-type]
+            return sim(frozenset(left.tokens), right.tokens)  # type: ignore[arg-type]
+        return sim(frozenset(a), b)  # type: ignore[arg-type]
 
     def compare(self, comparison: Comparison) -> ScoredComparison:
         """Score a comparison tuple, preserving its identity."""
@@ -172,7 +179,7 @@ class InternedComparator:
 
         The left side is turned into a set once per call; a partner's ids
         (or tokens) may be any sized iterable — a set, or the stored
-        profile's packed array.  A pair where either side has no interned
+        profile's sorted tuple.  A pair where either side has no interned
         ids is scored on the two token sets.
 
         ``tally`` (``f_co`` passes itself) has its ``prefiltered`` attribute

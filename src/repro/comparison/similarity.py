@@ -14,7 +14,7 @@ SetSimilarity = Callable[[Set[str], Set[str]], float]
 
 # The four set measures intersect with ``a.intersection(b)`` rather than
 # ``a & b``: the right operand may then be any sized iterable, which is how
-# the interned kernel scores a set against a packed id array.
+# the interned kernel scores a set against a stored sorted id tuple.
 
 
 def jaccard(a: Set[str], b: Set[str]) -> float:

@@ -54,8 +54,6 @@ from bisect import bisect_right
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.state import (
     Blacklist,
     BlockCollection,
@@ -164,7 +162,7 @@ def active_shm_segments(prefix: str | None = None) -> list[str]:
 def _close_segment(segment: shared_memory.SharedMemory) -> None:
     try:
         segment.close()
-    except BufferError:  # pragma: no cover - a live numpy view at exit
+    except BufferError:  # pragma: no cover - a record view still held at exit
         pass
 
 
@@ -175,6 +173,23 @@ def _unlink_segment(segment: shared_memory.SharedMemory) -> None:
         pass
 
 
+def _view(segment: shared_memory.SharedMemory, nbytes: int, fmt: str) -> memoryview:
+    """A ``fmt`` memoryview of the first ``nbytes`` of ``segment``.
+
+    The OS may round the mapping up; readers must agree with the writer
+    on capacity, so the *recorded* size is what is viewed.  The view pins
+    the mapping until it is released: every holder releases its views
+    before closing a segment.
+    """
+    return segment.buf[:nbytes].cast(fmt)
+
+
+def _release(views: list[memoryview | None]) -> None:
+    for view in views:
+        if view is not None:
+            view.release()
+
+
 class SharedColumnStore:
     """Single-writer append-only record log in shared memory.
 
@@ -183,7 +198,9 @@ class SharedColumnStore:
     directory in ``{prefix}i{g}`` int64-triple segments.  ``append`` is
     the only mutator and must be called from one process (the parent);
     any number of :class:`SharedColumnReader` processes may read
-    concurrently without locking.
+    concurrently without locking.  Every segment is written through a
+    memoryview cast once per generation, so an append is a byte-slice
+    copy and four int64 stores.
     """
 
     def __init__(
@@ -198,12 +215,13 @@ class SharedColumnStore:
         self.prefix = prefix if prefix is not None else _fresh_prefix()
         self._segments: list[shared_memory.SharedMemory] = []
         self._closed = False
+        self._ctl: memoryview | None = None
+        self._data: list[memoryview] = []
+        self._dirs: list[memoryview] = []
         try:
             ctl = self._create(f"{self.prefix}c", _CTL_BYTES)
-            self._ctl = np.frombuffer(ctl.buf, dtype=np.int64, count=_CTL_SLOTS)
-            self._ctl[:] = 0
-            self._data: list[np.ndarray] = []
-            self._dirs: list[np.ndarray] = []
+            ctl.buf[:_CTL_BYTES] = bytes(_CTL_BYTES)
+            self._ctl = _view(ctl, _CTL_BYTES, "q")
             self._data_caps: list[int] = []
             self._dir_caps: list[int] = []
             self._dir_bases: list[int] = []
@@ -235,10 +253,7 @@ class SharedColumnStore:
                 "data generations"
             )
         segment = self._create(f"{self.prefix}d{g}", capacity)
-        # The OS may round the mapping up; readers must agree with the
-        # writer on capacity, so the *recorded* capacity is authoritative.
-        view = np.frombuffer(segment.buf, dtype=np.uint8, count=capacity)
-        self._data.append(view)
+        self._data.append(_view(segment, capacity, "B"))
         self._data_caps.append(capacity)
         self._ctl[_CTL_DATA_CAPS + g] = capacity
         self._ctl[_CTL_DATA_GENS] = g + 1  # publish after fully created
@@ -251,12 +266,10 @@ class SharedColumnStore:
                 f"column store {self.prefix!r} exceeded {MAX_GENERATIONS} "
                 "directory generations"
             )
-        segment = self._create(f"{self.prefix}i{g}", rows * _DIR_WIDTH * 8)
-        view = np.frombuffer(
-            segment.buf, dtype=np.int64, count=rows * _DIR_WIDTH
-        ).reshape(rows, _DIR_WIDTH)
+        nbytes = rows * _DIR_WIDTH * 8
+        segment = self._create(f"{self.prefix}i{g}", nbytes)
         base = (self._dir_bases[-1] + self._dir_caps[-1]) if self._dirs else 0
-        self._dirs.append(view)
+        self._dirs.append(_view(segment, nbytes, "q"))
         self._dir_caps.append(rows)
         self._dir_bases.append(base)
         self._ctl[_CTL_DIR_CAPS + g] = rows
@@ -275,38 +288,36 @@ class SharedColumnStore:
         """
         if self._closed:
             raise ConfigurationError(f"column store {self.prefix!r} is closed")
-        view = memoryview(payload)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
-        length = view.nbytes
+        if type(payload) is not bytes:
+            payload = memoryview(payload).cast("B")
+        length = len(payload)
         if length > self._data_caps[-1] - self._data_used:
             self._grow_data(max(self._data_caps[-1] * 2, length))
         generation = len(self._data) - 1
         offset = self._data_used
-        if length:
-            self._data[generation][offset : offset + length] = np.frombuffer(
-                view, dtype=np.uint8
-            )
+        self._data[generation][offset : offset + length] = payload
         self._data_used = offset + length
         if self._dir_used >= self._dir_caps[-1]:
             self._grow_dir(self._dir_caps[-1] * 2)
-        self._dirs[-1][self._dir_used] = (generation, offset, length)
+        directory = self._dirs[-1]
+        at = self._dir_used * _DIR_WIDTH
+        directory[at] = generation
+        directory[at + 1] = offset
+        directory[at + 2] = length
         self._dir_used += 1
         row = self._rows
         self._rows = row + 1
-        self._ctl[_CTL_PUBLISHED] = self._rows  # publish last
+        self._ctl[_CTL_PUBLISHED] = row + 1  # publish last
         return row
 
     def __len__(self) -> int:
         return self._rows
 
-    def record(self, row: int) -> np.ndarray:
-        """The record's bytes as a zero-copy ``uint8`` view (writer side)."""
+    def record(self, row: int) -> memoryview:
+        """The record's bytes as a zero-copy view (writer side)."""
         if not 0 <= row < self._rows:
             raise IndexError(f"row {row} not in [0, {self._rows})")
-        g = bisect_right(self._dir_bases, row) - 1
-        generation, offset, length = self._dirs[g][row - self._dir_bases[g]]
-        return self._data[int(generation)][int(offset) : int(offset) + int(length)]
+        return _record(self._data, self._dirs, self._dir_bases, row)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -317,9 +328,10 @@ class SharedColumnStore:
         return sum(segment.size for segment in self._segments)
 
     def _release_views(self) -> None:
-        # numpy views keep the mapping exported; SharedMemory.close would
-        # raise BufferError while any survive.
-        self._ctl = None  # type: ignore[assignment]
+        # A live view keeps the mapping exported; SharedMemory.close would
+        # raise BufferError while any survives.
+        _release([self._ctl, *self._data, *self._dirs])
+        self._ctl = None
         self._data = []
         self._dirs = []
 
@@ -339,6 +351,18 @@ class SharedColumnStore:
             _unlink_segment(segment)
 
 
+def _record(
+    data: list[memoryview], dirs: list[memoryview], bases: list[int], row: int
+) -> memoryview:
+    """Row ``row``'s bytes: a slice of its data generation, found through
+    the directory generation that holds the row."""
+    g = bisect_right(bases, row) - 1
+    at = (row - bases[g]) * _DIR_WIDTH
+    directory = dirs[g]
+    offset = directory[at + 1]
+    return data[directory[at]][offset : offset + directory[at + 2]]
+
+
 class SharedColumnReader:
     """Lock-free reading end of a :class:`SharedColumnStore`.
 
@@ -346,7 +370,7 @@ class SharedColumnReader:
     mapped lazily: a row past the currently-mapped horizon triggers a
     re-read of the control segment and attachment of whatever new
     generations the writer has published since.  Reads return zero-copy
-    ``uint8`` views into the shared mapping.
+    byte views into the shared mapping.
     """
 
     def __init__(self, prefix: str) -> None:
@@ -355,9 +379,9 @@ class SharedColumnReader:
         self._closed = False
         ctl = attach_segment(f"{prefix}c")
         self._segments.append(ctl)
-        self._ctl = np.frombuffer(ctl.buf, dtype=np.int64, count=_CTL_SLOTS)
-        self._data: list[np.ndarray] = []
-        self._dirs: list[np.ndarray] = []
+        self._ctl: memoryview | None = _view(ctl, _CTL_BYTES, "q")
+        self._data: list[memoryview] = []
+        self._dirs: list[memoryview] = []
         self._dir_caps: list[int] = []
         self._dir_bases: list[int] = []
         self._rows_known = 0
@@ -365,7 +389,7 @@ class SharedColumnReader:
 
     def __len__(self) -> int:
         """Rows published by the writer (re-read, not cached)."""
-        return int(self._ctl[_CTL_PUBLISHED])
+        return self._ctl[_CTL_PUBLISHED]
 
     def _refresh(self) -> None:
         # Horizon first: the writer may be appending while we attach (a
@@ -373,34 +397,26 @@ class SharedColumnReader:
         # read *now* lives in generations that already exist, so the tables
         # read afterwards cover it; read last, the horizon could take in
         # rows of a generation created after the tables were sized up.
-        published = int(self._ctl[_CTL_PUBLISHED])
-        data_gens = int(self._ctl[_CTL_DATA_GENS])
-        while len(self._data) < data_gens:
+        ctl = self._ctl
+        published = ctl[_CTL_PUBLISHED]
+        while len(self._data) < ctl[_CTL_DATA_GENS]:
             g = len(self._data)
             segment = attach_segment(f"{self.prefix}d{g}")
             self._segments.append(segment)
-            capacity = int(self._ctl[_CTL_DATA_CAPS + g])
-            self._data.append(
-                np.frombuffer(segment.buf, dtype=np.uint8, count=capacity)
-            )
-        dir_gens = int(self._ctl[_CTL_DIR_GENS])
-        while len(self._dirs) < dir_gens:
+            self._data.append(_view(segment, ctl[_CTL_DATA_CAPS + g], "B"))
+        while len(self._dirs) < ctl[_CTL_DIR_GENS]:
             g = len(self._dirs)
             segment = attach_segment(f"{self.prefix}i{g}")
             self._segments.append(segment)
-            rows = int(self._ctl[_CTL_DIR_CAPS + g])
+            rows = ctl[_CTL_DIR_CAPS + g]
             base = (self._dir_bases[-1] + self._dir_caps[-1]) if self._dirs else 0
-            self._dirs.append(
-                np.frombuffer(
-                    segment.buf, dtype=np.int64, count=rows * _DIR_WIDTH
-                ).reshape(rows, _DIR_WIDTH)
-            )
+            self._dirs.append(_view(segment, rows * _DIR_WIDTH * 8, "q"))
             self._dir_caps.append(rows)
             self._dir_bases.append(base)
         self._rows_known = published
 
-    def record(self, row: int) -> np.ndarray:
-        """Zero-copy ``uint8`` view of a published record."""
+    def record(self, row: int) -> memoryview:
+        """Zero-copy byte view of a published record."""
         if row >= self._rows_known:
             self._refresh()
             if row >= self._rows_known:
@@ -409,15 +425,14 @@ class SharedColumnReader:
                 )
         if row < 0:
             raise IndexError(f"row {row} is negative")
-        g = bisect_right(self._dir_bases, row) - 1
-        generation, offset, length = self._dirs[g][row - self._dir_bases[g]]
-        return self._data[int(generation)][int(offset) : int(offset) + int(length)]
+        return _record(self._data, self._dirs, self._dir_bases, row)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        self._ctl = None  # type: ignore[assignment]
+        _release([self._ctl, *self._data, *self._dirs])
+        self._ctl = None
         self._data = []
         self._dirs = []
         for segment in self._segments:
@@ -430,37 +445,45 @@ class SharedColumnReader:
         self.close()
 
 
-#: A profile row's header: the id array's typecode and its byte length.
+#: A profile row's header: the ids' array typecode and their byte length.
 _ROW_HEAD = struct.Struct("<cI")
 
 
-def encode_profile_row(eid: EntityId, token_ids: array) -> bytes:
-    """One profile row: an entity's :func:`~repro.reading.interning.pack_ids`
-    array and its entity id.
+def encode_profile_row(eid: EntityId, token_ids: tuple[int, ...]) -> bytes:
+    """One profile row: an entity's stored id tuple
+    (:func:`~repro.reading.interning.pack_ids`) and its entity id.
 
     The layout is :data:`_ROW_HEAD`, the ids' raw machine bytes, then the
-    pickled entity id.  The ids stay raw so a reader rebuilds the array
-    with one ``frombytes``; only the id, which may be any picklable
-    value, is pickled.
+    pickled entity id.  The ids are packed as 4-byte unsigned ints (``I``),
+    or as signed 64-bit ones (``q``) when an id does not fit, so a reader
+    rebuilds them with one ``cast``; only the id, which may be any
+    picklable value, is pickled.
     """
-    ids = token_ids.tobytes()
-    head = _ROW_HEAD.pack(token_ids.typecode.encode("ascii"), len(ids))
+    try:
+        packed = array("I", token_ids)
+    except OverflowError:
+        packed = array("q", token_ids)
+    ids = packed.tobytes()
+    head = _ROW_HEAD.pack(packed.typecode.encode("ascii"), len(ids))
     return b"".join((head, ids, pickle.dumps(eid, protocol=5)))
 
 
-def decode_profile_row(record: "np.ndarray | memoryview | bytes") -> tuple[EntityId, array]:
+def decode_profile_row(
+    record: "memoryview | bytes",
+) -> tuple[EntityId, tuple[int, ...]]:
     """The ``(eid, token_ids)`` an :func:`encode_profile_row` record holds.
 
-    One copy (``tobytes``) realigns the record — a column record sits at
-    an arbitrary byte offset of its segment — and is cheaper to slice
-    than the shared view.
+    ``token_ids`` is a tuple, the form the parent's profile map stores, so
+    a pool worker scores exactly what the parent would.  The record is
+    read in place: a column record sits at an arbitrary byte offset of its
+    segment, and a memoryview ``cast`` reads unaligned items by copying
+    them.
     """
-    data = memoryview(record).tobytes()
-    typecode, length = _ROW_HEAD.unpack_from(data)
+    view = memoryview(record)
+    typecode, length = _ROW_HEAD.unpack_from(view)
     end = _ROW_HEAD.size + length
-    token_ids = array(typecode.decode("ascii"))
-    token_ids.frombytes(data[_ROW_HEAD.size : end])
-    return pickle.loads(data[end:]), token_ids
+    token_ids = tuple(view[_ROW_HEAD.size : end].cast(typecode.decode("ascii")))
+    return pickle.loads(view[end:]), token_ids
 
 
 class _RowMappedProfiles(ProfileStore):

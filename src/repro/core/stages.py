@@ -186,18 +186,25 @@ class BlockBuildingStage:
 
     def __call__(self, profile: Profile) -> BlockedEntity:
         self.profiles.put(profile)
+        eid = profile.eid
+        add = self.blocks.add
+        enabled = self.enabled
+        # The blacklist's key set itself: ``in`` on it is a C lookup, where
+        # ``key in self.blacklist`` would call ``__contains__`` per key.
+        pruned = self.blacklist.keys if enabled else ()
         others: dict[str, BlockPrefix] = {}
         for key in profile.tokens:
-            if self.enabled and key in self.blacklist:
+            if key in pruned:
                 continue
-            size = self.blocks.add(key, profile.eid)
-            if self.enabled and size >= self.alpha:
+            block = add(key, eid)
+            size = len(block)
+            if enabled and size >= self.alpha:
                 self.blocks.remove_block(key)
                 self.blacklist.add(key)
                 self.pruned_blocks += 1
                 continue
             if size > 1:  # removeSingletons: only blocks with co-members
-                others[key] = BlockPrefix(self.blocks.block(key), size - 1)
+                others[key] = BlockPrefix(block, size - 1)
         return BlockedEntity(profile=profile, others=others)
 
 
@@ -218,11 +225,13 @@ class BlockGhostingStage:
     def __call__(self, blocked: BlockedEntity) -> BlockedEntity:
         if not blocked.others:
             return blocked
-        threshold = (min(map(len, blocked.others.values())) + 1) / self.beta
+        # ``BlockPrefix.n`` is read directly: ``len`` would be a Python
+        # ``__len__`` call per key.
+        threshold = (min([others.n for others in blocked.others.values()]) + 1) / self.beta
         survivors = {
             key: others
             for key, others in blocked.others.items()
-            if len(others) + 1 <= threshold
+            if others.n + 1 <= threshold
         }
         self.ghosted_keys += len(blocked.others) - len(survivors)
         blocked.others = survivors
@@ -247,7 +256,7 @@ class ComparisonGenerationStage:
         eid = blocked.profile.eid
         candidates: list[EntityId] = []
         for others in blocked.others.values():
-            candidates.extend(others)
+            candidates += others.members[: others.n]
         if self.clean_clean:
             # Same source includes the entity itself.
             my_source = eid[0]  # type: ignore[index]

@@ -76,18 +76,21 @@ class BlockCollection:
         self._assignments = 0
         self._comparisons = 0
 
-    def add(self, key: str, eid: EntityId) -> int:
-        """Append ``eid`` to block ``key`` (creating it) and return its size."""
+    def add(self, key: str, eid: EntityId) -> list[EntityId]:
+        """Append ``eid`` to block ``key`` (creating it) and return the block.
+
+        The caller reads the new size as ``len`` of the returned list and
+        may take a :class:`BlockPrefix` over it; it must not mutate it.
+        """
         block = self._blocks.get(key)
         if block is None:
-            block = []
-            self._blocks[key] = block
-        size_before = len(block)
+            block = self._blocks[key] = []
         block.append(eid)
-        self._sizes[key] = size_before + 1
+        size = len(block)
+        self._sizes[key] = size
         self._assignments += 1
-        self._comparisons += size_before
-        return size_before + 1
+        self._comparisons += size - 1
+        return block
 
     def remove_block(self, key: str) -> None:
         """Drop an entire block (used by block pruning)."""
@@ -169,47 +172,59 @@ class Blacklist:
 
 
 def stored_form(profile: Profile) -> Profile:
-    """The copy of ``profile`` the profile map keeps.
+    """The form of ``profile`` the profile map keeps.
 
     An interned profile is stored with ``tokens`` as a tuple and
     ``token_ids`` as the sorted :func:`~repro.reading.interning.pack_ids`
-    array.  The collector untracks a tuple of strings and finds no object
-    reference in an array, where it walks the arriving profile's two
-    frozensets element by element on every full collection.  Scoring
-    sizes and iterates a partner's ids and never needs them as a set, so
-    the kernel scores the stored form as it is.  A profile without
+    tuple.  ``f_dr`` builds interned profiles that way, so for them this
+    returns the profile itself and ``f_bb+bp`` copies nothing; a profile
+    with both views already tuples is taken as stored form.  Any other
+    interned profile (frozensets or an ``array`` from hand-written code or
+    a loaded snapshot) is copied into the stored form.  A profile without
     interned ids is stored unchanged: the string comparators intersect its
     token set.
     """
-    if profile.token_ids is None:
+    ids = profile.token_ids
+    if ids is None or (type(ids) is tuple and type(profile.tokens) is tuple):
         return profile
     return Profile(
         profile.eid,
         profile.attributes,
         tuple(profile.tokens),
         profile.source,
-        pack_ids(profile.token_ids),
+        pack_ids(ids),
     )
 
 
 class ProfileStore:
     """The profile map *PM*: entity identifier → standardized profile.
 
-    ``put`` keeps the :func:`stored_form` of the profile, so ``get``
-    returns an equal-content copy — tuple tokens and a packed id array —
-    for an interned profile, and the profile itself otherwise.
+    ``put`` keeps the :func:`stored_form` of the profile: the profile
+    ``f_dr`` built, for an interned profile from ``f_dr`` or any profile
+    without interned ids.
+
+    ``get`` is the dict's own bound ``get``, bound at construction, so
+    ``f_lm``'s ``map(profiles.get, ids)`` makes no Python call per
+    partner.  Subclasses customize ``put`` and ``remove``; every reader of
+    the map goes through ``get``, ``values`` and ``in``.
     """
 
-    __slots__ = ("_profiles",)
+    __slots__ = ("_profiles", "get")
 
     def __init__(self) -> None:
         self._profiles: dict[EntityId, Profile] = {}
+        #: ``get(eid)`` → the stored profile, or None.
+        self.get = self._profiles.get
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # A copy or an unpickled store gets its own dict: ``get`` must be
+        # bound to that one, not to the original's.
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.get = self._profiles.get
 
     def put(self, profile: Profile) -> None:
         self._profiles[profile.eid] = stored_form(profile)
-
-    def get(self, eid: EntityId) -> Profile | None:
-        return self._profiles.get(eid)
 
     def __contains__(self, eid: EntityId) -> bool:
         return eid in self._profiles

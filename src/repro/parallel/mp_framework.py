@@ -128,8 +128,8 @@ class _RowProfiles:
     ``f_cc`` and ``f_lm`` run unmodified on row numbers.  The profiles
     carry the *decoded* entity id — injectors, dead letters, the classifier
     and the matches all see real ids — and the token ids, nothing else:
-    the packed id array off the row, the same form the parent's profile
-    map stores (a cached ``frozenset`` per row costs ~6 % peak RSS).  The
+    the sorted id tuple off the row, the stored form the parent's profile
+    map holds (a cached ``frozenset`` per row costs ~6 % peak RSS).  The
     kernel makes a set of the arriving entity's ids once per call, which
     is all its ``a.intersection(b)`` needs.
     """
@@ -142,12 +142,7 @@ class _RowProfiles:
         profile = self._cache.get(row)
         if profile is None:
             eid, token_ids = decode_profile_row(self.column.record(row))
-            profile = Profile(
-                eid=eid,
-                attributes=(),
-                tokens=frozenset(),
-                token_ids=token_ids,  # type: ignore[arg-type]
-            )
+            profile = Profile(eid=eid, attributes=(), tokens=(), token_ids=token_ids)
             if len(self._cache) >= _ROW_CACHE_LIMIT:
                 self._cache.clear()
             self._cache[row] = profile

@@ -23,24 +23,24 @@ compiled with an interned comparator; see :mod:`repro.core.plan`.
 from __future__ import annotations
 
 import threading
-from array import array
 from typing import Iterable, Iterator
 
 __all__ = ["TokenDictionary", "pack_ids"]
 
 
-def pack_ids(ids: Iterable[int]) -> array:
-    """Pack token ids into a compact, picklable, *sorted* machine array.
+def pack_ids(ids: Iterable[int]) -> tuple[int, ...]:
+    """Token ids in their stored form: a *sorted* tuple.
 
-    4-byte unsigned slots cover any realistic vocabulary; the 8-byte
-    fallback keeps the function total.  ``array`` pickles as raw machine
-    bytes, which is what makes the multiprocess dispatch payloads an order
-    of magnitude smaller than pickled string sets.
+    This is what ``f_dr`` builds for an interned profile, what the profile
+    map stores and what the comparison kernel intersects against.  A tuple
+    of ints is one object the garbage collector untracks after its first
+    collection (an ``array`` it never untracks), it references the
+    dictionary's own int objects instead of copies, and
+    ``frozenset.intersection`` iterates it without boxing an id.  Where ids
+    cross a process boundary they travel as raw machine bytes
+    (:func:`~repro.core.backends.shm.encode_profile_row`).
     """
-    ordered = sorted(ids)
-    if ordered and ordered[-1] >= 1 << 32:
-        return array("q", ordered)
-    return array("I", ordered)
+    return tuple(sorted(ids))
 
 
 class TokenDictionary:

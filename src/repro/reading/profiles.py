@@ -9,15 +9,17 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.reading.interning import TokenDictionary
+from repro.reading.interning import TokenDictionary, pack_ids
 from repro.reading.standardize import WORD_RE, Standardizer
 from repro.reading.tokenize import Tokenizer
 from repro.types import EntityDescription, Profile
 
 
 #: One memo entry per raw lower-cased word: the standardized word when it
-#: differs from the raw one (else None), its tokens, their interned ids.
-_WordEntry = tuple[str | None, tuple[str, ...], tuple[int, ...]]
+#: differs from the raw one (else None), then what ``build`` adds to the
+#: profile's accumulator — the word's tokens on the string path, its
+#: ``(id, token)`` pairs when interning.
+_WordEntry = tuple[str | None, tuple]
 
 
 def _substitute(replaced: dict[str, str], lowered: str) -> str:
@@ -34,10 +36,13 @@ class ProfileBuilder:
     from the standardized values (token blocking keys).
 
     When a :class:`~repro.reading.interning.TokenDictionary` is attached,
-    every token is additionally interned and the produced profiles carry
-    ``token_ids`` — the dense integer view the comparison kernel and the
-    multiprocess dispatch run on.  Ids are assigned in first-occurrence
-    order (attribute order, then word order).
+    every token is additionally interned and the produced profile is
+    already in the form the profile map stores and the kernel scores
+    (:func:`~repro.core.state.stored_form`): ``token_ids`` the sorted tuple
+    of :func:`~repro.reading.interning.pack_ids` and ``tokens`` the tuple
+    of the same tokens in id order.  Ids are assigned in first-occurrence
+    order (attribute order, then word order).  Without a dictionary
+    ``tokens`` is a frozenset, which the string comparators intersect.
 
     Values rarely repeat but their words do (a Zipf vocabulary), so the
     rules run once per distinct *word*: the memo maps a raw lower-cased
@@ -63,10 +68,9 @@ class ProfileBuilder:
     def _learn(self, word: str) -> _WordEntry:
         standardized = self.standardizer.standardize_word(word)
         tokens = tuple(self.tokenizer.tokens(standardized))
-        ids: tuple[int, ...] = ()
         if self.dictionary is not None:
-            ids = tuple(map(self.dictionary.intern, tokens))
-        entry = (standardized if standardized != word else None, tokens, ids)
+            tokens = tuple(zip(map(self.dictionary.intern, tokens), tokens))
+        entry = (standardized if standardized != word else None, tokens)
         if len(self._memo) >= self.cache_size:
             self._memo.clear()
         self._memo[word] = entry
@@ -76,24 +80,27 @@ class ProfileBuilder:
         """Produce the profile ``p_i`` (with keys ``K_i``) for ``e_i``."""
         memo = self._memo
         attributes = []
-        tokens: set[str] = set()
-        ids: set[int] = set()
+        # The string path collects tokens in a set; interning collects
+        # id → token in a dict, so one ``update`` per word serves both.
+        seen: set[str] | dict[int, str] = set() if self.dictionary is None else {}
         for name, value in entity.attributes:
             standardized = value.lower()
             replaced: dict[str, str] = {}
             for word in WORD_RE.findall(standardized):
-                replacement, word_tokens, word_ids = memo.get(word) or self._learn(word)
+                replacement, found = memo.get(word) or self._learn(word)
                 if replacement is not None:
                     replaced[word] = replacement
-                tokens.update(word_tokens)
-                ids.update(word_ids)
+                seen.update(found)
             if replaced:
                 standardized = _substitute(replaced, standardized)
             attributes.append((name, standardized))
+        if self.dictionary is None:
+            return Profile(entity.eid, tuple(attributes), frozenset(seen), entity.source)
+        ids = pack_ids(seen)
         return Profile(
-            eid=entity.eid,
-            attributes=tuple(attributes),
-            tokens=frozenset(tokens),
-            source=entity.source,
-            token_ids=frozenset(ids) if self.dictionary is not None else None,
+            entity.eid,
+            tuple(attributes),
+            tuple(map(seen.__getitem__, ids)),  # type: ignore[index]
+            entity.source,
+            ids,
         )

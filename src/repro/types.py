@@ -68,15 +68,17 @@ class Profile:
     string sets.  ``None`` means the profile was built without interning
     (the string path); scoring falls back to ``tokens``.
 
-    ``f_dr`` builds both views as frozensets.  The profile map stores an
-    interned profile in compact form (see
-    :func:`~repro.core.state.stored_form`): ``tokens`` as a tuple of the
-    same distinct strings and ``token_ids`` as the sorted packed id
-    ``array``, neither of which the garbage collector walks.  Scoring only
-    sizes and iterates a partner's ``token_ids``, and a pool worker reads
-    the same array straight off the shared column.  Code that needs set
-    operations on a profile that may be stored takes ``frozenset(...)`` of
-    the view first.
+    An interned profile is born in its stored form (see
+    :func:`~repro.core.state.stored_form`): ``f_dr`` builds ``token_ids``
+    as the sorted id tuple of :func:`~repro.reading.interning.pack_ids`
+    and ``tokens`` as the tuple of the same distinct strings in id order.
+    The profile map stores that object as it is, the kernel intersects a
+    set of the arriving ids with each partner's tuple, and a pool worker
+    decodes the same tuple off the shared column.  Tuples of strings and
+    ints drop out of the collector's tracking after one collection.  A
+    profile built without interning keeps ``tokens`` as a frozenset.  Code
+    that needs set operations on an interned profile takes
+    ``frozenset(...)`` of the view first.
     """
 
     eid: EntityId

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.comparison import SET_SIMILARITIES, InternedComparator, similarity_bound
+from repro.comparison import (
+    SET_SIMILARITIES,
+    InternedComparator,
+    TokenSetComparator,
+    similarity_bound,
+)
 from repro.core.stages import ComparisonStage, MaterializedComparisons
+from repro.core.state import stored_form
 from repro.errors import ConfigurationError
 from repro.reading import TokenDictionary
 from repro.reading.interning import pack_ids
@@ -106,6 +112,47 @@ def batch_for(pairs, dictionary=None):
             right = string_profile((eid, "r"), b)
         comparisons.append(Comparison(left, right))
     return comparisons
+
+
+class TestStoredFormPairings:
+    """Every single-pair and batch path scores every pairing of the four
+    profile forms — {arriving, stored} × {interned, string} — like the
+    naive set oracle.  Here an arriving profile holds sets, as a
+    hand-built or reloaded one does; a stored interned one holds the
+    tuples ``f_dr`` builds and the profile map keeps, which a path that
+    intersected ``left`` directly could not score."""
+
+    FORMS = ("arriving-interned", "stored-interned", "arriving-string", "stored-string")
+
+    @staticmethod
+    def form(kind, eid, tokens, dictionary):
+        if kind.endswith("-interned"):
+            profile = interned_profile(eid, tokens, dictionary)
+        else:
+            profile = string_profile(eid, tokens)
+        return stored_form(profile) if kind.startswith("stored-") else profile
+
+    @given(measures, token_sets, token_sets)
+    def test_every_pairing_scores_like_the_set_oracle(self, measure, a, b):
+        d = TokenDictionary()
+        expected = SET_SIMILARITIES[measure](set(a), set(b))
+        interned = InternedComparator(measure=measure)
+        per_pair = TokenSetComparator.named(measure)
+        for left_kind in self.FORMS:
+            for right_kind in self.FORMS:
+                left = self.form(left_kind, 1, a, d)
+                right = self.form(right_kind, 2, b, d)
+                pairing = (left_kind, right_kind)
+                assert interned.score(left, right) == expected, pairing
+                assert interned.compare(Comparison(left, right)).similarity == expected, pairing
+                (scored,) = interned.compare_batch(left, [right])
+                assert scored.similarity == expected, pairing
+                assert per_pair.score(left, right) == expected, pairing
+                assert per_pair.compare(Comparison(left, right)).similarity == expected, pairing
+                (scored,) = ComparisonStage(per_pair)(
+                    MaterializedComparisons(profile=left, partners=[right])
+                ).scored
+                assert scored.similarity == expected, pairing
 
 
 def compare_runs(comparator, comparisons, tally=None):

@@ -18,9 +18,10 @@ class TestBlockCollectionCounters:
 
     def test_add_and_sizes(self):
         blocks = BlockCollection()
-        assert blocks.add("k", 1) == 1
-        assert blocks.add("k", 2) == 2
-        assert blocks.add("other", 3) == 1
+        first = blocks.add("k", 1)
+        assert first == [1]
+        assert blocks.add("k", 2) is first and first == [1, 2]
+        assert blocks.add("other", 3) == [3]
         assert dict(blocks.sizes()) == {"k": 2, "other": 1}
         assert blocks.total_assignments() == 3
         assert blocks.total_comparisons() == 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core import StreamERConfig
@@ -18,11 +21,12 @@ from repro.types import Match, Profile
 
 
 class TestBlockCollection:
-    def test_add_creates_block_and_returns_size(self):
+    def test_add_creates_block_and_returns_it(self):
         blocks = BlockCollection()
-        assert blocks.add("panel", 1) == 1
-        assert blocks.add("panel", 2) == 2
-        assert blocks.block("panel") == [1, 2]
+        assert blocks.add("panel", 1) == [1]
+        block = blocks.add("panel", 2)
+        assert block == [1, 2] and len(block) == 2
+        assert block is blocks.block("panel")
 
     def test_remove_block(self):
         blocks = BlockCollection()
@@ -75,8 +79,8 @@ class TestBlockPrefix:
     def test_later_appends_do_not_show(self):
         blocks = BlockCollection()
         blocks.add("k", 1)
-        size = blocks.add("k", 2)
-        prefix = BlockPrefix(blocks.block("k"), size - 1)
+        block = blocks.add("k", 2)
+        prefix = BlockPrefix(block, len(block) - 1)
         blocks.add("k", 3)
         assert list(prefix) == [1]
         assert prefix.members is blocks.block("k")  # a view, not a copy
@@ -152,6 +156,15 @@ class TestProfileStore:
         store.put(newer)
         assert store.get(1) is newer
         assert len(store) == 1
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_a_copy_reads_its_own_profiles(self, clone):
+        store = ProfileStore()
+        store.put(self._profile(1))
+        copied = clone(store)
+        copied.put(self._profile(2))
+        assert copied.get(2) is not None and copied.get(1) is not None
+        assert store.get(2) is None and len(store) == 1
 
 
 class TestMatchStore:

@@ -1,10 +1,12 @@
 """The profile map's stored form, on every backend that holds one.
 
 ``ProfileStore.put`` keeps an interned profile with ``tokens`` as a tuple
-and ``token_ids`` as the sorted :func:`pack_ids` array, so the collector
-walks no per-entity frozenset; a profile without interned ids is kept as
-it is.  What the stored form must not change: the contents a reader sees,
-``state_digest`` and the snapshot document.
+and ``token_ids`` as the sorted :func:`pack_ids` tuple, so the collector
+walks no per-entity frozenset and untracks both views; ``f_dr`` builds
+interned profiles in that form, and the map stores the very object.  A
+profile without interned ids is kept as it is.  What the stored form must
+not change: the contents a reader sees, ``state_digest`` and the snapshot
+document.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import contextlib
 import gc
 import json
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.core.backends import DurableBackend, InMemoryBackend, SharedMemoryBackend
-from repro.core.state import ProfileStore
+from repro.core.state import ProfileStore, stored_form
 from repro.durability import state_digest, state_document
 from repro.reading import TokenDictionary
 from repro.types import EntityDescription, Profile
@@ -67,13 +70,21 @@ def entities(n: int) -> list[EntityDescription]:
     ]
 
 
-class _KeepsTheArrivingForm(ProfileStore):
-    """A profile map that stores what it is given (the form before
-    compaction), as the reference for the digest and the document."""
+class _KeepsFrozensets(ProfileStore):
+    """A profile map that stores the set form of what it is given, as the
+    reference for the digest and the document."""
 
     __slots__ = ()
 
     def put(self, profile: Profile) -> None:
+        if profile.token_ids is not None:
+            profile = Profile(
+                profile.eid,
+                profile.attributes,
+                frozenset(profile.tokens),
+                profile.source,
+                frozenset(profile.token_ids),
+            )
         self._profiles[profile.eid] = profile
 
 
@@ -85,10 +96,10 @@ class TestStoredForm:
             backend.profiles.put(profile)
             stored = backend.profiles.get(7)
             assert type(stored.tokens) is tuple
-            assert isinstance(stored.token_ids, array)
+            assert type(stored.token_ids) is tuple
             assert frozenset(stored.tokens) == profile.tokens
             assert len(stored.tokens) == len(profile.tokens)
-            assert stored.token_ids.tolist() == sorted(profile.token_ids)
+            assert stored.token_ids == tuple(sorted(profile.token_ids))
             assert (stored.eid, stored.attributes, stored.source) == (
                 profile.eid,
                 profile.attributes,
@@ -121,11 +132,43 @@ class TestStoredForm:
     def test_digest_and_snapshot_do_not_see_the_stored_form(self, kind, tmp_path):
         stream = entities(40)
         reference = InMemoryBackend()
-        reference.profiles = _KeepsTheArrivingForm()
+        reference.profiles = _KeepsFrozensets()
         StreamERPipeline(config(), backend=reference).process_many(stream)
         assert all(isinstance(p.token_ids, frozenset) for p in reference.profiles.values())
         with open_backend(kind, tmp_path, config()) as backend:
             StreamERPipeline(config(), backend=backend).process_many(stream)
-            assert all(isinstance(p.token_ids, array) for p in backend.profiles.values())
+            assert all(type(p.token_ids) is tuple for p in backend.profiles.values())
             assert state_digest(backend) == state_digest(reference)
             assert json.dumps(state_document(backend)) == json.dumps(state_document(reference))
+
+    def test_stored_profile_is_the_one_f_dr_built_and_is_untracked(self, kind, tmp_path):
+        built = {}
+        with open_backend(kind, tmp_path, config()) as backend:
+            pipeline = StreamERPipeline(config(), backend=backend)
+            read = pipeline.dr.builder.build
+
+            def remember(entity):
+                profile = read(entity)
+                built[profile.eid] = profile
+                return profile
+
+            pipeline.dr.builder = SimpleNamespace(build=remember)
+            pipeline.process_many(entities(60))
+            assert len(built) == 60
+            gc.collect()
+            for eid, profile in built.items():
+                stored = backend.profiles.get(eid)
+                assert stored is profile
+                assert not gc.is_tracked(stored.token_ids)
+                assert not gc.is_tracked(stored.tokens)
+
+    def test_profiles_in_another_form_are_stored_sorted(self, kind, tmp_path):
+        with open_backend(kind, tmp_path, config()) as backend:
+            unsorted = Profile(
+                eid=5, attributes=(), tokens=frozenset({"b", "a"}), token_ids=array("I", [9, 2])
+            )
+            backend.profiles.put(unsorted)
+            stored = backend.profiles.get(5)
+            assert stored is not unsorted
+            assert stored_form(stored) is stored
+            assert stored.token_ids == (2, 9) and sorted(stored.tokens) == ["a", "b"]

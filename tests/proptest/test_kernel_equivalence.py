@@ -78,8 +78,9 @@ def reference(measure: str, batch, threshold):
 
 def compare_runs(comparator: InternedComparator, batch, stored: bool = False):
     """One ``compare_batch(left, partners)`` call per run of pairs sharing
-    a left profile; with ``stored``, the partners in the profile map's
-    stored form."""
+    a left profile; with ``stored``, both sides in the stored form: the
+    arriving profile as ``f_dr`` builds it, the partners as the profile
+    map keeps them."""
     out = []
     start = 0
     while start < len(batch):
@@ -89,6 +90,7 @@ def compare_runs(comparator: InternedComparator, batch, stored: bool = False):
             end += 1
         partners = [c.right for c in batch[start:end]]
         if stored:
+            left = stored_form(left)
             partners = [stored_form(p) for p in partners]
         out.extend(comparator.compare_batch(left, partners))
         start = end

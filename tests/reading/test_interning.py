@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.backends.shm import decode_profile_row, encode_profile_row
 from repro.reading import TokenDictionary, pack_ids
 
 
@@ -76,18 +77,29 @@ class TestTokenDictionary:
 
 class TestPackIds:
     def test_sorted_compact_array(self):
-        packed = pack_ids({5, 1, 3})
-        assert isinstance(packed, array)
-        assert packed.typecode == "I"
-        assert list(packed) == [1, 3, 5]
+        d = TokenDictionary()
+        ids = d.intern_set(["wood", "glass", "panel", "roof"])
+        packed = pack_ids(ids)
+        assert type(packed) is tuple
+        assert packed == (0, 1, 2, 3)
+        assert pack_ids({5, 1, 3}) == (1, 3, 5)
+        # The tuple holds the dictionary's own int objects, not copies.
+        assert all(i is d.lookup(d.decode(i)) for i in packed)
+        # Untracked by the collector after one collection.
+        gc.collect()
+        assert not gc.is_tracked(packed)
 
     def test_empty(self):
-        assert list(pack_ids(())) == []
+        assert pack_ids(()) == ()
 
     def test_wide_ids_fall_back_to_signed_64bit(self):
-        packed = pack_ids({1, 1 << 33})
-        assert packed.typecode == "q"
-        assert list(packed) == [1, 1 << 33]
+        packed = pack_ids({1 << 33, 1})
+        assert packed == (1, 1 << 33)
+        # Through a shared-memory profile row: the 64-bit slot, losslessly.
+        row = encode_profile_row(("left", 4), packed)
+        assert row[:1] == b"q"
+        assert decode_profile_row(row) == (("left", 4), packed)
+        assert encode_profile_row(4, pack_ids({1, 3}))[:1] == b"I"
 
     def test_pickles_smaller_than_string_sets(self):
         tokens = frozenset(f"token_number_{i}" for i in range(30))

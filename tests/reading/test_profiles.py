@@ -99,7 +99,7 @@ class TestMemoFollowsTheRules:
         interning = builder.with_dictionary(dictionary)
         assert interning._memo == {} and interning.dictionary is dictionary
         profile = interning.build(self.ENTITY)
-        assert dictionary.decode_set(profile.token_ids) == profile.tokens
+        assert dictionary.decode_set(profile.token_ids) == frozenset(profile.tokens)
         assert builder.build(self.ENTITY).token_ids is None
 
 
@@ -183,6 +183,31 @@ def reference_profile(
     return Profile(entity.eid, attributes, tokens, entity.source, ids)
 
 
+def contents(profile: Profile) -> tuple:
+    """What a profile says, whatever form its two views take."""
+    ids = profile.token_ids
+    return (
+        profile.eid,
+        profile.attributes,
+        frozenset(profile.tokens),
+        profile.source,
+        sorted(ids) if ids is not None else None,
+    )
+
+
+def assert_stored_form(profile: Profile, dictionary: TokenDictionary | None) -> None:
+    """With a dictionary, ``f_dr`` emits the stored form: sorted distinct
+    ids as a tuple and the tokens as the tuple aligned with them.  Without
+    one, a frozenset of tokens and no ids."""
+    if dictionary is None:
+        assert type(profile.tokens) is frozenset and profile.token_ids is None
+        return
+    ids = profile.token_ids
+    assert type(ids) is tuple and type(profile.tokens) is tuple
+    assert list(ids) == sorted(set(ids))
+    assert profile.tokens == tuple(map(dictionary.decode, ids))
+
+
 class TestWordMemoEqualsReference:
     def test_word_memo_builder_equals_reference_property(self):
         def check(case) -> None:
@@ -205,7 +230,8 @@ class TestWordMemoEqualsReference:
                 expected = reference_profile(
                     standardizer, tokenizer, reference_dictionary, entity
                 )
-                assert built == expected, (entity, built, expected)
+                assert contents(built) == contents(expected), (entity, built, expected)
+                assert_stored_form(built, built_dictionary)
                 assert len(builder._memo) <= cache_size
             if interning:
                 # Same id space, assigned in the same order.
