@@ -3,9 +3,11 @@
 This is the architecture of Figure 5 made concrete: every stage runs on
 its own worker pool, connected by bounded queues (backpressure), with the
 allocation of workers to stages solved by
-:func:`repro.parallel.allocation.allocate_processes`.  Micro-batching
-(the MPP variant) greedily aggregates queued items up to a batch size /
-delay bound before each stage.
+:func:`repro.parallel.allocation.allocate_processes`.  Each queue is a
+:class:`_Channel` of two C ``queue.SimpleQueue``s (messages, free-slot
+credits): both ends of a hand-off block in C, and the bound is exact.
+Micro-batching (the MPP variant) greedily aggregates queued items up to a
+batch size / delay bound before each stage.
 
 Correctness under reordering: the block-building stage is the pipeline's
 serial stage (``FIXED_STAGES`` in :mod:`repro.parallel.allocation`), and
@@ -69,26 +71,53 @@ from repro.types import DeadLetter, EntityDescription, Match
 _STOP = object()
 
 
-class _MeteredQueue(queue.Queue):
-    """A bounded queue that samples its depth into a gauge at put/get.
+class _Channel:
+    """A bounded FIFO hand-off whose two ends block in C, GIL released.
 
-    Sampling at the mutation points (rather than a poller) means the
-    gauge is exact at every transition the metric can possibly observe,
-    and costs one ``qsize()`` + one locked store per operation — only
-    paid when metrics are enabled (plain ``queue.Queue`` otherwise).
+    One ``queue.SimpleQueue`` carries the messages, another the free-slot
+    credits: ``put`` takes a credit and ``get`` returns one, so at most
+    ``maxsize`` messages are queued (``maxsize <= 0``: no bound).  Credits
+    are minted lazily, only while none is waiting, so a huge bound costs
+    nothing up front.  Timeouts raise ``queue.Full`` / ``queue.Empty``.  A
+    ``gauge`` is set to the depth at every put/get.
     """
 
-    def __init__(self, maxsize: int, gauge) -> None:
-        super().__init__(maxsize=maxsize)
+    def __init__(self, maxsize: int, gauge=None) -> None:
+        self._items = queue.SimpleQueue()
+        self._credits = queue.SimpleQueue()
+        self._maxsize = maxsize if maxsize > 0 else float("inf")
+        self._minted = 0
+        self._mint_lock = threading.Lock()
         self._gauge = gauge
+        self.qsize = self._items.qsize
 
     def put(self, item, block: bool = True, timeout: float | None = None) -> None:
-        super().put(item, block, timeout)
-        self._gauge.set(self.qsize())
+        credits = self._credits
+        while self._minted < self._maxsize:
+            if not credits.qsize():
+                with self._mint_lock:
+                    if self._minted < self._maxsize:
+                        self._minted += 1
+                        break
+            try:
+                credits.get(False)
+                break
+            except queue.Empty:  # a racing put took the waiting credit
+                pass
+        else:  # every credit is minted: wait for one to come back
+            try:
+                credits.get(block, timeout)
+            except queue.Empty:
+                raise queue.Full from None
+        self._items.put(item)
+        if self._gauge is not None:
+            self._gauge.set(self._items.qsize())
 
     def get(self, block: bool = True, timeout: float | None = None):
-        item = super().get(block, timeout)
-        self._gauge.set(self.qsize())
+        item = self._items.get(block, timeout)
+        self._credits.put(None)
+        if self._gauge is not None:
+            self._gauge.set(self._items.qsize())
         return item
 
 
@@ -182,8 +211,8 @@ class _StageRunner:
         name: str,
         fn,
         workers: int,
-        in_queue: "queue.Queue",
-        out_queue: "queue.Queue | None",
+        in_queue: _Channel,
+        out_queue: _Channel | None,
         batch_size: int,
         batch_delay: float,
         downstream_workers: int,
@@ -332,7 +361,8 @@ class ParallelERPipeline:
         ``micro_batch_size=1`` is the plain parallel pipeline (PP), the
         paper's MPP uses (100, 10 ms).
     queue_capacity:
-        Bound of every inter-stage queue (backpressure).
+        Bound of every inter-stage queue (backpressure: a ``put`` blocks
+        while that many messages are queued); ``<= 0`` means unbounded.
     supervision:
         Retry/dead-letter policy applied to every stage (default:
         :class:`~repro.core.config.SupervisionPolicy` with 2 retries and
@@ -443,15 +473,13 @@ class ParallelERPipeline:
         self._sequencer = _ReorderBuffer()
         pre_serial = set(names[: names.index(serial)])
 
-        if metrics_on:
-            # Queue i feeds stage names[i]; its depth is that stage's gauge.
-            queues: list[queue.Queue] = [
-                _MeteredQueue(queue_capacity, self.registry.gauge(QUEUE_DEPTH, stage=name))
-                for name in names
-            ]
-        else:
-            queues = [queue.Queue(maxsize=queue_capacity) for _ in names]
-        self._input: "queue.Queue" = queues[0]
+        # Queue i feeds stage names[i]; its depth is that stage's gauge.
+        gauge = self.registry.gauge
+        queues = [
+            _Channel(queue_capacity, gauge(QUEUE_DEPTH, stage=name) if metrics_on else None)
+            for name in names
+        ]
+        self._input = queues[0]
         self._seq = 0
         self._runners: list[_StageRunner] = []
         for index, name in enumerate(names):

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import queue
+import sys
+import threading
+
 import pytest
 
 from repro.classification import OracleClassifier, ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
 from repro.errors import PipelineStoppedError
-from repro.parallel import ParallelERPipeline
+from repro.observability import QUEUE_DEPTH, MetricsRegistry
+from repro.parallel import FaultSpec, ParallelERPipeline
+from repro.parallel.framework import _Channel
 
 
 def config_for(dataset, threshold=None):
@@ -83,6 +89,152 @@ class TestLifecycle:
         result = parallel.run([])
         assert result.entities_processed == 0
         assert result.matches == []
+
+
+class TestChannel:
+    """The bounded hand-off every inter-stage queue is made of."""
+
+    def test_fifo_per_producer_under_contention(self):
+        # More threads than cores and a short switch interval, so puts race
+        # for the credits and the bound is probed at every get.
+        capacity, producers, per_producer = 4, 4, 500
+        channel = _Channel(capacity)
+
+        def produce(pid):
+            for i in range(per_producer):
+                channel.put((pid, i), timeout=30)
+
+        threads = [threading.Thread(target=produce, args=(p,)) for p in range(producers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            received, depths = [], []
+            for _ in range(producers * per_producer):
+                received.append(channel.get(timeout=30))
+                depths.append(channel.qsize())
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for pid in range(producers):
+            assert [i for p, i in received if p == pid] == list(range(per_producer))
+        assert max(depths) <= capacity
+        assert channel.qsize() == 0 and channel._minted <= capacity
+
+    def test_put_is_full_at_exactly_capacity(self):
+        capacity = 5
+        channel = _Channel(capacity)
+        for i in range(capacity):
+            channel.put(i, block=False)
+        assert channel.qsize() == capacity
+        with pytest.raises(queue.Full):
+            channel.put("over", block=False)
+        with pytest.raises(queue.Full):
+            channel.put("over", timeout=0.01)
+        assert channel.qsize() == capacity
+        assert channel.get() == 0
+        channel.put(capacity, block=False)
+        with pytest.raises(queue.Full):
+            channel.put("over", block=False)
+        assert [channel.get() for _ in range(capacity)] == list(range(1, capacity + 1))
+
+    def test_get_times_out_on_empty(self):
+        channel = _Channel(2)
+        with pytest.raises(queue.Empty):
+            channel.get(timeout=0.01)
+        with pytest.raises(queue.Empty):
+            channel.get(block=False)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_capacity_at_most_zero_is_unbounded(self, capacity):
+        channel = _Channel(capacity)
+        for i in range(10_000):
+            channel.put(i, block=False)
+        assert channel.qsize() == 10_000
+        assert [channel.get() for _ in range(10_000)] == list(range(10_000))
+
+    def test_huge_capacity_mints_no_credit_up_front(self):
+        channel = _Channel(10**9)
+        assert channel._minted == 0
+        assert channel._credits.qsize() == 0
+        channel.put("a")
+        channel.get()
+        channel.put("b")
+        # The credit "a" returned is reused rather than a second one minted.
+        assert channel._minted == 1
+
+    def test_gauge_follows_every_put_and_get(self):
+        registry = MetricsRegistry()
+        gauge = registry.gauge(QUEUE_DEPTH, stage="x")
+        channel = _Channel(3, gauge)
+        channel.put(1)
+        channel.put(2)
+        assert gauge.value == 2
+        channel.get()
+        assert gauge.value == 1
+
+    def test_unbounded_pipeline_matches_sequential(self, tiny_dirty_dataset):
+        ds = tiny_dirty_dataset
+        sequential = StreamERPipeline(config_for(ds), instrument=False)
+        sequential.process_many(ds.stream())
+        parallel = ParallelERPipeline(config_for(ds), processes=8, queue_capacity=0)
+        result = parallel.run(ds.stream(), timeout=60)
+        assert result.match_pairs == sequential.cl.matches.pairs()
+
+
+class TestBackpressure:
+    """No inter-stage queue ever holds more than ``queue_capacity`` messages.
+
+    A delayed ``f_co`` lets every queue upstream of it fill; a wrapper
+    around each stage callable samples every queue's depth (and its gauge)
+    while the run is in flight.
+    """
+
+    @pytest.mark.parametrize(
+        "micro_batch_size, capacity", [(1, 2), (8, 3)], ids=["pp", "mpp"]
+    )
+    def test_queues_never_exceed_capacity(self, tiny_dirty_dataset, micro_batch_size, capacity):
+        ds = tiny_dirty_dataset
+        sequential = StreamERPipeline(config_for(ds), instrument=False)
+        sequential.process_many(ds.stream())
+        registry = MetricsRegistry()
+        pipeline = ParallelERPipeline(
+            config_for(ds),
+            processes=8,
+            micro_batch_size=micro_batch_size,
+            micro_batch_delay=0.001,
+            queue_capacity=capacity,
+            registry=registry,
+            faults={"co": FaultSpec(probability=1.0, mode="delay", delay_seconds=0.001)},
+        )
+        names = [runner.name for runner in pipeline._runners]
+        channels = [runner.in_queue for runner in pipeline._runners]
+        depths: list[int] = []
+        gauges: list[float] = []
+
+        def sampled(fn):
+            def call(payload):
+                depths.extend(channel.qsize() for channel in channels)
+                gauges.extend(registry.value(QUEUE_DEPTH, stage=name) for name in names)
+                return fn(payload)
+
+            return call
+
+        for runner in pipeline._runners:
+            runner.fn = sampled(runner.fn)
+        result = pipeline.run(ds.stream(), timeout=60)
+        assert not result.dead_letters
+        assert result.match_pairs == sequential.cl.matches.pairs()
+        assert depths and max(depths) <= capacity
+        assert gauges and max(gauges) <= capacity
+        assert max(depths) == capacity  # the slow stage did fill the queues
+        for name in names:
+            gauge = registry.get(QUEUE_DEPTH, stage=name)
+            assert gauge is not None
+            assert gauge.value <= capacity
 
 
 class TestReorderBuffer:
