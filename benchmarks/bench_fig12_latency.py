@@ -41,12 +41,12 @@ def test_fig12_latency(benchmark):
     # Peak attribution (the paper leaves investigating the latency peaks to
     # future work): trace a smaller run and attribute the slowest 1% of
     # latencies to the stage where each item spent most of its time.
+    from repro.observability import Tracer
     from repro.streaming import arrival_schedule
 
-    traced = runner.simulator.run(
-        arrival_schedule(10_000, RATES["D"]), trace=True
-    )
-    attribution = traced.trace.peak_attribution(traced.latencies, quantile=0.99)
+    tracer = Tracer(capacity=10_000)
+    runner.simulator.run(arrival_schedule(10_000, RATES["D"]), tracer=tracer)
+    attribution = tracer.peak_attribution(quantile=0.99)
 
     rows = []
     for case, report in reports.items():

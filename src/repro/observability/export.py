@@ -11,9 +11,11 @@ Two snapshot formats cover the common consumers:
   tooling and the golden tests.
 
 :class:`SnapshotFileSink` is the ``on_snapshot`` callback for
-:class:`~repro.core.monitoring.PipelineMonitor` and the streaming
-runners: it appends one JSON line per snapshot, giving long runs a
-greppable flight record without holding anything in memory.
+:class:`~repro.core.monitoring.PipelineMonitor`: it appends one JSON line
+per snapshot, giving long runs a greppable flight record without holding
+anything in memory.  (The streaming runners write their registry once, at
+the end of a run, through :func:`write_json_snapshot` and their
+``metrics_path``.)
 """
 
 from __future__ import annotations
@@ -124,8 +126,7 @@ class SnapshotFileSink:
 
     Accepts dataclass instances (e.g. ``monitoring.Snapshot``), objects
     with ``to_dict``, or plain dicts; each call appends one line.  Use as
-    ``PipelineMonitor(pipeline, on_snapshot=SnapshotFileSink(path))`` or
-    pass to a streaming runner's ``on_snapshot``.
+    ``PipelineMonitor(pipeline, on_snapshot=SnapshotFileSink(path))``.
     """
 
     def __init__(self, path: str | Path) -> None:

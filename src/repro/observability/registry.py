@@ -293,6 +293,47 @@ class MetricsRegistry:
         metric = self.get(name, **labels)
         return metric.value if metric is not None else 0.0
 
+    # -- crossing a process boundary ------------------------------------
+
+    def state(self) -> list[tuple]:
+        """The counters and histograms as picklable ``(name, labels,
+        value)`` rows — a histogram's value is ``(bounds, bucket counts,
+        count, sum)`` — for :meth:`merge` into another process's registry.
+        Gauges stay: a gauge is a point-in-time reading of the process that
+        set it, not a total to add."""
+        rows: list[tuple] = []
+        for metric in self.collect():
+            if type(metric) is Counter:
+                rows.append((metric.name, metric.labels, metric.value))
+            elif type(metric) is Histogram:
+                with metric._lock:
+                    counts = tuple(metric._bucket_counts)
+                    value = (metric.bounds, counts, metric._count, metric._sum)
+                rows.append((metric.name, metric.labels, value))
+        return rows
+
+    def merge(self, state: list[tuple]) -> None:
+        """Add another registry's :meth:`state` into this one: counters and
+        histogram buckets add.  A histogram's bounds must match the ones
+        registered here.  A no-op on a disabled registry."""
+        if not self.enabled:
+            return
+        for name, labels, value in state:
+            if type(value) is not tuple:
+                self._get_or_create(Counter, name, dict(labels)).inc(value)
+                continue
+            bounds, counts, count, total = value
+            histogram = self._get_or_create(Histogram, name, dict(labels), buckets=bounds)
+            if histogram.bounds != bounds:
+                raise ConfigurationError(
+                    f"histogram {name!r} bounds differ: {histogram.bounds} vs {bounds}"
+                )
+            with histogram._lock:
+                for index, n in enumerate(counts):
+                    histogram._bucket_counts[index] += n
+                histogram._count += count
+                histogram._sum += total
+
 
 #: The shared disabled registry: every executor defaults to it, so the
 #: un-instrumented hot path stays exactly as fast as before this layer.

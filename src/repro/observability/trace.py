@@ -1,13 +1,12 @@
 """Span-style per-entity tracing across the stage graph.
 
-The simulator has always been able to attribute a latency spike to the
-stage where the item waited or served longest
-(:class:`~repro.parallel.simulator.SimulationTrace`); this module brings
-the same instrument to the *real* executors.  An :class:`EntityTrace` is
-a sequence of per-stage spans — enqueue, service-start, service-end
-timestamps — recorded as one entity flows the compiled plan, so a slow
-entity's end-to-end latency decomposes into per-stage queue wait and
-service time.
+An :class:`EntityTrace` is a sequence of per-stage spans — enqueue,
+service-start, service-end timestamps — recorded as one entity flows the
+compiled plan, so a slow entity's end-to-end latency decomposes into
+per-stage queue wait and service time, and a latency spike is attributed
+to the stage where the entity waited or served longest
+(:meth:`Tracer.peak_attribution`).  Every executor records into the same
+type, the discrete-event simulator included (in simulated seconds).
 
 A :class:`Tracer` decides *which* entities get a trace (every ``every``-th
 submission) and bounds how many finished traces are retained, so tracing a
@@ -15,8 +14,9 @@ long stream costs O(capacity) memory, not O(stream).  Executors hold a
 ``Tracer | None`` and skip all recording when it is ``None`` — like the
 metrics registry, the disabled path adds nothing to the hot loop.
 
-Timestamps are ``time.perf_counter()`` values: meaningful as differences
-within one process, not as wall-clock epochs.
+Timestamps are ``time.perf_counter()`` values unless the recorder passes
+``at=`` (the simulator passes its clock): meaningful as differences
+within one run, not as wall-clock epochs.
 """
 
 from __future__ import annotations
@@ -189,3 +189,25 @@ class Tracer:
         """The n completed traces with the highest end-to-end latency."""
         done = [t for t in self.traces() if t.completed_at is not None]
         return sorted(done, key=lambda t: t.total_latency, reverse=True)[:n]
+
+    def peak_attribution(self, quantile: float = 0.99) -> dict[str, int]:
+        """For the slowest ``1 − quantile`` of the completed traces (at
+        least one): how many each stage dominates — the Fig. 12 latency
+        peaks, attributed."""
+        done = [t for t in self.traces() if t.completed_at is not None]
+        done.sort(key=lambda t: t.total_latency)
+        counts: dict[str, int] = {}
+        for trace in done[int(len(done) * quantile) :] or done[-1:]:
+            stage = trace.dominant_stage()
+            counts[stage] = counts.get(stage, 0) + 1
+        return counts
+
+    def mean_wait_by_stage(self) -> dict[str, float]:
+        """Average queue wait per stage over the retained traces — where the
+        bottleneck's queue forms."""
+        traces = self.traces()
+        sums: dict[str, float] = {}
+        for trace in traces:
+            for stage, span in trace.spans.items():
+                sums[stage] = sums.get(stage, 0.0) + span.wait_seconds
+        return {stage: total / len(traces) for stage, total in sums.items()}

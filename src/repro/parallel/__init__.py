@@ -18,7 +18,6 @@ from repro.parallel.simulator import (
     PipelineSimulator,
     ServiceModel,
     SimulationResult,
-    SimulationTrace,
     SimulatorConfig,
     simulate_speedup,
 )
@@ -47,6 +46,5 @@ __all__ = [
     "ServiceModel",
     "SimulatorConfig",
     "SimulationResult",
-    "SimulationTrace",
     "simulate_speedup",
 ]

@@ -19,14 +19,17 @@ and every :data:`_DISPATCH_ENTITIES` entities the descriptor goes to the
 pool's task queue while the parent keeps running the front for later
 entities.  An idle worker takes the next descriptor: many small tasks on
 one shared queue balance the load (the move of Kolb/Thor/Rahm's MapReduce
-blocking) without a planner.  A worker runs the plan's own ``cc → lm →
-co → cl`` stages over its descriptor: the same classes, built by the same
-:class:`~repro.core.plan.StageSpec` factories, against a worker backend
-whose profile store is a read view over the profile column.  An entity's
-tail reads nothing but its own record, so per-entity cleaning semantics
-hold however entities are dealt.  At the end of the increment the parent
-merges the results in dispatch order (its match store stays the sole
-owner of *M*).
+blocking) without a planner.  A worker compiles the plan's ``cc → lm →
+co → cl`` tail per descriptor through :meth:`PipelinePlan.compile`, as
+every executor compiles its plan — the same stage classes and the same
+per-stage calls, against a worker backend whose profile store is a read
+view over the profile column and, while the parent's registry is
+enabled, a fresh registry of its own.  An entity's tail reads nothing
+but its own record, so per-entity cleaning semantics hold however
+entities are dealt.  At the end of the increment the parent merges the
+results in dispatch order: the matches into its store (the sole owner of
+*M*), the stage counters into its stage objects, and each descriptor's
+registry state into its registry.
 
 **In the parent, via the compiled plan's own per-stage callables** under
 the supervisor — sequential semantics, no pool.  ``self.lm`` / ``self.cc``
@@ -62,6 +65,7 @@ fail a descriptor's task.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing as mp
 import time
 import weakref
@@ -81,7 +85,6 @@ from repro.core.state import MatchStore
 from repro.errors import ConfigurationError
 from repro.invariants.checker import InvariantChecker
 from repro.observability.instrument import (
-    COMPARISONS_EXECUTED,
     ENTITIES,
     MATCHES,
     PARTITION_PAIRS,
@@ -91,8 +94,6 @@ from repro.observability.instrument import (
     SHM_BYTES,
     SHM_ROWS,
     SHM_SEGMENTS,
-    STAGE_ITEMS,
-    STAGE_SERVICE_SECONDS,
     declare_partition_metrics,
 )
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
@@ -149,34 +150,13 @@ class _RowProfiles:
         return profile
 
 
-class _Timed:
-    """A worker-side stage call that records its service time on success —
-    the twin of the parent's ``er_stage_service_seconds{stage}`` observation.
-    It sits inside the fault injector, as the parent's compiled callable
-    does, so an injected fault or a raising stage records nothing and a
-    retried call records only its finishing attempt."""
-
-    __slots__ = ("stage", "seconds")
-
-    def __init__(self, stage: Callable) -> None:
-        self.stage = stage
-        self.seconds = array("d")
-
-    def __call__(self, message):
-        start = time.perf_counter()
-        out = self.stage(message)
-        self.seconds.append(time.perf_counter() - start)
-        return out
-
-
 class _Worker:
     """One pool worker's state: the profile column's reader, the plan's
-    tail built against it, and the supervision policy."""
+    tail, the tail's fault injectors and the supervision policy."""
 
     def __init__(
         self,
-        plan: PipelinePlan,
-        tail: tuple[str, ...],
+        tail: PipelinePlan,
         faults: FaultPlan,
         policy: SupervisionPolicy,
         layout: str,
@@ -185,38 +165,15 @@ class _Worker:
         # Attach to the parent's profile column exactly once, here; every
         # descriptor afterwards carries row numbers, not data.
         self.profiles = _RowProfiles(SharedColumnReader(layout))
-        backend = SimpleNamespace(profiles=self.profiles, matches=MatchStore())
-        #: The plan's own stage objects (counters are read per partition)
-        #: and the callables a partition runs: the same objects — timed when
-        #: the parent's registry is enabled — behind the ordinary
-        #: entity-keyed injector where ``faults`` names them: hash-keyed
-        #: verdicts agree however partitions are dealt.
-        self.stages = {
-            name: plan.spec(name).factory(plan.config, backend) for name in tail
-        }
-        self.timers = (
-            {name: _Timed(stage) for name, stage in self.stages.items()} if timed else {}
-        )
-        self.fns: dict[str, Callable] = {**self.stages, **self.timers}
-        wrap_stages(self.fns, faults)
+        self.tail = tail
+        self.timed = timed
+        #: The ordinary entity-keyed injectors (hash-keyed verdicts agree
+        #: however descriptors are dealt), built over placeholders.  Like
+        #: the parent's they live as long as the worker — their attempt
+        #: counts are per entity — and each descriptor's compile binds them
+        #: to its fresh stage calls.
+        self.injectors = wrap_stages(dict.fromkeys(tail.stage_names()), faults)
         self.policy = policy
-
-    def take_seconds(self) -> dict[str, array]:
-        """Per-entity service seconds recorded since the last call, by stage
-        (empty when untimed)."""
-        seconds = {}
-        for name, timer in self.timers.items():
-            seconds[name], timer.seconds = timer.seconds, array("d")
-        return seconds
-
-    def counters(self) -> dict[str, int]:
-        cc, lm, co = (self.stages.get(name) for name in ("cc", "lm", "co"))
-        return {
-            "retained": cc.retained if cc is not None else 0,
-            "materialized": lm.materialized,
-            "compared": co.compared,
-            "prefiltered": co.prefiltered,
-        }
 
     def close(self) -> None:
         self.profiles.column.close()
@@ -235,29 +192,37 @@ def _init_worker(*args) -> None:
 
 def _run_partition(
     rows: array, lengths: array
-) -> tuple[list[Match], list[tuple[int, DeadLetter]], dict, dict, dict, dict]:
+) -> tuple[list[Match], list[tuple[int, DeadLetter]], dict, dict, list]:
     """Run the plan's tail over one descriptor, inside a worker.
 
     The descriptor is ``rows``, the entities' records laid end to end, and
     ``lengths``, each record's length.  A record is ``[own_row,
     partner_row, ...]`` — one entity's candidate list with multiplicity:
     ``f_cg``'s output message with profile rows for ids.  It flows through
-    the tail callables, each call under a :class:`Supervisor` with the
+    the tail's stage calls, each under a :class:`Supervisor` with the
     pipeline's policy, so failures travel back as data.  Returns
-    ``(matches, dead_letters, retries, items, counters, seconds)``: what
-    ``f_cl`` emitted (against a per-partition scratch store; the parent's
-    store has the last word), the supervisor's dead letters — each paired
-    with the index of its entity's record in ``lengths`` — and per-stage
-    retry counts, the entities that finished each stage, the stage
-    counters' deltas, and each stage's per-entity service seconds (``{}``
-    unless the parent's registry is enabled).
+    ``(matches, dead_letters, retries, counters, state)``: what ``f_cl``
+    emitted, the supervisor's dead letters — each paired with the index of
+    its entity's record in ``lengths`` — and per-stage retry counts, the
+    descriptor's stage counters, and its registry's
+    :meth:`~repro.observability.MetricsRegistry.state` (empty unless the
+    parent's registry is enabled) without ``er_matches_total``, which the
+    parent counts where a match enters its store: a re-arrived pair is new
+    to the scratch store, not to *M*.
     """
     worker = _worker
     assert worker is not None, "worker not initialized"
+    # The tail compiled afresh, as every executor compiles its plan: stage
+    # counters and the registry start at zero, and f_cl records into a
+    # scratch match store (the parent's store has the last word).
+    compiled = worker.tail.compile(
+        SimpleNamespace(profiles=worker.profiles, matches=MatchStore()),
+        registry=MetricsRegistry() if worker.timed else NULL_REGISTRY,
+    )
+    fns = compiled.stage_functions()
+    for name, injector in worker.injectors.items():
+        injector.fn, fns[name] = fns[name], injector
     supervisor = Supervisor(worker.policy)
-    worker.stages["cl"].matches = MatchStore()
-    before = worker.counters()
-    items = dict.fromkeys(worker.fns, 0)
     matches: list[Match] = []
     failed: list[int] = []
     end = 0
@@ -267,23 +232,27 @@ def _run_partition(
             profile=worker.profiles.get(rows[start]),
             candidates=rows[start + 1 : end].tolist(),
         )
-        for name, fn in worker.fns.items():
+        for name, fn in fns.items():
             ok, message = supervisor.execute(name, fn, message)
             if not ok:
                 failed.append(slot)
                 break
-            items[name] += 1
         else:
             matches.extend(message)  # type: ignore[arg-type]
-    after = worker.counters()
-    counters = {name: after[name] - before[name] for name in after}
+    cc, lm, co = (compiled.get(name) for name in ("cc", "lm", "co"))
+    counters = {
+        "retained": cc.retained if cc is not None else 0,
+        "materialized": lm.materialized,
+        "compared": co.compared,
+        "prefiltered": co.prefiltered,
+    }
+    state = [row for row in compiled.registry.state() if row[0] != MATCHES]
     return (
         matches,
         list(zip(failed, supervisor.dead_letters)),
         supervisor.retries_by_stage,
-        items,
         counters,
-        worker.take_seconds(),
+        state,
     )
 
 
@@ -323,13 +292,12 @@ class MultiprocessERPipeline:
         durable backend each :meth:`run` is logged whole before its first
         entity runs, and its dead letters are logged at its end.
     registry:
-        An optional :class:`~repro.observability.MetricsRegistry`.  Stage
-        calls the parent runs record metrics through the compiled plan's
-        per-stage callables, as in every executor; worker-side,
-        ``er_stage_items_total{stage}`` is folded in from the workers'
-        counts (entities that finished the stage, as everywhere) and
-        ``er_stage_service_seconds{stage}`` from the per-entity service
-        times the workers measure (only while the registry is enabled).
+        An optional :class:`~repro.observability.MetricsRegistry`.  Every
+        stage call records metrics through the compiled plan's per-stage
+        callables, as in every executor: a worker compiles its tail with
+        a registry of its own while this one is enabled and returns its
+        state, which is merged here (``er_matches_total`` excepted: it is
+        counted where a match enters this pipeline's store).
     tracer:
         An optional :class:`~repro.observability.Tracer`; sampled entities
         get spans for every stage the parent runs (worker-side stages
@@ -428,8 +396,7 @@ class MultiprocessERPipeline:
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
             self._pool_initargs = (
-                self.plan,
-                self._tail,
+                dataclasses.replace(self.plan, specs=self.plan.specs[split:]),
                 {name: faults[name] for name in self._tail if name in faults},
                 self.supervisor.policy,
                 self.backend.layout(),
@@ -674,21 +641,13 @@ class MultiprocessERPipeline:
         registry = self.registry
         if metrics_on:
             matches_metric = registry.counter(MATCHES)
-            executed_metric = registry.counter(COMPARISONS_EXECUTED)
             registry.counter(PARTITIONS_DISPATCHED).inc(len(dispatched))
         match_store = self.backend.matches
         lm, cc = self.lm, self.cc
         failed: list[tuple[int, DeadLetter]] = []
         for result, slots in dispatched:
-            found, dead_letters, retries, items, counters, seconds = result.get()
-            if metrics_on:
-                for name, count in items.items():
-                    registry.counter(STAGE_ITEMS, stage=name).inc(count)
-                for name, values in seconds.items():
-                    service = registry.histogram(STAGE_SERVICE_SECONDS, stage=name)
-                    for value in values:
-                        service.observe(value)
-                executed_metric.inc(counters["compared"])
+            found, dead_letters, retries, counters, state = result.get()
+            registry.merge(state)
             self.supervisor.absorb([letter for _, letter in dead_letters], retries)
             failed.extend((slots[slot], letter) for slot, letter in dead_letters)
             # Fold the workers' stage counters into the canonical ones —

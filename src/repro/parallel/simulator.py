@@ -49,6 +49,7 @@ from repro.observability.instrument import (
     declare_pipeline_metrics,
 )
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
+from repro.observability.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,6 @@ class SimulationResult:
     latencies: list[float]
     admitted: int
     stage_busy_seconds: dict[str, float] = field(default_factory=dict)
-    trace: "SimulationTrace | None" = None
     items_failed: int = 0
     dead_letters: list[tuple[int, str]] = field(default_factory=list)
 
@@ -173,60 +173,6 @@ class SimulationResult:
     def throughput(self) -> float:
         """Average completions per second over the whole run."""
         return len(self.completion_times) / self.makespan if self.makespan > 0 else 0.0
-
-
-@dataclass
-class SimulationTrace:
-    """Per-item, per-stage timing breakdown (opt-in; memory ∝ items × stages).
-
-    For every item and stage: time spent *waiting* in the stage's queue and
-    time in *service*.  This is the instrument behind the latency-peak
-    analysis: the paper observes occasional latency spikes (Fig. 12) and
-    leaves their attribution to future work; the trace attributes each
-    slow item's end-to-end latency to the stage where it waited or served
-    longest.
-    """
-
-    wait_seconds: list[dict[str, float]]
-    service_seconds: list[dict[str, float]]
-
-    def item_latency_breakdown(self, item: int) -> dict[str, float]:
-        """Wait + service per stage for one item."""
-        out: dict[str, float] = {}
-        for stage, w in self.wait_seconds[item].items():
-            out[stage] = out.get(stage, 0.0) + w
-        for stage, s in self.service_seconds[item].items():
-            out[stage] = out.get(stage, 0.0) + s
-        return out
-
-    def dominant_stage(self, item: int) -> str:
-        """The stage responsible for most of the item's latency."""
-        breakdown = self.item_latency_breakdown(item)
-        return max(breakdown, key=lambda s: breakdown[s]) if breakdown else ""
-
-    def peak_attribution(
-        self, latencies: Sequence[float], quantile: float = 0.99
-    ) -> dict[str, int]:
-        """For the slowest (1−quantile) items: count of dominant stages."""
-        if not latencies:
-            return {}
-        ordered = sorted(range(len(latencies)), key=lambda i: latencies[i])
-        cut = int(len(ordered) * quantile)
-        peaks = ordered[cut:] or ordered[-1:]
-        counts: dict[str, int] = {}
-        for item in peaks:
-            stage = self.dominant_stage(item)
-            counts[stage] = counts.get(stage, 0) + 1
-        return counts
-
-    def mean_wait_by_stage(self) -> dict[str, float]:
-        """Average queue wait per stage over all items."""
-        sums: dict[str, float] = {}
-        for per_item in self.wait_seconds:
-            for stage, w in per_item.items():
-                sums[stage] = sums.get(stage, 0.0) + w
-        n = max(len(self.wait_seconds), 1)
-        return {stage: total / n for stage, total in sums.items()}
 
 
 class _Stage:
@@ -298,7 +244,9 @@ class PipelineSimulator:
 
     # The simulation core ------------------------------------------------
 
-    def run(self, arrival_times: Sequence[float], trace: bool = False) -> SimulationResult:
+    def run(
+        self, arrival_times: Sequence[float], tracer: Tracer | None = None
+    ) -> SimulationResult:
         """Simulate processing items arriving at the given times.
 
         For batch runs pass ``[0.0] * n``; for a source of rate λ pass
@@ -308,9 +256,15 @@ class PipelineSimulator:
         Akka implementation — and per-entity processing latency stays
         meaningful).
 
-        With ``trace=True`` the result carries a :class:`SimulationTrace`
-        with per-item, per-stage wait and service times (memory grows with
-        items × stages — keep runs modest).
+        With a ``tracer``, sampled items (``seq`` = item index) get an
+        ordinary :class:`~repro.observability.EntityTrace` in *simulated*
+        time: created at first service start, a span per stage from the
+        moment the item left the upstream stage (a push blocked by a full
+        buffer waits here too), and service equal to the item's own share
+        of its batch — so the breakdown sums to the item's latency when
+        batches hold one item.  The peak analysis of Fig. 12 is then
+        :meth:`~repro.observability.Tracer.peak_attribution`, as for the
+        real executors.
         """
         cfg = self.config
         stages = [
@@ -348,20 +302,12 @@ class PipelineSimulator:
         pending = deque(range(n))
         events: list[tuple[float, int, str, object]] = []
         seq = 0
-        enqueue_time: dict[str, dict[int, float]] = (
-            {s.name: {} for s in stages} if trace else {}
-        )
-        wait_rec: list[dict[str, float]] = [dict() for _ in range(n)] if trace else []
-        service_rec: list[dict[str, float]] = [dict() for _ in range(n)] if trace else []
+        traces: list = [None] * n if tracer is not None else []
 
         def enqueue(stage: _Stage, item: int) -> None:
             stage.queue.append(item)
             if metrics_on:
                 depth_gauge[stage.name].set(len(stage.queue))
-            if trace:
-                # Items blocked in an upstream worker were pre-registered at
-                # the moment they finished upstream service; keep that time.
-                enqueue_time[stage.name].setdefault(item, clock)
 
         def push_event(t: float, kind: str, payload: object) -> None:
             nonlocal seq
@@ -409,25 +355,23 @@ class PipelineSimulator:
                             self.service.sample(item, stage.name) for item in batch
                         ]
                         duration = cfg.comm_overhead + sum(samples)
+                        share = cfg.comm_overhead / len(batch)
                         if metrics_on:
                             depth_gauge[stage.name].set(len(stage.queue))
                             items_ctr[stage.name].inc(len(batch))
                             hist = service_hist[stage.name]
-                            share = cfg.comm_overhead / len(batch)
                             for sample in samples:
                                 hist.observe(sample + share)
-                        if trace:
-                            comm_share = cfg.comm_overhead / len(batch)
-                            enq = enqueue_time[stage.name]
+                        if tracer is not None:
                             for item, sample in zip(batch, samples):
                                 if stage is first:
                                     # Latency is measured from first service
                                     # start; source-side waiting is excluded.
-                                    enq.pop(item, None)
-                                    wait_rec[item][stage.name] = 0.0
-                                else:
-                                    wait_rec[item][stage.name] = clock - enq.pop(item, clock)
-                                service_rec[item][stage.name] = sample + comm_share
+                                    traces[item] = tracer.start(item, item, at=clock)
+                                trace = traces[item]
+                                if trace is not None:
+                                    trace.record_start(stage.name, at=clock)
+                                    trace.record_finish(stage.name, at=clock + sample + share)
                         if stage is first:
                             for item in batch:
                                 if start_service[item] < 0:
@@ -458,6 +402,9 @@ class PipelineSimulator:
                         dead_letters.extend(
                             (item, stage.name) for item in batch if item in failed
                         )
+                        for item in failed:
+                            if tracer is not None and traces[item] is not None:
+                                traces[item].dead_letter(stage.name)
                         if metrics_on:
                             self.registry.counter(
                                 DEAD_LETTERS, stage=stage.name
@@ -468,19 +415,22 @@ class PipelineSimulator:
                     for item in batch:
                         completion[item] = clock
                         processed += 1
+                        if tracer is not None and traces[item] is not None:
+                            traces[item].complete(at=clock)
                         if metrics_on:
                             entities_ctr.inc()
                             if start_service[item] >= 0:
                                 latency_hist.observe(clock - start_service[item])
                 else:
                     nxt = stage.next
+                    if tracer is not None:
+                        for item in batch:
+                            if traces[item] is not None:
+                                traces[item].record_enqueue(nxt.name, at=clock)
                     space = nxt.space()
                     for _ in range(min(space, len(batch))):
                         enqueue(nxt, batch.pop(0))
                     if batch:
-                        if trace:
-                            for item in batch:
-                                enqueue_time[nxt.name].setdefault(item, clock)
                         nxt.blocked.append((stage, batch))  # worker stays busy
                     else:
                         stage.busy -= 1
@@ -497,11 +447,6 @@ class PipelineSimulator:
             latencies=latencies,
             admitted=processed,
             stage_busy_seconds={s.name: s.busy_seconds for s in stages},
-            trace=(
-                SimulationTrace(wait_seconds=wait_rec, service_seconds=service_rec)
-                if trace
-                else None
-            ),
             items_failed=len(dead_letters),
             dead_letters=dead_letters,
         )

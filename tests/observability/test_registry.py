@@ -172,3 +172,66 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert all(obj is seen[0] for obj in seen)
+
+
+class TestStateAndMerge:
+    """A registry's state crosses a process boundary and adds into another."""
+
+    def test_counters_add(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        worker.counter("items_total", stage="co").inc(3)
+        parent.counter("items_total", stage="co").inc(4)
+        worker.counter("fresh_total").inc(2)
+        parent.merge(worker.state())
+        parent.merge(worker.state())
+        assert parent.value("items_total", stage="co") == 10
+        assert parent.value("fresh_total") == 4
+
+    def test_histograms_add_exactly(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        bounds = (0.1, 1.0, 10.0)
+        for value in (0.05, 0.3, 0.3, 20.0):
+            worker.histogram("service_seconds", buckets=bounds, stage="cl").observe(value)
+        for value in (0.7, 5.0):
+            parent.histogram("service_seconds", buckets=bounds, stage="cl").observe(value)
+        parent.merge(worker.state())
+        merged = parent.histogram("service_seconds", buckets=bounds, stage="cl")
+        assert merged.bucket_counts() == [(0.1, 1), (1.0, 4), (10.0, 5), (float("inf"), 6)]
+        assert merged.count == 6
+        assert merged.sum == pytest.approx(0.05 + 0.3 + 0.3 + 20.0 + 0.7 + 5.0)
+
+    def test_state_is_plain_data_without_gauges(self):
+        import pickle
+
+        registry = MetricsRegistry()
+        registry.counter("a_total").inc()
+        registry.gauge("depth").set(7)
+        registry.histogram("h_seconds").observe(0.5)
+        state = registry.state()
+        assert pickle.loads(pickle.dumps(state)) == state
+        assert {name for name, _, _ in state} == {"a_total", "h_seconds"}
+
+    def test_mismatched_bounds_raise(self):
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        worker.histogram("h_seconds", buckets=(1.0, 2.0)).observe(1.5)
+        parent.histogram("h_seconds", buckets=(1.0, 3.0))
+        with pytest.raises(ConfigurationError, match="bounds"):
+            parent.merge(worker.state())
+
+    def test_disabled_state_merges_as_noop(self):
+        disabled = MetricsRegistry(enabled=False)
+        disabled.counter("a_total").inc(5)
+        disabled.histogram("h_seconds").observe(0.5)
+        assert disabled.state() == []
+        parent = MetricsRegistry()
+        parent.counter("a_total").inc(2)
+        parent.merge(disabled.state())
+        assert parent.value("a_total") == 2
+        assert parent.names() == {"a_total"}
+
+    def test_merge_into_disabled_is_noop(self):
+        worker = MetricsRegistry()
+        worker.counter("a_total").inc(5)
+        worker.histogram("h_seconds", buckets=(1.0,)).observe(0.5)
+        NULL_REGISTRY.merge(worker.state())
+        assert NULL_REGISTRY.names() == set()

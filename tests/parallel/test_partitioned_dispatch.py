@@ -27,7 +27,7 @@ from repro.core.backends import (
     active_shm_segments,
 )
 from repro.errors import ConfigurationError
-from repro.observability import STAGE_ITEMS, STAGE_SERVICE_SECONDS, MetricsRegistry
+from repro.observability import MATCHES, STAGE_ITEMS, STAGE_SERVICE_SECONDS, MetricsRegistry
 from repro.parallel import (
     FaultSpec,
     MultiprocessERPipeline,
@@ -427,6 +427,36 @@ class TestStreamedDispatch:
             assert histogram.count == items
             assert histogram.sum > 0
 
+    def test_rearrived_match_counted_once(self):
+        """An entity re-admitted in a second increment lands in a new
+        descriptor, whose scratch match store finds its old matches new
+        again; ``er_matches_total`` must still count *M*, as under SEQ
+        (which re-materializes the pair and emits nothing)."""
+        entities = make_entities(60)
+        increments = (entities, [entities[5]])
+        seq_registry = MetricsRegistry()
+        seq = StreamERPipeline(threshold_config(), registry=seq_registry)
+        for increment in increments:
+            seq.process_many(increment)
+        assert any(5 in pair for pair in seq.cl.matches.pairs())
+
+        registry = MetricsRegistry()
+        backend = SharedMemoryBackend()
+        prefix = backend.name
+        try:
+            with MultiprocessERPipeline(
+                threshold_config(), workers=2, backend=backend,
+                registry=registry, partitioned=True,
+            ) as pipeline:
+                for increment in increments:
+                    pipeline.run(increment)
+            matches = len(backend.matches)
+        finally:
+            backend.unlink()
+        assert active_shm_segments(prefix) == []
+        assert pipeline.co.compared == 0  # both increments ran on workers
+        assert registry.value(MATCHES) == matches == seq_registry.value(MATCHES) > 0
+
 
 class TestWorkerFunctionInProcess:
     """The worker function is the plan's tail over a partition descriptor.
@@ -457,9 +487,10 @@ class TestWorkerFunctionInProcess:
             # 3 with partner 4.
             rows = array("Q", [row[1], row[2], row[3], row[3], row[4]])
             lengths = array("I", [3, 2])
-            worker._init_worker(*pipeline._pool_initargs)
+            # Initialized timed, as under an enabled parent registry.
+            worker._init_worker(*pipeline._pool_initargs[:-1], True)
             try:
-                matches, dead_letters, retries, items, counters, seconds = (
+                matches, dead_letters, retries, counters, state = (
                     worker._run_partition(rows, lengths)
                 )
             finally:
@@ -467,7 +498,12 @@ class TestWorkerFunctionInProcess:
                 worker._worker.close()
                 worker._worker = None
         assert dead_letters == [] and retries == {}
-        assert seconds == {}  # untimed: the pipeline's registry is disabled
+        registry = MetricsRegistry()
+        registry.merge(state)
+        items = {
+            stage: registry.value(STAGE_ITEMS, stage=stage)
+            for stage in ("cc", "lm", "co", "cl")
+        }
         assert items == {"cc": 2, "lm": 2, "co": 2, "cl": 2}  # entities per stage
         assert counters == {
             "retained": 3,

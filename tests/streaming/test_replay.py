@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.streaming import replay as replay_module
 from repro.streaming.replay import arrival_times_from_events, replay
 from repro.types import EntityDescription
 
@@ -25,17 +24,25 @@ class TestReplay:
         out = list(replay(events([0, 0.001, 0.001]), speed=1000))
         assert [e.eid for e in out] == [0, 1, 2]
 
-    def test_respects_gaps(self):
+    def test_respects_gaps(self, fake_time):
+        clock = fake_time(replay_module)
         stream = events([0, 0.05, 0.05])
-        start = time.perf_counter()
         list(replay(stream, speed=1.0))
-        assert time.perf_counter() - start >= 0.08
+        assert clock.sleeps == pytest.approx([0.05, 0.05], abs=1e-12)
 
-    def test_speed_compresses_gaps(self):
+    def test_speed_compresses_gaps(self, fake_time):
+        clock = fake_time(replay_module)
         stream = events([0, 0.2, 0.2])
-        start = time.perf_counter()
         list(replay(stream, speed=100.0))
-        assert time.perf_counter() - start < 0.1
+        assert clock.sleeps == pytest.approx([0.002, 0.002], abs=1e-12)
+
+    def test_consumer_time_counts_against_the_gap(self, fake_time):
+        """Targets are absolute: time the consumer spends on one entity is
+        taken off the next sleep, and a late entity is not slept for."""
+        clock = fake_time(replay_module)
+        for _ in replay(events([0, 0.05, 0.05, 0.0]), speed=1.0):
+            clock.now += 0.02
+        assert clock.sleeps == pytest.approx([0.03, 0.03], abs=1e-12)
 
     def test_rejects_out_of_order(self):
         bad = [(1.0, EntityDescription.create(0, {})), (0.5, EntityDescription.create(1, {}))]

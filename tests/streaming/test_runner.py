@@ -10,6 +10,7 @@ from repro.core.stages import STAGE_ORDER
 from repro.errors import ConfigurationError
 from repro.parallel import ServiceModel, SimulatorConfig
 from repro.streaming import LiveStreamRunner, SimulatedStreamRunner, StreamRunReport
+from repro.streaming import source as source_module
 
 
 def flat_service(mean: float = 1e-4) -> ServiceModel:
@@ -62,7 +63,8 @@ class TestSimulatedStreamRunner:
 
 
 class TestLiveStreamRunner:
-    def test_live_run_small(self, tiny_dirty_dataset):
+    def test_live_run_small(self, tiny_dirty_dataset, fake_time):
+        clock = fake_time(source_module)  # pace without sleeping
         ds = tiny_dirty_dataset
         config = StreamERConfig(
             alpha=StreamERConfig.alpha_for(len(ds), 0.05),
@@ -71,6 +73,7 @@ class TestLiveStreamRunner:
         )
         runner = LiveStreamRunner(config, processes=8)
         report = runner.run(list(ds.stream())[:60], rate=2000.0)
+        assert clock.sleeps == pytest.approx([1 / 2000.0] * 59, abs=1e-12)
         assert report.entities == 60
         assert report.latency.count == 60
         assert report.latency.mean > 0

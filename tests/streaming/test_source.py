@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.streaming import RateLimitedSource, arrival_schedule
+from repro.streaming import source as source_module
 from repro.types import EntityDescription
 
 
@@ -20,12 +19,11 @@ class TestRateLimitedSource:
         source = RateLimitedSource(entities(5), rate=1e6)
         assert [e.eid for e in source] == [0, 1, 2, 3, 4]
 
-    def test_paces_emissions(self):
+    def test_paces_emissions(self, fake_time):
+        clock = fake_time(source_module)
         source = RateLimitedSource(entities(6), rate=100)  # 10 ms apart
-        start = time.perf_counter()
-        list(source)
-        elapsed = time.perf_counter() - start
-        assert elapsed >= 0.04  # at least 5 inter-arrival gaps minus jitter
+        assert [e.eid for e in source] == [0, 1, 2, 3, 4, 5]
+        assert clock.sleeps == pytest.approx([0.01] * 5, abs=1e-12)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ConfigurationError):
