@@ -15,7 +15,6 @@ from repro.core.plan import STAGE_ORDER, CompiledPipeline, PipelinePlan, StageSp
 from repro.core.state import (
     Blacklist,
     BlockCollection,
-    BlockPrefix,
     ERState,
     MatchStore,
     ProfileStore,
@@ -36,7 +35,6 @@ __all__ = [
     "InMemoryBackend",
     "DurableBackend",
     "BlockCollection",
-    "BlockPrefix",
     "Blacklist",
     "ProfileStore",
     "MatchStore",

@@ -29,13 +29,14 @@ every factory.
 
 from __future__ import annotations
 
+from collections import _count_elements  # the C counter behind ``Counter``
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.classification.classifiers import Classifier, ThresholdClassifier
 from repro.comparison.comparator import TokenSetComparator
 from repro.core.backends.base import StateBackend
 from repro.core.backends.memory import InMemoryBackend
-from repro.core.state import BlockPrefix
 from repro.errors import UnknownProfileError
 from repro.reading.profiles import ProfileBuilder
 from repro.types import (
@@ -55,19 +56,19 @@ from repro.types import (
 class BlockedEntity:
     """Output of ``f_bb+bp``: the per-entity block snapshot ``B_ei``.
 
-    ``others[k]`` is a :class:`~repro.core.state.BlockPrefix` over the
-    identifiers that were in block ``b_k`` before the entity joined it, so
-    ``|b_k| = len(others[k]) + 1``.  It is a view, not a copy: ``len``,
-    truthiness and iteration are all a consumer may rely on, and only
-    ``f_cg`` reads the members — of the keys that survived ghosting.
-    Singleton blocks (``others`` empty) have already been removed.
+    ``others[k]`` is a ``(block, n)`` pair: the block list of ``b_k``
+    itself and the number ``n ≥ 1`` of identifiers it held before the
+    entity joined, so ``|b_k| = n + 1`` and the co-members are
+    ``block[:n]``.  Nothing is copied: ``f_bg`` filters on ``n`` alone and
+    only ``f_cg`` slices members, of the keys that survived ghosting.
+    Singleton blocks have already been removed.
     """
 
     profile: Profile
-    others: dict[str, BlockPrefix]
+    others: dict[str, tuple[list[EntityId], int]]
 
     def block_size(self, key: str) -> int:
-        return len(self.others[key]) + 1
+        return self.others[key][1] + 1
 
     def keys(self) -> list[str]:
         return list(self.others)
@@ -186,25 +187,20 @@ class BlockBuildingStage:
 
     def __call__(self, profile: Profile) -> BlockedEntity:
         self.profiles.put(profile)
-        eid = profile.eid
-        add = self.blocks.add
         enabled = self.enabled
         # The blacklist's key set itself: ``in`` on it is a C lookup, where
         # ``key in self.blacklist`` would call ``__contains__`` per key.
         pruned = self.blacklist.keys if enabled else ()
-        others: dict[str, BlockPrefix] = {}
-        for key in profile.tokens:
-            if key in pruned:
-                continue
-            block = add(key, eid)
+        keys = [key for key in profile.tokens if key not in pruned]
+        others: dict[str, tuple[list[EntityId], int]] = {}
+        for key, block in zip(keys, self.blocks.add_all(keys, profile.eid)):
             size = len(block)
             if enabled and size >= self.alpha:
                 self.blocks.remove_block(key)
                 self.blacklist.add(key)
                 self.pruned_blocks += 1
-                continue
-            if size > 1:  # removeSingletons: only blocks with co-members
-                others[key] = BlockPrefix(block, size - 1)
+            elif size > 1:  # removeSingletons: only blocks with co-members
+                others[key] = (block, size - 1)
         return BlockedEntity(profile=profile, others=others)
 
 
@@ -225,13 +221,11 @@ class BlockGhostingStage:
     def __call__(self, blocked: BlockedEntity) -> BlockedEntity:
         if not blocked.others:
             return blocked
-        # ``BlockPrefix.n`` is read directly: ``len`` would be a Python
-        # ``__len__`` call per key.
-        threshold = (min([others.n for others in blocked.others.values()]) + 1) / self.beta
+        threshold = (min([n for _, n in blocked.others.values()]) + 1) / self.beta
         survivors = {
-            key: others
-            for key, others in blocked.others.items()
-            if others.n + 1 <= threshold
+            key: snapshot
+            for key, snapshot in blocked.others.items()
+            if snapshot[1] + 1 <= threshold
         }
         self.ghosted_keys += len(blocked.others) - len(survivors)
         blocked.others = survivors
@@ -255,8 +249,8 @@ class ComparisonGenerationStage:
     def __call__(self, blocked: BlockedEntity) -> CandidateComparisons:
         eid = blocked.profile.eid
         candidates: list[EntityId] = []
-        for others in blocked.others.values():
-            candidates += others.members[: others.n]
+        for block, n in blocked.others.values():
+            candidates += block[:n]
         if self.clean_clean:
             # Same source includes the entity itself.
             my_source = eid[0]  # type: ignore[index]
@@ -285,12 +279,11 @@ class ComparisonCleaningStage:
     def __call__(self, generated: CandidateComparisons) -> CleanedComparisons:
         # Partner id -> number of shared blocks, in first-occurrence order.
         counts: dict[EntityId, int] = {}
-        for j in generated.candidates:
-            counts[j] = counts.get(j, 0) + 1
+        _count_elements(counts, generated.candidates)
         if not counts:
             return CleanedComparisons(profile=generated.profile, candidates=[])
-        avg = sum(counts.values()) / len(counts)
-        survivors = [j for j, count in counts.items() if count >= avg]
+        avg = len(generated.candidates) / len(counts)
+        survivors = list(compress(counts, map(avg.__le__, counts.values())))
         self.retained += len(survivors)
         return CleanedComparisons(profile=generated.profile, candidates=survivors)
 
@@ -303,11 +296,10 @@ class LoadManagementStage:
     partner could sit in a block, so lookups cannot fail; a missing profile
     indicates a wiring bug and raises :class:`UnknownProfileError`.
 
-    Candidates are deduplicated before materialization (first-occurrence
-    order).  With ``f_cc`` upstream this is a no-op — its survivors are
-    already distinct — but it keeps the pipeline's comparison semantics
-    intact when the plan drops the ``cc`` node entirely
-    (``enable_comparison_cleaning=False``) and ``f_cg``'s
+    ``f_cc``'s survivors are already distinct (``cc-survivors-distinct``),
+    so only a :class:`CandidateComparisons` is deduplicated here
+    (first-occurrence order): that is what arrives when the plan drops the
+    ``cc`` node (``enable_comparison_cleaning=False``) and ``f_cg``'s
     multiplicity-carrying candidates flow here directly.  ``materialized``
     counts the partners actually emitted, which is therefore the
     "after cleaning" figure regardless of which optional nodes are active.
@@ -320,8 +312,12 @@ class LoadManagementStage:
         self.profiles = backend.profiles
         self.materialized = 0
 
-    def __call__(self, cleaned: CleanedComparisons) -> MaterializedComparisons:
-        ids = dict.fromkeys(cleaned.candidates)
+    def __call__(
+        self, cleaned: CleanedComparisons | CandidateComparisons
+    ) -> MaterializedComparisons:
+        ids = cleaned.candidates
+        if type(cleaned) is CandidateComparisons:
+            ids = list(dict.fromkeys(ids))
         partners = list(map(self.profiles.get, ids))
         # A stored profile is never falsy, so ``all`` finds a missing one
         # without calling the dataclass ``__eq__`` once per partner.

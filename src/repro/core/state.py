@@ -19,8 +19,8 @@ executors never hard-code where state lives.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -28,69 +28,55 @@ from repro.reading.interning import pack_ids
 from repro.types import EntityId, Match, Profile, pair_key
 
 
-class BlockPrefix:
-    """The first ``n`` members of a block list: a snapshot that copies nothing.
-
-    Valid for as long as anyone holds it because a block list is only ever
-    appended to: :meth:`BlockCollection.remove_block` detaches the list and
-    :meth:`BlockCollection.discard` rebinds a new one, so the ``n`` members
-    seen when the view was taken never move.
-    """
-
-    __slots__ = ("members", "n")
-
-    def __init__(self, members: list[EntityId], n: int) -> None:
-        self.members = members
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[EntityId]:
-        return islice(self.members, self.n)
-
-    def __repr__(self) -> str:
-        return f"BlockPrefix({self.members[: self.n]!r})"
-
-
 class BlockCollection:
     """An incrementally maintained token-to-entities block index.
 
     Each block is an insertion-ordered, append-only list of entity
-    identifiers, which is what lets ``f_bb+bp`` hand out
-    :class:`BlockPrefix` views instead of copies.  Blocks of size one are
-    kept (they may grow later, as the paper stresses with the "Jane" block
-    of the running example).
+    identifiers, which is what lets ``f_bb+bp`` snapshot a block as a
+    ``(block, n)`` pair — its first ``n`` members — instead of copying it:
+    the ``n`` members never move, because :meth:`remove_block` detaches
+    the list and :meth:`discard` rebinds a new one.  Blocks of size one
+    are kept (they may grow later, as the paper stresses with the "Jane"
+    block of the running example).
 
     Size statistics (``sizes``, ``total_assignments``, ``total_comparisons``)
-    are maintained as running counters in :meth:`add`, :meth:`remove_block`
-    and :meth:`discard`, so reading them is O(1) instead of O(#blocks) —
-    monitoring snapshots and purging heuristics can poll them freely.
+    are maintained as running counters in :meth:`add_all`, :meth:`add`,
+    :meth:`remove_block` and :meth:`discard`, so reading them is O(1)
+    instead of O(#blocks) — monitoring snapshots and purging heuristics
+    can poll them freely.
     """
 
     __slots__ = ("_blocks", "_sizes", "_assignments", "_comparisons")
 
     def __init__(self) -> None:
-        self._blocks: dict[str, list[EntityId]] = {}
+        # A missing key reads as a new empty block, so ``add_all`` gets or
+        # creates every block in one C-level ``map``.
+        self._blocks: defaultdict[str, list[EntityId]] = defaultdict(list)
         self._sizes: dict[str, int] = {}
         self._assignments = 0
         self._comparisons = 0
 
-    def add(self, key: str, eid: EntityId) -> list[EntityId]:
-        """Append ``eid`` to block ``key`` (creating it) and return the block.
+    def add_all(self, keys: list[str], eid: EntityId) -> list[list[EntityId]]:
+        """Append ``eid`` to the block of every one of the *distinct*
+        ``keys`` (creating blocks) and return those blocks, in key order.
 
-        The caller reads the new size as ``len`` of the returned list and
-        may take a :class:`BlockPrefix` over it; it must not mutate it.
+        This is ``f_bb+bp``'s one call per entity.  The caller reads each
+        new size as ``len`` of the returned list and may snapshot it as
+        ``(block, n)``; it must not mutate it.
         """
-        block = self._blocks.get(key)
-        if block is None:
-            block = self._blocks[key] = []
-        block.append(eid)
-        size = len(block)
-        self._sizes[key] = size
-        self._assignments += 1
-        self._comparisons += size - 1
-        return block
+        blocks = list(map(self._blocks.__getitem__, keys))
+        for block in blocks:
+            block.append(eid)
+        sizes = list(map(len, blocks))
+        self._sizes.update(zip(keys, sizes))
+        self._assignments += len(sizes)
+        self._comparisons += sum(sizes) - len(sizes)
+        return blocks
+
+    def add(self, key: str, eid: EntityId) -> list[EntityId]:
+        """Append ``eid`` to block ``key`` (creating it) and return the
+        block: :meth:`add_all` for one key (snapshot loading uses it)."""
+        return self.add_all([key], eid)[0]
 
     def remove_block(self, key: str) -> None:
         """Drop an entire block (used by block pruning)."""
@@ -107,7 +93,7 @@ class BlockCollection:
         actually removed.  This is the *only* sanctioned way to shrink a
         block — mutating the list returned by :meth:`block` directly would
         silently corrupt the running size counters.  The shrunken block is
-        a new list: a :class:`BlockPrefix` over the old one, held by a
+        a new list: a ``(block, n)`` snapshot of the old one, held by a
         message still in flight, keeps reading what it saw.
         """
         block = self._blocks.get(key)

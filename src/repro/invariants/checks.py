@@ -412,25 +412,24 @@ def check_dr_output(view: StageView) -> None:
     "bb-snapshot-wellformed",
     "stage",
     stage="bb+bp",
-    description="every B_ei view is a non-empty prefix of its block's "
-    "member list, sized below the α bound post-purge",
+    description="every B_ei snapshot (block, n) is a non-empty prefix of "
+    "its block's member list, sized below the α bound post-purge",
 )
 def check_bb_output(view: StageView) -> None:
     blocked = view.payload
     alpha = view.config.alpha
     cleaning = view.config.enable_block_cleaning
-    for key, others in blocked.others.items():
-        n = len(others)
+    for key, (block, n) in blocked.others.items():
         if n == 0:
             _fail(
                 "bb-snapshot-wellformed",
                 f"singleton block {key!r} survived removeSingletons",
             )
-        if n > len(others.members):
+        if n > len(block):
             _fail(
                 "bb-snapshot-wellformed",
-                f"view of block {key!r} claims {n} members but its list "
-                f"holds {len(others.members)}",
+                f"snapshot of block {key!r} claims {n} members but its list "
+                f"holds {len(block)}",
             )
         if cleaning and n + 1 >= alpha:
             _fail(
@@ -464,7 +463,7 @@ def check_cg_output(view: StageView) -> None:
     "stage",
     stage="cg",
     description="dirty ER: one candidate per member of every surviving "
-    "view, minus the entity's own occurrences (the CBS weights f_cc counts)",
+    "snapshot, minus the entity's own occurrences (the CBS weights f_cc counts)",
 )
 def check_cg_multiplicity(view: StageView) -> None:
     blocked = view.source
@@ -472,15 +471,12 @@ def check_cg_multiplicity(view: StageView) -> None:
         return
     generated = view.payload
     eid = generated.profile.eid
-    expected = sum(
-        len(others) - sum(1 for j in others if j == eid)
-        for others in blocked.others.values()
-    )
+    expected = sum(n - block[:n].count(eid) for block, n in blocked.others.values())
     if len(generated.candidates) != expected:
         _fail(
             "cg-multiplicity-conserved",
             f"entity {eid!r}: {len(generated.candidates)} candidates from "
-            f"views holding {expected} non-self members",
+            f"snapshots holding {expected} non-self members",
         )
 
 

@@ -96,6 +96,14 @@ class TokenDictionary:
             raise IndexError(f"token id {token_id} is negative")
         return self._tokens[token_id]
 
+    def tokens_of(self, ids: Iterable[int]) -> tuple[str, ...]:
+        """The tokens behind ``ids``, as a tuple in the order of ``ids``.
+
+        One C-level ``map`` over the id-ordered token list; this is how
+        ``f_dr`` builds an interned profile's ``tokens`` from its sorted ids.
+        """
+        return tuple(map(self._tokens.__getitem__, ids))
+
     def decode_set(self, ids: Iterable[int]) -> frozenset[str]:
         """The tokens behind a set of ids."""
         tokens = self._tokens

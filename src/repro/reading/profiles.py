@@ -17,8 +17,9 @@ from repro.types import EntityDescription, Profile
 
 #: One memo entry per raw lower-cased word: the standardized word when it
 #: differs from the raw one (else None), then what ``build`` adds to the
-#: profile's accumulator — the word's tokens on the string path, its
-#: ``(id, token)`` pairs when interning.
+#: profile's token set — the word's tokens on the string path, its token
+#: ids when interning.  An entry is self-contained, so threads sharing a
+#: builder publish a learned word with a single dict store.
 _WordEntry = tuple[str | None, tuple]
 
 
@@ -46,11 +47,12 @@ class ProfileBuilder:
 
     Values rarely repeat but their words do (a Zipf vocabulary), so the
     rules run once per distinct *word*: the memo maps a raw lower-cased
-    word to its standardized form, tokens and token ids, and a value costs
-    one regex pass plus one dict probe per word.  ``cache_size`` bounds the
-    memo to keep streaming memory flat.  The memo is tied to the rules it
-    was filled under: it is not a constructor argument, so every
-    construction and every ``dataclasses.replace`` starts with an empty one.
+    word to its standardized form and its tokens (token ids when
+    interning), and a value costs one regex pass plus one dict probe per
+    word.  ``cache_size`` bounds the memo to keep streaming memory flat.
+    The memo is tied to the rules it was filled under: it is not a
+    constructor argument, so every construction and every
+    ``dataclasses.replace`` starts with an empty one.
     """
 
     standardizer: Standardizer = field(default_factory=Standardizer)
@@ -69,7 +71,7 @@ class ProfileBuilder:
         standardized = self.standardizer.standardize_word(word)
         tokens = tuple(self.tokenizer.tokens(standardized))
         if self.dictionary is not None:
-            tokens = tuple(zip(map(self.dictionary.intern, tokens), tokens))
+            tokens = tuple(map(self.dictionary.intern, tokens))
         entry = (standardized if standardized != word else None, tokens)
         if len(self._memo) >= self.cache_size:
             self._memo.clear()
@@ -77,13 +79,20 @@ class ProfileBuilder:
         return entry
 
     def build(self, entity: EntityDescription) -> Profile:
-        """Produce the profile ``p_i`` (with keys ``K_i``) for ``e_i``."""
+        """Produce the profile ``p_i`` (with keys ``K_i``) for ``e_i``.
+
+        An attribute pair whose value standardization leaves unchanged is
+        reused, and so is the whole attribute tuple when no value changes
+        (only when the input pairs are tuples themselves).
+        """
         memo = self._memo
+        given = entity.attributes
         attributes = []
-        # The string path collects tokens in a set; interning collects
-        # id → token in a dict, so one ``update`` per word serves both.
-        seen: set[str] | dict[int, str] = set() if self.dictionary is None else {}
-        for name, value in entity.attributes:
+        reused = type(given) is tuple
+        # Tokens on the string path, token ids when interning.
+        seen: set = set()
+        for pair in given:
+            name, value = pair
             standardized = value.lower()
             replaced: dict[str, str] = {}
             for word in WORD_RE.findall(standardized):
@@ -93,14 +102,15 @@ class ProfileBuilder:
                 seen.update(found)
             if replaced:
                 standardized = _substitute(replaced, standardized)
-            attributes.append((name, standardized))
+            if standardized == value and type(pair) is tuple:
+                attributes.append(pair)
+            else:
+                attributes.append((name, standardized))
+                reused = False
+        attributes = given if reused else tuple(attributes)
         if self.dictionary is None:
-            return Profile(entity.eid, tuple(attributes), frozenset(seen), entity.source)
+            return Profile(entity.eid, attributes, frozenset(seen), entity.source)
         ids = pack_ids(seen)
         return Profile(
-            entity.eid,
-            tuple(attributes),
-            tuple(map(seen.__getitem__, ids)),  # type: ignore[index]
-            entity.source,
-            ids,
+            entity.eid, attributes, self.dictionary.tokens_of(ids), entity.source, ids
         )

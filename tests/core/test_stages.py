@@ -22,19 +22,19 @@ from repro.core.stages import (
     MaterializedComparisons,
 )
 from repro.classification import ThresholdClassifier
-from repro.core.state import Blacklist, BlockCollection, BlockPrefix, ProfileStore
+from repro.core.state import Blacklist, BlockCollection, ProfileStore
 from repro.errors import UnknownProfileError
 from repro.types import Comparison, Profile, ScoredComparison
 
 
 def view(*ids):
-    """A prefix view over exactly ``ids`` (what ``f_bb+bp`` hands out)."""
-    return BlockPrefix(list(ids), len(ids))
+    """A ``(block, n)`` snapshot of exactly ``ids`` (what ``f_bb+bp`` hands out)."""
+    return list(ids), len(ids)
 
 
 def snapshot(blocked):
-    """``B_ei`` with every view materialized, for equality assertions."""
-    return {key: list(others) for key, others in blocked.others.items()}
+    """``B_ei`` with every snapshot materialized, for equality assertions."""
+    return {key: block[:n] for key, (block, n) in blocked.others.items()}
 
 
 def make_profile(eid, tokens, source=None):
@@ -64,9 +64,9 @@ class TestBlockBuildingStage:
                 super().put(profile)
 
         class Blocks(BlockCollection):
-            def add(self, key, eid):
-                log.append(("add", eid))
-                return super().add(key, eid)
+            def add_all(self, keys, eid):
+                log.extend(("add", eid) for _ in keys)
+                return super().add_all(keys, eid)
 
         backend = SimpleNamespace(
             profiles=Profiles(), blocks=Blocks(), blacklist=Blacklist()
@@ -101,10 +101,10 @@ class TestBlockBuildingStage:
         stage(make_profile(1, {"a"}))
         out = stage(make_profile(2, {"a"}))
         members = stage.blocks.block("a")
-        assert out.others["a"].members is members  # nothing was copied
+        assert out.others["a"][0] is members  # nothing was copied
         stage(make_profile(3, {"a"}))
         assert members == [1, 2, 3]
-        assert len(out.others["a"]) == 1 and bool(out.others["a"])
+        assert out.others["a"][1] == 1
         assert snapshot(out) == {"a": [1]}
 
     def test_snapshot_survives_pruning_of_its_block(self):
@@ -148,7 +148,7 @@ class TestBlockBuildingStage:
         for eid in range(5):
             out = stage(make_profile(eid, {"k"}))
         assert len(stage.blocks.block("k")) == 5
-        assert list(out.others["k"]) == [0, 1, 2, 3]
+        assert snapshot(out) == {"k": [0, 1, 2, 3]}
 
     def test_paper_example_pavilion_pruned_at_e5(self, paper_entities):
         dr = DataReadingStage()
@@ -166,7 +166,7 @@ class TestBlockBuildingStage:
         # Surviving snapshot: the "wood" block (e1's "wooden" and e5's
         # "timber" both standardized to "wood", as in Figure 2).
         assert set(outputs[-1].others) == {"wood"}
-        assert set(outputs[-1].others["wood"]) == {1, 3}
+        assert set(snapshot(outputs[-1])["wood"]) == {1, 3}
 
 
 class TestBlockGhostingStage:
@@ -221,7 +221,7 @@ class TestBlockGhostingStage:
         assert out is not None
         assert "pavilion" not in out.others
         assert set(out.others) == {"fibre", "glass"}
-        assert set(out.others["fibre"]) == {2}
+        assert set(snapshot(out)["fibre"]) == {2}
 
 
 class TestComparisonGenerationStage:

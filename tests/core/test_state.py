@@ -12,7 +12,6 @@ from repro.core.backends import DurableBackend
 from repro.core.state import (
     Blacklist,
     BlockCollection,
-    BlockPrefix,
     ERState,
     MatchStore,
     ProfileStore,
@@ -68,22 +67,28 @@ class TestBlockCollection:
 
 
 class TestBlockPrefix:
-    def test_len_truthiness_and_iteration_stop_at_n(self):
-        members = [5, 3, 9, 7]
-        prefix = BlockPrefix(members, 2)
-        assert len(prefix) == 2 and prefix
-        assert list(prefix) == [5, 3]
-        assert list(prefix) == [5, 3]  # re-iterable
-        assert not BlockPrefix(members, 0)
+    """``f_bb+bp`` snapshots a block as ``(block, n)``: the list itself and
+    the prefix length ``n`` it saw.  What the prefix reads never changes."""
+
+    def test_add_all_appends_to_every_key_and_returns_the_blocks(self):
+        blocks = BlockCollection()
+        blocks.add("a", 1)
+        got = blocks.add_all(["a", "b", "c"], 2)
+        assert got == [[1, 2], [2], [2]]
+        assert got[0] is blocks.block("a") and got[1] is blocks.block("b")
+        assert blocks.add_all([], 3) == []
+        assert dict(blocks.sizes()) == {"a": 2, "b": 1, "c": 1}
+        assert blocks.total_assignments() == 4
+        assert blocks.total_comparisons() == 1
 
     def test_later_appends_do_not_show(self):
         blocks = BlockCollection()
         blocks.add("k", 1)
         block = blocks.add("k", 2)
-        prefix = BlockPrefix(block, len(block) - 1)
-        blocks.add("k", 3)
-        assert list(prefix) == [1]
-        assert prefix.members is blocks.block("k")  # a view, not a copy
+        prefix = (block, len(block) - 1)
+        blocks.add_all(["k"], 3)
+        assert prefix[0][: prefix[1]] == [1]
+        assert prefix[0] is blocks.block("k")  # a snapshot, not a copy
 
     @pytest.fixture(params=["memory", "durable"])
     def blocks(self, request, tmp_path):
@@ -98,12 +103,12 @@ class TestBlockPrefix:
         for eid in (1, 2, 3, 4):
             blocks.add("k", eid)
         blocks.add("other", 9)
-        held = BlockPrefix(blocks.block("k"), 3)
+        block, n = blocks.block("k"), 3
         assert blocks.discard("k", 2) is True
-        assert list(held) == [1, 2, 3]  # the view still reads what it saw
+        assert block[:n] == [1, 2, 3]  # the snapshot still reads what it saw
         assert blocks.block("k") == [1, 3, 4]
         assert blocks.discard("k", 2) is False
-        assert list(held) == [1, 2, 3]
+        assert block[:n] == [1, 2, 3]
         # ... and the O(1) counters are still exact.
         assert dict(blocks.sizes()) == {"k": 3, "other": 1}
         assert blocks.total_assignments() == 4
@@ -111,17 +116,17 @@ class TestBlockPrefix:
         for eid in (1, 3, 4):
             assert blocks.discard("k", eid) is True
         assert "k" not in blocks
-        assert list(held) == [1, 2, 3]
+        assert block[:n] == [1, 2, 3]
         assert blocks.total_assignments() == 1
         assert blocks.total_comparisons() == 0
 
     def test_remove_block_detaches_a_viewed_list(self, blocks):
         for eid in (1, 2, 3):
             blocks.add("k", eid)
-        held = BlockPrefix(blocks.block("k"), 2)
+        block, n = blocks.block("k"), 2
         blocks.remove_block("k")
         blocks.add("k", 7)  # a new list under the same key
-        assert list(held) == [1, 2]
+        assert block[:n] == [1, 2]
         assert blocks.block("k") == [7]
 
 

@@ -8,8 +8,12 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.stages import BlockedEntity, CandidateComparisons, MaterializedComparisons
-from repro.core.state import BlockPrefix
+from repro.core.stages import (
+    BlockedEntity,
+    CandidateComparisons,
+    ComparisonGenerationStage,
+    MaterializedComparisons,
+)
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.invariants import (
     InvariantChecker,
@@ -173,16 +177,16 @@ class TestStageEnforcement:
     def test_wellformed_views_pass_bb_check(self):
         members = [1, 2, 3]
         blocked = self.blocked(
-            4, a=BlockPrefix(members, 3), b=BlockPrefix(members, 1)
+            4, a=(members, 3), b=(members, 1)
         )
         assert self.observe("bb+bp", blocked, alpha=5) == []
 
     @pytest.mark.parametrize(
         "view",
         [
-            BlockPrefix([1, 2], 0),  # a singleton block made it into B_ei
-            BlockPrefix([1, 2], 3),  # longer than the list it views
-            BlockPrefix([1, 2, 3, 4, 5], 4),  # |b| = 5 = α survived the purge
+            ([1, 2], 0),  # a singleton block made it into B_ei
+            ([1, 2], 3),  # longer than the list it views
+            ([1, 2, 3, 4, 5], 4),  # |b| = 5 = α survived the purge
         ],
         ids=["empty", "overlong", "oversized"],
     )
@@ -192,7 +196,7 @@ class TestStageEnforcement:
 
     def test_cg_multiplicity_is_conserved(self):
         blocked = self.blocked(
-            9, a=BlockPrefix([1, 2, 5], 2), b=BlockPrefix([2, 9, 3], 3)
+            9, a=([1, 2, 5], 2), b=([2, 9, 3], 3)
         )
         good = CandidateComparisons(profile=blocked.profile, candidates=[1, 2, 2, 3])
         assert self.observe("cg", good, blocked) == []
@@ -202,7 +206,7 @@ class TestStageEnforcement:
             assert self.observe("cg", bad, blocked) == ["cg-multiplicity-conserved"]
 
     def test_cg_multiplicity_needs_the_input_and_dirty_er(self):
-        blocked = self.blocked(("x", 9), a=BlockPrefix([("x", 1), ("y", 2)], 2))
+        blocked = self.blocked(("x", 9), a=([("x", 1), ("y", 2)], 2))
         out = CandidateComparisons(profile=blocked.profile, candidates=[("y", 2)])
         assert self.observe("cg", out, blocked, clean_clean=True) == []
         assert self.observe("cg", out) == []  # no source message: nothing to relate
@@ -225,6 +229,30 @@ class TestStageEnforcement:
         checker.bind(small_config(), backend=object())
         checker.observe_stage("no-such-stage", object())
         assert checker.checks_performed == 0
+
+
+class TestBlockSnapshots:
+    """``B_ei`` holds plain ``(block, n)`` pairs; hand-built bad ones must
+    still be caught, at ``bb+bp`` and, through the real ``f_cg``, at ``cg``."""
+
+    BAD = {
+        "singleton": ([1, 2], 0),
+        "past-end": ([1, 2], 3),
+        "at-alpha": ([1, 2, 3, 4, 5], 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD))
+    def test_bad_snapshot_fails_bb_and_what_cg_makes_of_it_is_checked(self, name):
+        blocked = TestStageEnforcement.blocked(9, k=self.BAD[name], ok=([1, 3], 2))
+        checker = InvariantChecker(mode="record")
+        checker.bind(small_config(alpha=5), backend=object())
+        checker.observe_stage("bb+bp", blocked)
+        generated = ComparisonGenerationStage()(blocked)
+        checker.observe_stage("cg", generated, blocked)
+        violations = [v.invariant for v in checker.violations]
+        # Only the past-end snapshot loses members when f_cg slices it.
+        cg = ["cg-multiplicity-conserved"] if name == "past-end" else []
+        assert violations == ["bb-snapshot-wellformed", *cg]
 
 
 class TestCompilation:

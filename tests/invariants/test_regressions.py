@@ -16,7 +16,6 @@ import pytest
 
 from repro.classification import ThresholdClassifier
 from repro.core import StreamERConfig, StreamERPipeline
-from repro.core.state import BlockPrefix
 from repro.errors import InvariantViolation
 from repro.invariants import InvariantChecker
 from repro.streaming import SlidingWindowERPipeline, UpdateAwareERPipeline
@@ -93,8 +92,8 @@ class TestWindowReArrivalRegression:
 
 class TestReArrivalLeavesHeldViewsAlone:
     """Retiring an entity shrinks blocks through ``discard``.  A message
-    still in flight may hold :class:`BlockPrefix` views over those blocks,
-    so the shrink must never show through a view taken before it."""
+    still in flight may hold ``(block, n)`` snapshots of those blocks, so
+    the shrink must never show through a snapshot taken before it."""
 
     STREAM = TestWindowReArrivalRegression.STREAM + [
         EntityDescription.create(2, {"desc": "glass roof frame"}),
@@ -114,19 +113,18 @@ class TestReArrivalLeavesHeldViewsAlone:
     def test_views_taken_before_a_retire_still_read_the_same(self, make):
         wrapper = make()
         blocks = wrapper.pipeline.bb.blocks
-        held: list[tuple[str, BlockPrefix, list]] = []
+        held: list[tuple[str, tuple[list, int], list]] = []
         for entity in self.STREAM:
             wrapper.process(entity)
             profile = wrapper.pipeline.lm.profiles.get(entity.eid)
             for key in profile.tokens:
                 members = blocks.block(key)
                 if members:
-                    view = BlockPrefix(members, len(members))
-                    held.append((key, view, list(view)))
+                    held.append((key, (members, len(members)), members.copy()))
         # The scenario is live: some viewed block was shrunk after the view.
-        assert any(blocks.block(key) is not view.members for key, view, _ in held)
-        for _, view, seen in held:
-            assert list(view) == seen
+        assert any(blocks.block(key) is not view[0] for key, view, _ in held)
+        for _, (block, n), seen in held:
+            assert block[:n] == seen
         assert not check_state_of(wrapper.pipeline).violations
 
 
@@ -148,8 +146,10 @@ class TestBlockCounterDrift:
         for step in range(300):
             op = rng.random()
             key = rng.choice(keys)
-            if op < 0.6:
+            if op < 0.3:
                 blocks.add(key, rng.randrange(20))
+            elif op < 0.6:
+                blocks.add_all(rng.sample(keys, rng.randrange(4)), rng.randrange(20))
             elif op < 0.9:
                 members = blocks.block(key)
                 eid = rng.choice(members) if members else rng.randrange(20)

@@ -341,7 +341,8 @@ class TestPruningWhileOlderEntitiesAreQueued:
                 time.sleep(0.001)
             view = blocked.others.get("shared")
             if view is not None:
-                seen[blocked.profile.eid] = (view, list(view))
+                block, n = view
+                seen[blocked.profile.eid] = (view, block[:n])
             return blocked
 
         checker = InvariantChecker(mode="record")
@@ -361,7 +362,7 @@ class TestPruningWhileOlderEntitiesAreQueued:
         assert {eid: members for eid, (_, members) in seen.items()} == {
             i: list(range(i)) for i in range(1, self.ALPHA - 1)
         }
-        assert all(list(view) == members for view, members in seen.values())
+        assert all(block[:n] == members for (block, n), members in seen.values())
         assert "shared" not in backend.blocks
         assert not checker.violations
         assert checker.checks_performed > 0

@@ -277,3 +277,121 @@ class TestWordMemoEqualsReference:
         joined = " ".join(v for _, v in p.attributes)
         for token in p.tokens:
             assert token in joined
+
+
+# --------------------------------------------------------------------------
+# What f_dr keeps per entity and per learned word
+
+_BUILDERS = {
+    "string": lambda **kw: ProfileBuilder(**kw),
+    "interned": lambda **kw: ProfileBuilder(dictionary=TokenDictionary(), **kw),
+}
+
+
+@pytest.fixture(params=sorted(_BUILDERS))
+def make_builder(request):
+    return _BUILDERS[request.param]
+
+
+class TestFootprint:
+    def test_already_standard_entity_shares_its_attribute_tuple(self, make_builder):
+        entity = EntityDescription(eid=1, attributes=(("a", "glass roof"), ("b", "wood")))
+        profile = make_builder().build(entity)
+        assert profile.attributes is entity.attributes
+        assert frozenset(profile.tokens) == {"glass", "roof", "wood"}
+
+    def test_partly_changed_entity_shares_its_unchanged_pairs(self, make_builder):
+        entity = EntityDescription(
+            eid=1, attributes=(("a", "glass roof"), ("b", "Timber"), ("c", "wood"))
+        )
+        profile = make_builder().build(entity)
+        assert profile.attributes == (("a", "glass roof"), ("b", "wood"), ("c", "wood"))
+        assert profile.attributes is not entity.attributes
+        assert profile.attributes[0] is entity.attributes[0]
+        assert profile.attributes[2] is entity.attributes[2]
+
+    def test_list_typed_attributes_come_out_as_tuples(self, make_builder):
+        entity = EntityDescription(eid=1, attributes=[["a", "glass roof"], ("b", "wood")])
+        profile = make_builder().build(entity)
+        assert profile.attributes == (("a", "glass roof"), ("b", "wood"))
+        assert type(profile.attributes) is tuple
+        assert all(type(pair) is tuple for pair in profile.attributes)
+
+    def test_learned_word_adds_one_memo_entry_and_no_per_token_pair(self, make_builder):
+        builder = make_builder()
+        builder.build(EntityDescription.create(1, {"a": "glass roof"}))
+        assert len(builder._memo) == 2
+        builder.build(EntityDescription.create(2, {"a": "glass Timber"}))
+        assert len(builder._memo) == 3
+        replacement, found = builder._memo["timber"]
+        assert replacement == "wood"
+        if builder.dictionary is None:
+            assert found == ("wood",)
+        else:
+            assert found == (builder.dictionary.lookup("wood"),)
+        for entry in builder._memo.values():
+            assert all(type(item) in (int, str) for item in entry[1])
+
+    def test_tokens_of_round_trips_ids(self):
+        dictionary = TokenDictionary()
+        ids = [dictionary.intern(token) for token in ("wood", "glass", "roof")]
+        assert dictionary.tokens_of(ids) == ("wood", "glass", "roof")
+        assert dictionary.tokens_of(reversed(ids)) == ("roof", "glass", "wood")
+        assert dictionary.tokens_of(()) == ()
+        assert list(map(dictionary.intern, dictionary.tokens_of(ids))) == ids
+
+
+class TestSharedBuilderConcurrency:
+    def test_four_threads_sharing_a_builder_match_a_single_thread(self):
+        import sys
+        import threading
+
+        words = ["glass", "Timber", "roof", "panels", "st", "fiber", "wood", "frame"]
+        entities = [
+            EntityDescription.create(
+                eid,
+                {
+                    "a": " ".join(words[(eid * k) % len(words)] for k in range(1, 4)),
+                    "b": f"{words[eid % len(words)]} w{eid % 37} x{eid % 11}",
+                },
+            )
+            for eid in range(400)
+        ]
+        single = ProfileBuilder(dictionary=TokenDictionary())
+        expected = {
+            e.eid: (p.attributes, frozenset(p.tokens))
+            for e in entities
+            for p in [single.build(e)]
+        }
+
+        shared = ProfileBuilder(dictionary=TokenDictionary(), cache_size=2)
+        built: dict = {}
+        errors: list[BaseException] = []
+
+        def work(offset: int) -> None:
+            try:
+                for entity in entities[offset:] + entities[:offset]:
+                    built.setdefault(entity.eid, []).append(shared.build(entity))
+            except BaseException as error:  # surfaced below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k * 100,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        dictionary = shared.dictionary
+        for eid, profiles in built.items():
+            assert len(profiles) == 4
+            for profile in profiles:
+                assert_stored_form(profile, dictionary)
+                decoded = frozenset(dictionary.tokens_of(profile.token_ids))
+                assert (profile.attributes, decoded) == expected[eid]
+        assert len(shared._memo) <= 2
